@@ -12,8 +12,7 @@ a Figure 10 design-space-exploration grid:
   frequency assignments.
 * **Zero frequency searches** — the warm session runs **zero**
   Algorithm 3 Monte Carlo searches
-  (:func:`~repro.design.frequency_allocation.allocation_call_count`
-  stays at 0): every plan is served from the counts-only JSON file.
+  (the ``design/allocation_calls`` metric does not move): every plan is served from the counts-only JSON file.
 * **Speedup** — the warm session runs at least ``MIN_SPEEDUP`` times
   faster than the cold session that populated the cache (the remaining
   warm-path work is profiling, layout and bus selection — all cheap).
@@ -45,12 +44,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.benchmarks import get_benchmark
 from repro.design import DesignCache, DesignEngine
-from repro.design.frequency_allocation import (
-    allocation_call_count,
-    reset_allocation_call_count,
-    reset_shared_caches,
-)
+from repro.design.frequency_allocation import reset_shared_caches
 from repro.evaluation.configs import ExperimentConfig, architectures_for_config
+from repro.runtime.metrics import global_metrics
 
 from _bench_utils import RESULTS_DIR, write_result
 
@@ -87,6 +83,11 @@ def _fingerprint(architecture) -> Tuple:
         tuple(sorted(architecture.coupling_edges())),
         tuple(sorted(architecture.frequencies.items())),
     )
+
+
+def _allocation_calls() -> int:
+    """Algorithm 3 searches run so far in this process."""
+    return global_metrics().snapshot()["counters"].get("design/allocation_calls", 0)
 
 
 def _generate_grid(benchmarks, seeds, local_trials, engine):
@@ -133,14 +134,14 @@ def run_bench(smoke: bool = False, repeats: int = 2) -> dict:
             # process-wide ranking/noise caches (PR 5) must not leak
             # across the benchmark's repeated "sessions".
             reset_shared_caches()
-            reset_allocation_call_count()
+            calls_before = _allocation_calls()
             start = time.perf_counter()
             grid = _generate_grid(benchmarks, seeds, local_trials, engine)
             saved_entries = engine.frequency_cache.merge_save(cache_path)
             elapsed = time.perf_counter() - start
             if elapsed < cold_time:
                 cold_time = elapsed
-            cold_allocations = allocation_call_count()
+            cold_allocations = _allocation_calls() - calls_before
             if cold_grid is None:
                 cold_grid = grid
         cache_bytes = cache_path.stat().st_size
@@ -151,12 +152,12 @@ def run_bench(smoke: bool = False, repeats: int = 2) -> dict:
         for _repeat in range(repeats):
             # A new process's engine: empty stages, unbounded like production.
             engine = DesignEngine(frequency_cache=DesignCache(max_entries=None))
-            reset_allocation_call_count()
+            calls_before = _allocation_calls()
             start = time.perf_counter()
             loaded_entries = engine.frequency_cache.load(cache_path)
             grid = _generate_grid(benchmarks, seeds, local_trials, engine)
             elapsed = time.perf_counter() - start
-            warm_allocations = max(warm_allocations, allocation_call_count())
+            warm_allocations = max(warm_allocations, _allocation_calls() - calls_before)
             if elapsed < warm_time:
                 warm_time = elapsed
             if warm_grid is None:

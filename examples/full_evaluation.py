@@ -23,7 +23,6 @@ import argparse
 
 from repro.benchmarks import BENCHMARK_NAMES, benchmark_suite
 from repro.evaluation import (
-    EvaluationSettings,
     evaluate_suite,
     frequency_allocation_gain,
     headline_comparisons,
@@ -31,6 +30,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.analysis import geometric_mean_yield_ratio, mean_performance_change
 from repro.evaluation.figures import format_figure10_table
+from repro.runtime.config import RuntimeConfig
 from repro.visualization import render_pareto_scatter
 
 
@@ -43,11 +43,11 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.fast:
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=2000, frequency_local_trials=500, random_bus_seeds=(1, 2)
         )
     else:
-        settings = EvaluationSettings()
+        settings = RuntimeConfig()
 
     circuits = benchmark_suite(args.benchmarks)
     results = evaluate_suite(circuits, settings=settings)

@@ -19,10 +19,6 @@ the real classes:
 * **REPRO-C302** — the same probe over every
   :class:`~repro.mapping.sabre.SabreParameters` field through the
   embedded ``routing`` payload.
-* **REPRO-C303** — field-set mirror:
-  :class:`~repro.evaluation.experiment.EvaluationSettings` and
-  ``RuntimeConfig`` must declare identical field names, so a knob added
-  to the evaluation layer cannot bypass the digested runtime layer.
 * **REPRO-C304** — static key coverage: every
   :class:`~repro.design.engine.DesignOptions` field must appear in a
   stage cache-key expression (``key = (...)`` tuples referencing
@@ -42,7 +38,6 @@ from repro.analysis.findings import Finding
 
 _CONFIG_PATH = "src/repro/runtime/config.py"
 _SABRE_PATH = "src/repro/mapping/sabre.py"
-_SETTINGS_PATH = "src/repro/evaluation/experiment.py"
 _ENGINE_PATH = "src/repro/design/engine.py"
 
 #: Known alternate values for strategy-style strings (validated fields
@@ -203,37 +198,6 @@ def routing_params_findings() -> List[Finding]:
     return findings
 
 
-def settings_mirror_findings() -> List[Finding]:
-    """REPRO-C303: EvaluationSettings and RuntimeConfig must mirror field-wise."""
-    from repro.evaluation.experiment import EvaluationSettings
-    from repro.runtime.config import RuntimeConfig
-
-    config_fields = {field.name for field in dataclasses.fields(RuntimeConfig)}
-    settings_fields = {field.name for field in dataclasses.fields(EvaluationSettings)}
-    findings: List[Finding] = []
-    for name in sorted(settings_fields - config_fields):
-        findings.append(Finding(
-            rule="REPRO-C303", path=_SETTINGS_PATH, line=1,
-            message=(
-                f"EvaluationSettings field {name!r} has no RuntimeConfig "
-                "mirror, so it bypasses the digested runtime layer; add it "
-                "to RuntimeConfig (where the digest probe will cover it)"
-            ),
-            context=f"field {name}",
-        ))
-    for name in sorted(config_fields - settings_fields):
-        findings.append(Finding(
-            rule="REPRO-C303", path=_CONFIG_PATH, line=1,
-            message=(
-                f"RuntimeConfig field {name!r} has no EvaluationSettings "
-                "mirror; RuntimeConfig.evaluation_settings() would fail or "
-                "silently drop it"
-            ),
-            context=f"field {name}",
-        ))
-    return findings
-
-
 def design_options_key_findings(
     root: Path,
     *,
@@ -301,6 +265,5 @@ def project_findings(root: Path) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(runtime_config_findings())
     findings.extend(routing_params_findings())
-    findings.extend(settings_mirror_findings())
     findings.extend(design_options_key_findings(root))
     return findings

@@ -37,11 +37,11 @@ from repro.collision.yield_simulator import YieldSimulator
 from repro.design.frequency_allocation import ALLOCATION_STRATEGIES
 from repro.design.flow import DesignFlow, DesignOptions
 from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS, DEFAULT_EVALUATION_ROUTING
+from repro.evaluation.experiment import DEFAULT_CONFIGS
 from repro.evaluation.figures import format_figure10_table
 from repro.evaluation.parallel import run_sweep
 from repro.profiling.profiler import profile_circuit
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 from repro.visualization.ascii_art import render_architecture, render_coupling_matrix
 from repro.visualization.pareto_plot import render_pareto_scatter
 
@@ -287,13 +287,6 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
     _add_allocation_strategy_argument(group)
     _add_screening_argument(group)
     group.add_argument(
-        "--cache-stats", action="store_true",
-        help="print a cache-aware session report (per-stage design-engine "
-             "entries/hits/misses and routing-cache hit rates) after the "
-             "results (deprecated: --metrics-out emits the same counters "
-             "and more as structured JSON)",
-    )
-    group.add_argument(
         "--design-cache", default=None, metavar="PATH",
         help="persisted design-stage cache (counts-only JSON of Algorithm 3 "
              "frequency plans): loaded before designing — by every worker, "
@@ -337,8 +330,8 @@ def _store_path(path: Optional[str], backend: str) -> Optional[str]:
 
     An explicit ``json:`` / ``sharded:`` / ``sqlite:`` prefix on the path
     always wins; otherwise a non-``auto`` backend choice is encoded as
-    that prefix, so it survives the trip through pickled
-    ``EvaluationSettings`` into every worker process.
+    that prefix, so it survives the trip through the pickled
+    ``RuntimeConfig`` into every worker process.
     """
     if path is None or backend == "auto":
         return path
@@ -354,8 +347,9 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     Precedence: built-in defaults < the ``--runtime-config`` JSON file <
     CLI flags spelled differently from their parser defaults.  (A flag
     given at exactly its default value is indistinguishable from an
-    omitted one and cannot override the file.)  Invalid combinations —
-    even router passes, an unreadable config file — exit with status 2.
+    omitted one and cannot override the file.)  Invalid values — even
+    router passes, trial counts below 1, malformed config-file fields, an
+    unreadable config file — exit with status 2.
     """
     try:
         config = (
@@ -415,7 +409,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            screening=not args.no_screening)
     if args.command == "evaluate":
         return _cmd_evaluate(args.benchmarks, _runtime_config(args), args.plot,
-                             cache_stats=args.cache_stats,
                              metrics_out=args.metrics_out)
     if args.command == "sweep":
         if args.resume and not (args.checkpoint or args.runtime_config):
@@ -423,8 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 2
         return _cmd_sweep(args.benchmarks, args.jobs, args.configs, args.plot,
-                          _runtime_config(args), cache_stats=args.cache_stats,
-                          output=args.output, metrics_out=args.metrics_out,
+                          _runtime_config(args), output=args.output,
+                          metrics_out=args.metrics_out,
                           supervised=args.supervised,
                           task_deadline=args.task_deadline,
                           heartbeat_timeout=args.heartbeat_timeout,
@@ -505,24 +498,6 @@ def _print_result(result, plot: bool) -> None:
     print()
 
 
-def _print_cache_stats(stats: dict, note: Optional[str] = None) -> None:
-    """The ``--cache-stats`` session report, one line per cache/stage."""
-    print("cache stats:")
-    if not stats:
-        print("  (no caches ran in this process)")
-    for name in sorted(stats):
-        values = stats[name]
-        lookups = values["hits"] + values["misses"]
-        rate = values["hits"] / lookups if lookups else 0.0
-        print(
-            f"  {name:<18} entries={values['entries']:<5} "
-            f"hits={values['hits']:<6} misses={values['misses']:<6} "
-            f"hit-rate={rate:.1%}"
-        )
-    if note:
-        print(f"  note: {note}")
-
-
 def _sweep_report(names: List[str], results: dict) -> str:
     """The ``sweep --output`` JSON report, deterministically serialized.
 
@@ -579,7 +554,6 @@ def _cmd_sweep(
     config_values: Optional[List[str]],
     plot: bool,
     config: RuntimeConfig,
-    cache_stats: bool = False,
     output: Optional[str] = None,
     metrics_out: Optional[str] = None,
     supervised: bool = False,
@@ -591,7 +565,7 @@ def _cmd_sweep(
     failures_out: Optional[str] = None,
 ) -> int:
     from repro import faults
-    from repro.evaluation.parallel import save_worker_routing_cache, worker_cache_stats
+    from repro.evaluation.parallel import save_worker_routing_cache
     from repro.runtime.metrics import global_metrics
 
     # Any supervision knob (or a fault plan, which only the supervised
@@ -601,7 +575,6 @@ def _cmd_sweep(
         or heartbeat_timeout is not None or failures_out
     )
     baseline = global_metrics().snapshot()
-    settings = config.evaluation_settings()
     # Canonicalize up front: fails fast on unknown names (before forking
     # workers) and collapses aliases/duplicates onto the sweep's keys.
     names = list(dict.fromkeys(get_benchmark(name).name for name in benchmarks))
@@ -632,11 +605,11 @@ def _cmd_sweep(
                 backoff_base_s=retry_backoff,
             )
             executor = SupervisedExecutor(
-                settings=settings, configs=configs, jobs=jobs, policy=policy,
+                settings=config, configs=configs, jobs=jobs, policy=policy,
             )
             results = executor.run(names)
         else:
-            results = run_sweep(names, jobs=jobs, settings=settings, configs=configs)
+            results = run_sweep(names, jobs=jobs, settings=config, configs=configs)
     finally:
         if fault_plan:
             if previous_plan is None:
@@ -648,20 +621,11 @@ def _cmd_sweep(
     # files are complete for every --jobs count; this final call only
     # rewrites if an in-process engine somehow still holds unmerged
     # results (it skips the file entirely otherwise).
-    save_worker_routing_cache(settings)
+    save_worker_routing_cache(config)
     if output:
         atomic_write_text(output, _sweep_report(names, results))
     for name in names:
         _print_result(results[name], plot)
-    if cache_stats:
-        _print_cache_stats(
-            worker_cache_stats(settings),
-            note=(
-                f"--jobs {jobs} ran its engines in worker processes; "
-                "per-worker counters are not aggregated here — "
-                "--metrics-out reports merge them"
-            ) if jobs > 1 else None,
-        )
     if metrics_out:
         _write_metrics(metrics_out, baseline, command="sweep", config=config,
                        jobs=jobs)
@@ -692,8 +656,7 @@ def _cmd_sweep(
 
 
 def _cmd_evaluate(benchmarks: List[str], config: RuntimeConfig,
-                  plot: bool, cache_stats: bool = False,
-                  metrics_out: Optional[str] = None) -> int:
+                  plot: bool, metrics_out: Optional[str] = None) -> int:
     from repro.runtime.metrics import global_metrics
     from repro.runtime.session import session_for
 
@@ -709,8 +672,6 @@ def _cmd_evaluate(benchmarks: List[str], config: RuntimeConfig,
     # writer's (or an earlier run's) entries are never dropped by the
     # refresh, and fully warm runs skip the rewrite entirely.
     session.persist()
-    if cache_stats:
-        _print_cache_stats(session.cache_stats())
     if metrics_out:
         _write_metrics(metrics_out, baseline, command="evaluate", config=config,
                        jobs=1)

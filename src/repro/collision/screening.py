@@ -590,7 +590,7 @@ def screen_candidate_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Process-wide screening instrumentation (mirrors allocation_call_count):
+# Process-wide screening instrumentation:
 # the benchmarks and tests read pruned-candidate fractions and the
 # cold-path phase breakdown from here.
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from repro.design.frequency_allocation import (
     AllocationStrategy,
     FrequencyAllocator,
     allocate_frequencies,
-    allocation_call_count,
-    reset_allocation_call_count,
     reset_shared_caches,
     resolve_strategy,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "AllocationStrategy",
     "FrequencyAllocator",
     "allocate_frequencies",
-    "allocation_call_count",
-    "reset_allocation_call_count",
     "reset_shared_caches",
     "resolve_strategy",
     "DesignCache",

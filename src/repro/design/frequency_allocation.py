@@ -81,27 +81,6 @@ _metrics = global_metrics()
 #: exact equality of success counts for any realistic trial count.
 TIE_TOLERANCE = 1e-12
 
-#: Process-wide count of :meth:`FrequencyAllocator.allocate` invocations.
-#: Instrumentation for the warm-session proofs (tests and
-#: ``benchmarks/bench_design_cache.py``): a run served entirely from a
-#: persisted :class:`~repro.design.engine.DesignCache` must leave this
-#: counter untouched — zero Algorithm 3 Monte Carlo searches.
-_ALLOCATION_CALLS = 0
-
-
-def allocation_call_count() -> int:
-    """How many Algorithm 3 searches ran in this process (see above)."""
-    return _ALLOCATION_CALLS
-
-
-def reset_allocation_call_count() -> int:
-    """Zero the process-wide Algorithm 3 counter; returns the previous value."""
-    global _ALLOCATION_CALLS
-    previous = _ALLOCATION_CALLS
-    _ALLOCATION_CALLS = 0
-    return previous
-
-
 #: Process-wide cache of per-qubit CRN fabrication-noise tensors, keyed by
 #: everything that determines a draw: (base seed, sigma, trials, qubit,
 #: region size).  The tensors are pure functions of the key — a cold
@@ -878,8 +857,6 @@ class FrequencyAllocator:
         """
         if not architecture.qubits:
             raise ValueError("architecture has no qubits")
-        global _ALLOCATION_CALLS
-        _ALLOCATION_CALLS += 1
         _metrics.increment("design/allocation_calls")
         context = _AllocationContext(self, architecture)
         strategy = resolve_strategy(self.strategy, self.refinement_passes)

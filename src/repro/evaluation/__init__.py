@@ -19,7 +19,6 @@ from repro.evaluation.configs import (
 )
 from repro.evaluation.experiment import (
     DataPoint,
-    EvaluationSettings,
     ExperimentResult,
     design_engine_for,
     evaluate_benchmark,
@@ -54,7 +53,6 @@ __all__ = [
     "architectures_for_config",
     "config_display_name",
     "DataPoint",
-    "EvaluationSettings",
     "ExperimentResult",
     "design_engine_for",
     "evaluate_benchmark",

@@ -20,7 +20,7 @@ architecture, dominated by routing plus the Monte Carlo yield
 simulation).
 
 Worker state lives in :class:`~repro.runtime.session.Session` objects
-found through the process-level registry, keyed by the settings' content
+found through the process-level registry, keyed by the config's content
 digest (:func:`~repro.runtime.session.session_for`): every task of a
 sweep shares one warm session per worker process, and an in-process
 sweep (``jobs=1``) shares the session of the CLI command that launched
@@ -40,22 +40,18 @@ from repro import faults
 from repro.benchmarks.library import get_benchmark
 from repro.collision.yield_simulator import YieldSimulator
 from repro.design.engine import DesignEngine
-from repro.evaluation.checkpoint import (
-    SweepCheckpoint,
-    generation_task_key,
-    point_task_key,
-)
+from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.evaluation.configs import ExperimentConfig, architectures_for_config
 from repro.evaluation.experiment import (
     DEFAULT_CONFIGS,
     DataPoint,
-    EvaluationSettings,
     ExperimentResult,
     evaluate_point,
 )
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
 from repro.profiling.profiler import profile_circuit
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import Snapshot, diff_snapshots, global_metrics
 from repro.utils.rng import seed_for
 
@@ -111,7 +107,7 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 # circuits/profiles locally to keep the pickled payload small.
 #
 # All process-local worker state (engines, caches, checkpoints) lives in
-# runtime Sessions keyed by the settings' content digest — store paths
+# runtime Sessions keyed by the config's content digest — store paths
 # canonicalized, so relative/symlink aliases of one cache file share one
 # warm engine per process.  Sessions are transparent: engine reuse can
 # never change a sweep value, so ``--jobs N`` stays byte-identical for
@@ -119,25 +115,19 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 # ---------------------------------------------------------------------------
 
 
-def _worker_session(settings: EvaluationSettings) -> Session:
+def _worker_session(settings: RuntimeConfig) -> Session:
     """This process's session for ``settings`` (created on first use)."""
-    return _session_module().session_for(settings=settings)
+    return _session_module().session_for(settings)
 
 
-def _worker_engine(settings: EvaluationSettings) -> RoutingEngine:
+def _worker_engine(settings: RuntimeConfig) -> RoutingEngine:
     """The session-owned routing engine, warm-loaded from the persistent cache."""
     return _worker_session(settings).routing_engine
 
 
-def _worker_design_engine(settings: EvaluationSettings) -> DesignEngine:
+def _worker_design_engine(settings: RuntimeConfig) -> DesignEngine:
     """The session-owned design engine, warm-loaded from the persistent cache."""
     return _worker_session(settings).design_engine
-
-
-def _worker_checkpoint(settings: EvaluationSettings) -> Optional[SweepCheckpoint]:
-    if not settings.checkpoint_path:
-        return None
-    return _worker_session(settings).checkpoint
 
 
 def reset_worker_state() -> None:
@@ -164,11 +154,11 @@ def active_routing_engines() -> List[RoutingEngine]:
     ]
 
 
-def save_worker_routing_cache(settings: EvaluationSettings) -> Optional[int]:
+def save_worker_routing_cache(settings: RuntimeConfig) -> Optional[int]:
     """Persist this process's unmerged routing results, if any remain.
 
     Returns the number of entries the cache file holds after a merge, or
-    None when there was nothing to do: the settings name no cache file,
+    None when there was nothing to do: the config names no cache file,
     this process routed nothing (multi-process sweeps route in their
     workers), or every result was already merged by the per-task
     in-worker merges — the common case, which skips the file rewrite
@@ -177,33 +167,14 @@ def save_worker_routing_cache(settings: EvaluationSettings) -> Optional[int]:
     one cache path cannot drop each other's entries and the file never
     shrinks to one saver's LRU bound.
     """
-    session = _session_module().peek_session(settings=settings)
+    session = _session_module().peek_session(settings)
     if session is None:
         return None
     return session.persist_routing()
 
 
-def worker_cache_stats(settings: EvaluationSettings) -> Dict[str, Dict[str, int]]:
-    """Cache statistics of this process's session engines (``--cache-stats``).
-
-    Returns whatever engines this process actually ran: ``routing`` maps
-    to the :class:`~repro.mapping.engine.RoutingCache` counters and
-    ``design/<stage>`` to the per-stage :meth:`DesignEngine.stats`
-    counters.  An in-process sweep (``--jobs 1``) reports the full
-    session; in a ``--jobs N`` sweep each worker process owns its
-    counters, so this report only covers work the calling process did
-    itself (typically none) — the CLI notes that limitation rather than
-    pretending to aggregate.  ``--metrics-out`` is the aggregated,
-    structured successor.
-    """
-    session = _session_module().peek_session(settings=settings)
-    if session is None:
-        return {}
-    return session.cache_stats()
-
-
 def _generate_task(
-    task: Tuple[str, str, EvaluationSettings],
+    task: Tuple[str, str, RuntimeConfig],
 ) -> Tuple[List[Tuple[str, str, int, Architecture]], Snapshot]:
     benchmark, config_value, settings = task
     baseline = global_metrics().snapshot()
@@ -212,7 +183,7 @@ def _generate_task(
 
 
 def _generate_rows(
-    benchmark: str, config_value: str, settings: EvaluationSettings,
+    benchmark: str, config_value: str, settings: RuntimeConfig,
 ) -> List[Tuple[str, str, int, Architecture]]:
     session = _worker_session(settings)
     checkpoint = session.checkpoint
@@ -256,7 +227,7 @@ def _generate_rows(
 
 
 def _evaluate_task(
-    task: Tuple[str, str, int, Architecture, EvaluationSettings],
+    task: Tuple[str, str, int, Architecture, RuntimeConfig],
 ) -> Tuple[DataPoint, Snapshot]:
     benchmark, config_value, arch_index, architecture, settings = task
     baseline = global_metrics().snapshot()
@@ -266,7 +237,7 @@ def _evaluate_task(
 
 def _evaluate_one(
     benchmark: str, config_value: str, arch_index: int,
-    architecture: Architecture, settings: EvaluationSettings,
+    architecture: Architecture, settings: RuntimeConfig,
 ) -> DataPoint:
     session = _worker_session(settings)
     checkpoint = session.checkpoint
@@ -311,7 +282,8 @@ class SweepExecutor:
     """Shards (benchmark x config x architecture) points across processes.
 
     Args:
-        settings: Evaluation knobs shared by every point.
+        settings: The run's :class:`~repro.runtime.config.RuntimeConfig`,
+            shared by every point and pickled whole into worker tasks.
         configs: Experiment configurations to sweep (Figure 10's five by
             default).
         jobs: Worker process count; ``1`` runs everything in-process.
@@ -320,13 +292,13 @@ class SweepExecutor:
 
     def __init__(
         self,
-        settings: Optional[EvaluationSettings] = None,
+        settings: Optional[RuntimeConfig] = None,
         configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
         jobs: int = 1,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.settings = settings or EvaluationSettings()
+        self.settings = settings or RuntimeConfig()
         self.configs = tuple(configs)
         self.jobs = int(jobs)
 
@@ -409,7 +381,7 @@ class SweepExecutor:
 def run_sweep(
     benchmarks: Sequence[str],
     jobs: int = 1,
-    settings: Optional[EvaluationSettings] = None,
+    settings: Optional[RuntimeConfig] = None,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
 ) -> Dict[str, ExperimentResult]:
     """One-call convenience wrapper around :class:`SweepExecutor`."""

@@ -49,8 +49,9 @@ from repro import faults
 from repro.evaluation import parallel
 from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS, EvaluationSettings, ExperimentResult
+from repro.evaluation.experiment import DEFAULT_CONFIGS, ExperimentResult
 from repro.evaluation.parallel import SweepExecutor
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import global_metrics
 
 FAILURE_REPORT_FORMAT = "repro-sweep-failures"
@@ -346,7 +347,7 @@ class SupervisedExecutor(SweepExecutor):
 
     def __init__(
         self,
-        settings: Optional[EvaluationSettings] = None,
+        settings: Optional[RuntimeConfig] = None,
         configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
         jobs: int = 1,
         policy: Optional[SupervisorPolicy] = None,
@@ -398,7 +399,7 @@ class SupervisedExecutor(SweepExecutor):
     def _record_failure(self, item: QuarantinedTask) -> None:
         if not self.settings.checkpoint_path:
             return
-        session = parallel._session_module().session_for(settings=self.settings)
+        session = parallel._session_module().session_for(self.settings)
         session.record_task_failure(item.record())
 
     def _supervise(
@@ -603,7 +604,7 @@ class SupervisedExecutor(SweepExecutor):
 def run_supervised_sweep(
     benchmarks: Sequence[str],
     jobs: int = 1,
-    settings: Optional[EvaluationSettings] = None,
+    settings: Optional[RuntimeConfig] = None,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
     policy: Optional[SupervisorPolicy] = None,
 ) -> Tuple[Dict[str, ExperimentResult], "SupervisedExecutor"]:

@@ -1,21 +1,21 @@
 """The frozen runtime configuration: resolved once, digested, carried everywhere.
 
-:class:`RuntimeConfig` is the single object that replaces field-by-field
-plumbing of cache paths, backend schemes, and router/screening knobs
-through ``EvaluationSettings`` → workers → CLI.  It is:
+:class:`RuntimeConfig` is the one configuration type of the evaluation
+harness: every result-affecting knob (trials, sigma, seeds, Algorithm 3
+strategy, router parameters) plus the store paths.  The CLI resolves it
+once, and the session layer, the sweep executors, their workers and the
+checkpoint task keys all take it as is.  It is:
 
 * **frozen and picklable** — resolved once (from CLI flags and/or a
   ``--runtime-config`` JSON file) and shipped to sweep workers intact;
+* **validated on construction** — malformed field types, trial counts
+  below 1, unknown strategies and ``resume`` without a checkpoint raise
+  :class:`ValueError` before any worker forks;
 * **content-digestable** — :meth:`RuntimeConfig.digest` is a SHA-256
   over the canonical JSON payload, with every store path canonicalized
   via :func:`canonical_store_path` first.  Sessions are keyed by this
   digest, so relative/symlink aliases of one cache file resolve to one
-  session and one warm engine (the same bug class PR 6 fixed for
-  persistence locks);
-* **convertible** — :meth:`RuntimeConfig.evaluation_settings` produces
-  the evaluation-layer :class:`~repro.evaluation.experiment.EvaluationSettings`
-  view, and :meth:`RuntimeConfig.from_settings` converts back, so the
-  two layers can never drift apart field-wise.
+  session and one warm engine.
 """
 
 from __future__ import annotations
@@ -23,14 +23,26 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.evaluation.experiment import DEFAULT_EVALUATION_ROUTING, EvaluationSettings
+from repro.design.frequency_allocation import resolve_strategy
 from repro.hardware.frequency import DEFAULT_SIGMA_GHZ
 from repro.mapping.sabre import SabreParameters
 from repro.persistence import parse_store_path
+
+#: Router parameters used by the evaluation harness by default.
+#:
+#: Bidirectional forward-backward-forward routing (``passes=3``) is
+#: deterministic and never worse than a single pass (qft_16: 134 → 72
+#: swaps), and with the persistent ``RoutingCache`` merged in-worker its
+#: ~3x routing cost is paid once per (circuit, architecture) ever — so
+#: evaluation defaults to it.  ``SabreParameters()`` itself keeps
+#: ``passes=1``: the router's own default stays the paper-exact single
+#: pass; only the evaluation harness opts into the quality win.
+DEFAULT_EVALUATION_ROUTING = SabreParameters(passes=3)
 
 
 def canonical_store_path(path: Optional[str]) -> Optional[str]:
@@ -51,15 +63,62 @@ def canonical_store_path(path: Optional[str]) -> Optional[str]:
 _PATH_FIELDS = ("routing_cache_path", "design_cache_path", "checkpoint_path")
 
 
+#: Expected types of the scalar fields.  An ``int`` field also rejects
+#: ``bool`` (an ``int`` subclass).
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "yield_trials": (int,),
+    "sigma_ghz": (int, float),
+    "yield_seed": (int,),
+    "frequency_local_trials": (int,),
+    "keep_routed_circuits": (bool,),
+    "allocation_strategy": (str,),
+    "screening": (bool,),
+    "resume": (bool,),
+    "routing_cache_path": (str, type(None)),
+    "design_cache_path": (str, type(None)),
+    "checkpoint_path": (str, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Everything a runtime session needs, resolved once and frozen.
+    """Everything an evaluation run needs, resolved once and frozen.
 
-    Field semantics match :class:`~repro.evaluation.experiment.EvaluationSettings`
-    one-for-one (see its docstring); this class adds the canonical-JSON
-    digest, path canonicalization, and JSON round-tripping that make the
-    configuration addressable: two configs with equal digests are served
-    by one warm :class:`~repro.runtime.session.Session` per process.
+    Two configs with equal digests are served by one warm
+    :class:`~repro.runtime.session.Session` per process.
+
+    Attributes:
+        yield_trials: Monte Carlo trials per architecture (paper: 10,000).
+        sigma_ghz: Fabrication precision (paper: 30 MHz).
+        yield_seed: Seed of the yield simulator.
+        frequency_local_trials: Trials per candidate inside Algorithm 3.
+        random_bus_seeds: Seeds for the ``eff-rd-bus`` sample cloud.
+        keep_routed_circuits: Whether mapping results retain full circuits
+            (disabled by default to keep sweeps light).
+        routing: Router tuning parameters shared by every evaluation point.
+            Defaults to :data:`DEFAULT_EVALUATION_ROUTING`; a mapping of
+            :class:`~repro.mapping.sabre.SabreParameters` fields is
+            accepted (the JSON form).
+        routing_cache_path: Optional persisted routing-result cache
+            (see :class:`~repro.mapping.engine.RoutingCache`), warm-loaded
+            by every routing engine; missing files are ignored.
+        allocation_strategy: Algorithm 3 search strategy of the
+            ``eff-full`` / ``eff-rd-bus`` configurations; the paper-exact
+            ``bfs-greedy`` by default.  ``analytic-guided`` or
+            ``coordinate-descent`` run the whole sweep as that ablation.
+        design_cache_path: Optional persisted design-stage cache (see
+            :class:`~repro.design.engine.DesignCache`) of Algorithm 3
+            frequency plans, warm-loaded by every design engine.
+        screening: Whether Algorithm 3 uses the exact interval-count
+            screening engine.  Winner-preserving — outputs are
+            byte-identical with it on or off — so ``False`` (the
+            ``--no-screening`` flag) is an escape hatch and bench baseline.
+        checkpoint_path: Optional sweep checkpoint store (see
+            :class:`~repro.evaluation.checkpoint.SweepCheckpoint`): workers
+            record every completed task into it.
+        resume: Skip sweep tasks already recorded in the checkpoint,
+            looked up by content digests of each task's identity and
+            result-affecting fields.  Requires ``checkpoint_path``.
     """
 
     yield_trials: int = 10_000
@@ -77,27 +136,32 @@ class RuntimeConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "random_bus_seeds", tuple(int(s) for s in self.random_bus_seeds))
+        # Fail fast — at resolution time, before any worker forks — on
+        # anything the evaluation layer would reject later.
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (bool not in types and isinstance(value, bool)):
+                raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, "
+                                 f"got {value!r}")
+        for name in ("yield_trials", "frequency_local_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        try:
+            seeds = tuple(operator.index(seed) for seed in self.random_bus_seeds)
+        except TypeError:
+            raise ValueError("random_bus_seeds must be a sequence of ints, "
+                             f"got {self.random_bus_seeds!r}") from None
+        object.__setattr__(self, "random_bus_seeds", seeds)
         if isinstance(self.routing, Mapping):
-            object.__setattr__(self, "routing", SabreParameters(**dict(self.routing)))
-        # Reuse the evaluation layer's validation (strategy name, resume
-        # requires a checkpoint) so a bad config fails at resolution
-        # time, not after workers fork.
-        self.evaluation_settings()
-
-    # -- conversions -------------------------------------------------------
-
-    def evaluation_settings(self) -> EvaluationSettings:
-        """The evaluation-layer view of this config (exact field mirror)."""
-        return EvaluationSettings(**dataclasses.asdict(self) | {"routing": self.routing})
-
-    @classmethod
-    def from_settings(cls, settings: EvaluationSettings) -> "RuntimeConfig":
-        """Lift an :class:`EvaluationSettings` into the runtime layer."""
-        payload = dataclasses.asdict(settings)
-        payload["routing"] = settings.routing
-        payload["random_bus_seeds"] = tuple(settings.random_bus_seeds)
-        return cls(**payload)
+            try:
+                object.__setattr__(self, "routing", SabreParameters(**dict(self.routing)))
+            except TypeError as error:
+                raise ValueError(f"invalid routing parameters: {error}") from None
+        if not isinstance(self.routing, SabreParameters):
+            raise ValueError(f"routing must be SabreParameters, got {self.routing!r}")
+        resolve_strategy(self.allocation_strategy)
+        if self.resume and not self.checkpoint_path:
+            raise ValueError("resume=True requires checkpoint_path")
 
     # -- canonical form + digest -------------------------------------------
 
@@ -145,10 +209,7 @@ class RuntimeConfig:
         unknown = set(data) - names
         if unknown:
             raise ValueError(f"unknown runtime-config keys: {sorted(unknown)}")
-        payload = dict(data)
-        if "random_bus_seeds" in payload:
-            payload["random_bus_seeds"] = tuple(payload["random_bus_seeds"])
-        return cls(**payload)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "RuntimeConfig":

@@ -40,7 +40,6 @@ from repro.evaluation.checkpoint import SweepCheckpoint
 from repro.evaluation.configs import ExperimentConfig
 from repro.evaluation.experiment import (
     DEFAULT_CONFIGS,
-    EvaluationSettings,
     ExperimentResult,
     design_engine_for,
     evaluate_benchmark,
@@ -73,7 +72,6 @@ class Session:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = config or RuntimeConfig()
         self.metrics = metrics or global_metrics()
-        self._settings: Optional[EvaluationSettings] = None
         self._lock = threading.RLock()  # serializes engine compute
         self._flight_lock = threading.Lock()
         self._inflight: Dict[Tuple, threading.Event] = {}
@@ -95,13 +93,6 @@ class Session:
     # -- lazily constructed shared state -----------------------------------
 
     @property
-    def settings(self) -> EvaluationSettings:
-        """The evaluation-layer view of this session's config (cached)."""
-        if self._settings is None:
-            self._settings = self.config.evaluation_settings()
-        return self._settings
-
-    @property
     def routing_engine(self) -> RoutingEngine:
         """The shared routing engine, warm-loaded from the persistent cache."""
         with self._lock:
@@ -117,7 +108,7 @@ class Session:
         """The shared design engine, warm-loaded from the persistent cache."""
         with self._lock:
             if self._design_engine is None:
-                self._design_engine = design_engine_for(self.settings)
+                self._design_engine = design_engine_for(self.config)
         return self._design_engine
 
     @property
@@ -252,7 +243,7 @@ class Session:
         return self._deduped(
             key,
             lambda: evaluate_benchmark(
-                circuit, configs, settings=self.settings,
+                circuit, configs, settings=self.config,
                 engine=self.routing_engine, design_engine=self.design_engine,
             ),
         )
@@ -267,17 +258,13 @@ class Session:
 
         With ``jobs=1`` the sweep tasks run in this process and find this
         session through the registry; with ``jobs>1`` workers rebuild an
-        equivalent session from the pickled settings (same digest) and
+        equivalent session from the pickled config (same digest) and
         their metrics deltas merge back into this process's registry.
         """
         from repro.evaluation.parallel import SweepExecutor
 
-        executor = (
-            SweepExecutor(settings=self.settings, jobs=jobs)
-            if configs is None
-            else SweepExecutor(settings=self.settings, configs=configs, jobs=jobs)
-        )
-        return executor.run(benchmarks)
+        configs = DEFAULT_CONFIGS if configs is None else configs
+        return SweepExecutor(settings=self.config, configs=configs, jobs=jobs).run(benchmarks)
 
     # -- persistence --------------------------------------------------------
 
@@ -356,17 +343,6 @@ class Session:
                 stats[key] = value  # e.g. the active backend name
         return stats
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-cache stats dicts for every engine this session constructed."""
-        stats: Dict[str, Dict[str, int]] = {}
-        with self._lock:
-            if self._routing_engine is not None:
-                stats["routing"] = self._routing_engine.cache.stats()
-            if self._design_engine is not None:
-                for stage, stage_stats in self._design_engine.stats().items():
-                    stats[f"design/{stage}"] = stage_stats
-        return stats
-
 
 def _options_key(options: DesignOptions) -> Tuple:
     """Hashable value identity of design options, for request dedup keys."""
@@ -398,24 +374,14 @@ def _register(session: Session) -> None:
         _PROCESS_SESSIONS[session.config.digest()] = session
 
 
-def _resolve_config(config: Optional[RuntimeConfig],
-                    settings: Optional[EvaluationSettings]) -> RuntimeConfig:
-    if config is not None and settings is not None:
-        raise ValueError("pass config or settings, not both")
-    if settings is not None:
-        return RuntimeConfig.from_settings(settings)
-    return config or RuntimeConfig()
-
-
-def session_for(config: Optional[RuntimeConfig] = None, *,
-                settings: Optional[EvaluationSettings] = None) -> Session:
+def session_for(config: Optional[RuntimeConfig] = None) -> Session:
     """The process's session for this config, created on first use.
 
     Keyed by :meth:`RuntimeConfig.digest`, which canonicalizes store
     paths — so two configs naming the same cache file through different
     relative/symlink spellings share one session and one warm engine.
     """
-    config = _resolve_config(config, settings)
+    config = config or RuntimeConfig()
     with _REGISTRY_LOCK:
         session = _PROCESS_SESSIONS.get(config.digest())
         if session is not None:
@@ -423,10 +389,9 @@ def session_for(config: Optional[RuntimeConfig] = None, *,
         return Session(config)
 
 
-def peek_session(config: Optional[RuntimeConfig] = None, *,
-                 settings: Optional[EvaluationSettings] = None) -> Optional[Session]:
+def peek_session(config: Optional[RuntimeConfig] = None) -> Optional[Session]:
     """The existing session for this config, or None (never creates one)."""
-    config = _resolve_config(config, settings)
+    config = config or RuntimeConfig()
     with _REGISTRY_LOCK:
         return _PROCESS_SESSIONS.get(config.digest())
 

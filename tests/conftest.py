@@ -14,6 +14,7 @@ from repro.circuit import QuantumCircuit, cx, h, measure
 from repro.collision import YieldSimulator
 from repro.design import DesignFlow
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8
+from repro.runtime.metrics import global_metrics
 
 
 @pytest.fixture
@@ -79,3 +80,30 @@ def fast_simulator() -> YieldSimulator:
 def square_lattice_3x3() -> Lattice:
     """A fully occupied 3x3 lattice."""
     return Lattice.rectangle(3, 3)
+
+
+class AllocationCalls:
+    """Algorithm 3 searches since the last :meth:`reset`.
+
+    Reads the ``design/allocation_calls`` counter of the process metrics
+    registry, which also holds the merged deltas of forked sweep workers.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    @staticmethod
+    def _total() -> int:
+        return global_metrics().counter("design/allocation_calls")
+
+    def reset(self) -> None:
+        self._baseline = self._total()
+
+    def __call__(self) -> int:
+        return self._total() - self._baseline
+
+
+@pytest.fixture
+def allocation_calls() -> AllocationCalls:
+    """Counts Algorithm 3 searches from the moment the test starts."""
+    return AllocationCalls()

@@ -45,20 +45,19 @@ class TestMigrateRoundTrip:
         assert original, "source store was empty; the round trip tested nothing"
         assert roundtrip == original
 
-    def test_migrated_store_serves_a_warm_run(self, tmp_path, design_cache, capsys):
-        from repro.design import allocation_call_count, reset_allocation_call_count
-
+    def test_migrated_store_serves_a_warm_run(self, tmp_path, design_cache, capsys,
+                                              allocation_calls):
         sharded = tmp_path / "design-sharded"
         assert main(["cache", "migrate", str(design_cache), str(sharded),
                      "--cache-backend", "sharded"]) == 0
         capsys.readouterr()
         assert sharded.is_dir()
 
-        reset_allocation_call_count()
+        allocation_calls.reset()
         assert main(["evaluate", "sym6_145", *FAST,
                      "--design-cache", f"sharded:{sharded}"]) == 0
         capsys.readouterr()
-        assert allocation_call_count() == 0, (
+        assert allocation_calls() == 0, (
             "the migrated store should serve the warm run without a single "
             "Algorithm 3 search"
         )

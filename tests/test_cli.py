@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -102,9 +104,10 @@ class TestParser:
             assert args.no_screening is True
 
     def test_cache_stats_flag(self):
+        """Retired in favour of --metrics-out; the parser rejects it."""
         for command in ("evaluate", "sweep"):
-            args = build_parser().parse_args([command, "sym6_145", "--cache-stats"])
-            assert args.cache_stats is True
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "sym6_145", "--cache-stats"])
 
     def test_cache_backend_defaults_to_auto(self):
         for command in ("evaluate", "sweep"):
@@ -182,20 +185,18 @@ class TestDesignCacheRoundTrip:
     FAST = ["--trials", "200", "--local-trials", "60"]
 
     def test_evaluate_warm_cache_is_byte_identical_without_searches(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, allocation_calls
     ):
-        from repro.design import allocation_call_count, reset_allocation_call_count
-
         cache = str(tmp_path / "design_cache.json")
         assert main(["evaluate", "sym6_145", *self.FAST, "--design-cache", cache]) == 0
         cold = capsys.readouterr().out
         assert (tmp_path / "design_cache.json").exists()
 
-        reset_allocation_call_count()
+        allocation_calls.reset()
         assert main(["evaluate", "sym6_145", *self.FAST, "--design-cache", cache]) == 0
         warm = capsys.readouterr().out
         assert warm == cold
-        assert allocation_call_count() == 0
+        assert allocation_calls() == 0
 
     def test_sweep_warm_cache_output_identical_across_jobs(self, tmp_path, capsys):
         """The acceptance grid at the CLI surface: with a warm cache and the
@@ -254,9 +255,26 @@ class TestCacheBackendFlag:
         assert cache.is_dir()
         assert (cache / "shards.json").exists()
 
-    def test_resume_without_checkpoint_is_an_error(self, capsys):
+    def test_resume_without_checkpoint_is_an_error(self, tmp_path, capsys):
+        """Like every invalid configuration: exit 2 with a one-line error."""
         assert main(["sweep", "sym6_145", *self.FAST, "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+        cases = [
+            (["--trials", "0"], "yield_trials must be >= 1"),
+            (["--local-trials", "0"], "frequency_local_trials must be >= 1"),
+        ]
+        for name, payload in (("routing", {"routing": {"bogus": 1}}),
+                              ("seeds", {"random_bus_seeds": 5})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            cases.append((["--runtime-config", str(path)], name))
+        for command in ("evaluate", "sweep"):
+            for argv, message in cases:
+                with pytest.raises(SystemExit) as exited:
+                    main([command, "sym6_145", *argv])
+                assert exited.value.code == 2
+                err = capsys.readouterr().err
+                assert err.startswith("repro-design: error:") and message in err, err
 
 
 class TestScreeningAndStatsFlags:
@@ -273,37 +291,43 @@ class TestScreeningAndStatsFlags:
         parallel.reset_worker_state()
         reset_shared_caches()
 
-    def test_no_screening_sweep_output_is_byte_identical(self, capsys):
+    def test_no_screening_sweep_output_is_byte_identical(self, capsys, allocation_calls):
         """The acceptance criterion at the CLI surface: screening on vs
         off produces byte-identical sweep output."""
-        from repro.design import allocation_call_count, reset_allocation_call_count
-
         base = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-full"]
         self._drop_process_caches()
         assert main(base) == 0
         screened = capsys.readouterr().out
         self._drop_process_caches()
-        reset_allocation_call_count()
+        allocation_calls.reset()
         assert main([*base, "--no-screening"]) == 0
         unscreened = capsys.readouterr().out
-        assert allocation_call_count() > 0
+        assert allocation_calls() > 0
         assert unscreened == screened
 
-    def test_evaluate_cache_stats_report(self, capsys):
-        assert main(["evaluate", "sym6_145", *self.FAST, "--cache-stats"]) == 0
-        output = capsys.readouterr().out
-        assert "cache stats:" in output
-        assert "design/frequency" in output
-        assert "routing" in output
-        assert "hit-rate" in output
+    def test_metrics_out_reports_cache_counters(self, tmp_path, capsys):
+        """The routing-cache and per-stage design-cache counters reach the
+        --metrics-out report for evaluate and for sweeps at any --jobs
+        (forked workers' counters merge into the parent's report)."""
+        from repro.runtime.metrics import validate_metrics_file
 
-    def test_sweep_cache_stats_report_serial_and_sharded(self, capsys):
-        serial = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-layout-only",
-                  "--cache-stats"]
-        assert main(serial) == 0
-        output = capsys.readouterr().out
-        assert "cache stats:" in output
-        assert main([*serial, "--jobs", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert "cache stats:" in sharded
-        assert "not aggregated" in sharded
+        sweep = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-full"]
+        runs = {
+            "evaluate": ["evaluate", "sym6_145", *self.FAST],
+            "sweep": sweep,
+            "sweep-jobs2": [*sweep, "--jobs", "2"],
+        }
+        caches = {}
+        for name, argv in runs.items():
+            self._drop_process_caches()
+            path = tmp_path / f"{name}.json"
+            assert main([*argv, "--metrics-out", str(path)]) == 0
+            counters = validate_metrics_file(path)["counters"]
+            for cache in ("routing/cache", "design/profile", "design/layout",
+                          "design/bus-selection", "design/frequency"):
+                assert counters.get(f"{cache}/misses", 0) > 0, (name, cache)
+            assert counters.get("design/profile/hits", 0) > 0, name
+            caches[name] = {key: value for key, value in counters.items()
+                            if key.endswith(("/hits", "/misses"))}
+        assert caches["sweep-jobs2"] == caches["sweep"]
+        capsys.readouterr()

@@ -6,12 +6,7 @@ import threading
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.design import (
-    DesignCache,
-    DesignEngine,
-    allocation_call_count,
-    reset_allocation_call_count,
-)
+from repro.design import DesignCache, DesignEngine
 from repro.design.engine import DesignOptions
 
 #: Cheap allocator configuration shared by every test here.
@@ -41,7 +36,8 @@ class TestSaveLoadRoundTrip:
         warm = consumer.design_series(circuit, options=FAST)
         assert plans(warm) == plans(series)
 
-    def test_warm_engine_runs_zero_frequency_searches(self, tmp_path, circuit):
+    def test_warm_engine_runs_zero_frequency_searches(self, tmp_path, circuit,
+                                                      allocation_calls):
         """The headline guarantee: a session served from a persisted cache
         re-derives its architectures without a single Algorithm 3 Monte
         Carlo search."""
@@ -52,9 +48,9 @@ class TestSaveLoadRoundTrip:
 
         consumer = DesignEngine()
         consumer.frequency_cache.load(path)
-        reset_allocation_call_count()
+        allocation_calls.reset()
         consumer.design_series(circuit, options=FAST)
-        assert allocation_call_count() == 0
+        assert allocation_calls() == 0
         assert consumer.frequency_cache.stats()["misses"] == 0
 
     def test_loaded_plans_are_caller_owned(self, tmp_path, circuit):
@@ -80,7 +76,8 @@ class TestSaveLoadRoundTrip:
 
 
 class TestKeying:
-    def test_allocator_config_participates_in_keys(self, tmp_path, circuit):
+    def test_allocator_config_participates_in_keys(self, tmp_path, circuit,
+                                                   allocation_calls):
         """Plans persisted under one allocator configuration must never be
         served to another."""
         path = tmp_path / "design_cache.json"
@@ -90,12 +87,13 @@ class TestKeying:
 
         consumer = DesignEngine()
         consumer.frequency_cache.load(path)
-        reset_allocation_call_count()
+        allocation_calls.reset()
         other = DesignOptions(local_trials=80, allocation_strategy="analytic-guided")
         consumer.design_series(circuit, options=other)
-        assert allocation_call_count() > 0  # cache could not serve these
+        assert allocation_calls() > 0  # cache could not serve these
 
-    def test_strategy_specific_plans_round_trip(self, tmp_path, circuit):
+    def test_strategy_specific_plans_round_trip(self, tmp_path, circuit,
+                                                allocation_calls):
         path = tmp_path / "design_cache.json"
         options = DesignOptions(local_trials=80, allocation_strategy="analytic-guided")
         producer = DesignEngine()
@@ -104,9 +102,9 @@ class TestKeying:
 
         consumer = DesignEngine()
         consumer.frequency_cache.load(path)
-        reset_allocation_call_count()
+        allocation_calls.reset()
         assert plans(consumer.design_series(circuit, options=options)) == plans(series)
-        assert allocation_call_count() == 0
+        assert allocation_calls() == 0
 
 
 class TestFileValidation:

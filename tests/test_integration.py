@@ -13,7 +13,6 @@ from repro.collision import YieldSimulator
 from repro.design import DesignFlow, DesignOptions
 from repro.design.flow import FrequencyStrategy
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     evaluate_benchmark,
     pareto_front,
@@ -21,6 +20,7 @@ from repro.evaluation import (
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import route_circuit
 from repro.profiling import profile_circuit
+from repro.runtime.config import RuntimeConfig
 
 FAST = DesignOptions(local_trials=400)
 
@@ -119,7 +119,7 @@ class TestParetoDominance:
     """The generated series should dominate the IBM baselines (the paper's main claim)."""
 
     def test_eff_full_points_dominate_baselines_for_small_benchmark(self):
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=2000, frequency_local_trials=400, random_bus_seeds=(1,)
         )
         result = evaluate_benchmark(
@@ -140,7 +140,7 @@ class TestParetoDominance:
             )
 
     def test_pareto_front_contains_at_least_one_generated_design(self):
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=1000, frequency_local_trials=300, random_bus_seeds=(1,)
         )
         result = evaluate_benchmark(

@@ -8,13 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.design import (
-    allocation_call_count,
-    reset_allocation_call_count,
-    reset_shared_caches,
-)
+from repro.design import reset_shared_caches
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     evaluate_benchmark,
     run_sweep,
@@ -25,7 +20,7 @@ from repro.runtime.metrics import diff_snapshots, global_metrics
 from repro.runtime.session import peek_session, session_for
 
 FAST_KW = dict(yield_trials=300, frequency_local_trials=80, random_bus_seeds=(1,))
-FAST_SETTINGS = EvaluationSettings(**FAST_KW)
+FAST_CONFIG = RuntimeConfig(**FAST_KW)
 FAST_CONFIGS = (ExperimentConfig.EFF_FULL, ExperimentConfig.EFF_LAYOUT_ONLY)
 
 
@@ -41,18 +36,9 @@ def _cold_process():
     """Simulate a fresh process: no sessions, no shared design caches."""
     parallel.reset_worker_state()
     reset_shared_caches()
-    reset_allocation_call_count()
 
 
 class TestRuntimeConfigRoundTrip:
-    def test_settings_round_trip(self):
-        settings = EvaluationSettings(
-            yield_trials=123, frequency_local_trials=45,
-            random_bus_seeds=(2, 3), screening=False,
-        )
-        config = RuntimeConfig.from_settings(settings)
-        assert config.evaluation_settings() == settings
-
     def test_json_round_trip_preserves_digest(self, tmp_path):
         config = RuntimeConfig(
             yield_trials=500, routing_cache_path="sqlite:cache.db",
@@ -67,6 +53,16 @@ class TestRuntimeConfigRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime-config keys"):
             RuntimeConfig.from_mapping({"nope": 1})
+        # Malformed values of known keys fail the same way, never TypeError.
+        for malformed in (
+            {"routing": {"bogus": 1}}, {"routing": 3}, {"random_bus_seeds": 5},
+            {"random_bus_seeds": ["a"]}, {"yield_trials": 0},
+            {"frequency_local_trials": 0}, {"yield_trials": "100"},
+            {"yield_trials": True}, {"screening": "yes"},
+            {"allocation_strategy": 5}, {"checkpoint_path": 1},
+        ):
+            with pytest.raises(ValueError):
+                RuntimeConfig.from_mapping(malformed)
 
     def test_config_is_picklable_with_stable_digest(self):
         config = RuntimeConfig(**FAST_KW)
@@ -91,12 +87,11 @@ class TestStorePathAliasing:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        relative = EvaluationSettings(routing_cache_path="cache.json", **FAST_KW)
-        absolute = EvaluationSettings(
+        relative = RuntimeConfig(routing_cache_path="cache.json", **FAST_KW)
+        absolute = RuntimeConfig(
             routing_cache_path=str(tmp_path / "cache.json"), **FAST_KW
         )
-        assert (RuntimeConfig.from_settings(relative).digest()
-                == RuntimeConfig.from_settings(absolute).digest())
+        assert relative.digest() == absolute.digest()
         parallel.reset_worker_state()
         assert parallel._worker_engine(relative) is parallel._worker_engine(absolute)
 
@@ -105,23 +100,21 @@ class TestStorePathAliasing:
         real.mkdir()
         link = tmp_path / "link"
         link.symlink_to(real)
-        via_real = EvaluationSettings(
+        via_real = RuntimeConfig(
             design_cache_path=str(real / "plans.json"), **FAST_KW
         )
-        via_link = EvaluationSettings(
+        via_link = RuntimeConfig(
             design_cache_path=str(link / "plans.json"), **FAST_KW
         )
-        assert (RuntimeConfig.from_settings(via_real).digest()
-                == RuntimeConfig.from_settings(via_link).digest())
+        assert via_real.digest() == via_link.digest()
         parallel.reset_worker_state()
         assert (parallel._worker_design_engine(via_real)
                 is parallel._worker_design_engine(via_link))
 
     def test_different_paths_get_different_sessions(self, tmp_path):
-        a = EvaluationSettings(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
-        b = EvaluationSettings(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
-        assert (RuntimeConfig.from_settings(a).digest()
-                != RuntimeConfig.from_settings(b).digest())
+        a = RuntimeConfig(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
+        b = RuntimeConfig(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
+        assert a.digest() != b.digest()
         parallel.reset_worker_state()
         assert parallel._worker_engine(a) is not parallel._worker_engine(b)
 
@@ -157,8 +150,8 @@ class TestSessionByteIdentity:
         _cold_process()
         circuit = get_benchmark("sym6_145")
         fresh = evaluate_benchmark(circuit, configs=FAST_CONFIGS,
-                                   settings=FAST_SETTINGS)
-        session = session_for(settings=FAST_SETTINGS)
+                                   settings=FAST_CONFIG)
+        session = session_for(FAST_CONFIG)
         cold = session.evaluate("sym6_145", FAST_CONFIGS)
         warm = session.evaluate("sym6_145", FAST_CONFIGS)
         assert point_fingerprint(cold) == point_fingerprint(fresh)
@@ -166,9 +159,9 @@ class TestSessionByteIdentity:
 
     def test_warm_session_sweep_matches_cold_sweep_for_any_jobs(self):
         _cold_process()
-        reference = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
+        reference = run_sweep(["sym6_145"], jobs=1, settings=FAST_CONFIG,
                               configs=FAST_CONFIGS)
-        session = session_for(settings=FAST_SETTINGS)  # warm from the run above
+        session = session_for(FAST_CONFIG)  # warm from the run above
         assert session.has_design_engine
         for jobs in (1, 2, 4):
             result = session.sweep(["sym6_145"], configs=FAST_CONFIGS, jobs=jobs)
@@ -178,17 +171,19 @@ class TestSessionByteIdentity:
 
 
 class TestConcurrentDedup:
-    def test_identical_concurrent_requests_compute_once(self):
+    def test_identical_concurrent_requests_compute_once(self, allocation_calls):
         circuit = get_benchmark("sym6_145")
 
         # Reference: the Algorithm 3 search cost of one cold design.
         _cold_process()
-        session_for(settings=FAST_SETTINGS).design(circuit, 1)
-        single = allocation_call_count()
+        allocation_calls.reset()
+        session_for(FAST_CONFIG).design(circuit, 1)
+        single = allocation_calls()
         assert single > 0
 
         _cold_process()
-        session = session_for(settings=FAST_SETTINGS)
+        allocation_calls.reset()
+        session = session_for(FAST_CONFIG)
         deduped_before = global_metrics().counter("session/deduped_requests")
 
         # Hold the owner's engine call open until at least one follower
@@ -215,7 +210,7 @@ class TestConcurrentDedup:
                 ))
         finally:
             engine.design = real_design
-        assert allocation_call_count() == single, (
+        assert allocation_calls() == single, (
             "concurrent identical requests must resolve to one engine call"
         )
         assert len({arch.name for arch in results}) == 1
@@ -226,7 +221,7 @@ class TestWorkerMetricsMerge:
     def test_forked_worker_deltas_merge_into_parent(self):
         _cold_process()
         baseline = global_metrics().snapshot()
-        run_sweep(["sym6_145"], jobs=2, settings=FAST_SETTINGS,
+        run_sweep(["sym6_145"], jobs=2, settings=FAST_CONFIG,
                   configs=FAST_CONFIGS)
         delta = diff_snapshots(global_metrics().snapshot(), baseline)
         counters = delta["counters"]
@@ -242,7 +237,7 @@ class TestWorkerMetricsMerge:
         for _ in range(2):
             _cold_process()
             baseline = global_metrics().snapshot()
-            run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
+            run_sweep(["sym6_145"], jobs=1, settings=FAST_CONFIG,
                       configs=FAST_CONFIGS)
             current = global_metrics().snapshot()
             deltas.append(diff_snapshots(current, baseline)["counters"])
@@ -253,7 +248,7 @@ class TestWorkerMetricsMerge:
         must not be merged back on top (every estimate counted once)."""
         _cold_process()
         baseline = global_metrics().counter("yield/estimates")
-        results = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
+        results = run_sweep(["sym6_145"], jobs=1, settings=FAST_CONFIG,
                             configs=FAST_CONFIGS)
         estimates = global_metrics().counter("yield/estimates") - baseline
         assert estimates == len(results["sym6_145"].points)

@@ -10,7 +10,6 @@ default suite.
 import pytest
 
 from repro import faults
-from repro.evaluation import EvaluationSettings
 from repro.evaluation.supervisor import (
     FAILURE_REPORT_FORMAT,
     FAILURE_REPORT_VERSION,
@@ -23,6 +22,7 @@ from repro.evaluation.supervisor import (
     _TASK_KINDS,
     register_task_kind,
 )
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import diff_snapshots, global_metrics
 
 # -- policy ------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_failure_record_shape():
 
 
 def test_failure_report_envelope_and_ordering():
-    executor = SupervisedExecutor(settings=EvaluationSettings())
+    executor = SupervisedExecutor(settings=RuntimeConfig())
     executor.failures.extend([
         _quarantined(key="z", benchmark="b2", arch_index=4),
         _quarantined(key="a", benchmark="b1", arch_index=None, task="generation"),
@@ -85,7 +85,7 @@ def test_failure_report_envelope_and_ordering():
 
 
 def test_empty_failure_report():
-    executor = SupervisedExecutor(settings=EvaluationSettings())
+    executor = SupervisedExecutor(settings=RuntimeConfig())
     assert executor.failure_report()["quarantined"] == []
 
 
@@ -132,7 +132,7 @@ def synthetic_kinds():
 def _supervise(kind_name, tasks, **policy_kwargs):
     policy_kwargs.setdefault("backoff_base_s", 0.001)
     executor = SupervisedExecutor(
-        settings=EvaluationSettings(), jobs=2,
+        settings=RuntimeConfig(), jobs=2,
         policy=SupervisorPolicy(**policy_kwargs),
     )
     return executor._supervise(_TASK_KINDS[kind_name], tasks)

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.evaluation import (
-    EvaluationSettings,
     ExperimentConfig,
     SweepExecutor,
     evaluate_benchmark,
     run_sweep,
     sweep_point_seed,
 )
+from repro.runtime.config import RuntimeConfig
 
-FAST_SETTINGS = EvaluationSettings(
+FAST_SETTINGS = RuntimeConfig(
     yield_trials=300,
     frequency_local_trials=80,
     random_bus_seeds=(1,),
@@ -111,7 +111,7 @@ class TestRoutingCachePersistence:
         from repro.evaluation.parallel import save_worker_routing_cache
 
         path = tmp_path / "routing_cache.json"
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -140,7 +140,7 @@ class TestRoutingCachePersistence:
         from repro.evaluation import parallel
 
         path = tmp_path / "routing_cache.json"
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -163,7 +163,7 @@ class TestRoutingCachePersistence:
         )
 
     def test_cache_path_does_not_change_results(self, tmp_path):
-        cached_settings = EvaluationSettings(
+        cached_settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -185,7 +185,7 @@ class TestAllocationStrategyAblation:
         output would mean the setting never reached the allocator."""
         base = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
                          configs=(ExperimentConfig.EFF_FULL,))
-        ablation_settings = EvaluationSettings(
+        ablation_settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -198,7 +198,7 @@ class TestAllocationStrategyAblation:
         )
 
     def test_ablation_sweep_is_jobs_invariant(self):
-        settings = EvaluationSettings(
+        settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -214,7 +214,7 @@ class TestAllocationStrategyAblation:
 
     def test_unknown_strategy_rejected_before_workers_fork(self):
         with pytest.raises(ValueError, match="unknown allocation strategy"):
-            EvaluationSettings(allocation_strategy="nope")
+            RuntimeConfig(allocation_strategy="nope")
 
 
 class TestScreeningIdentity:
@@ -229,7 +229,7 @@ class TestScreeningIdentity:
     """
 
     def _settings(self, screening):
-        return EvaluationSettings(
+        return RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
@@ -244,18 +244,16 @@ class TestScreeningIdentity:
         parallel.reset_worker_state()
         reset_shared_caches()
 
-    def test_screening_off_is_byte_identical_serial(self):
-        from repro.design import allocation_call_count, reset_allocation_call_count
-
+    def test_screening_off_is_byte_identical_serial(self, allocation_calls):
         self._drop_process_caches()
         on = run_sweep(["sym6_145"], jobs=1, settings=self._settings(True),
                        configs=FAST_CONFIGS)
         self._drop_process_caches()
-        reset_allocation_call_count()
+        allocation_calls.reset()
         off = run_sweep(["sym6_145"], jobs=1, settings=self._settings(False),
                         configs=FAST_CONFIGS)
         # The unscreened side really recomputed its plans.
-        assert allocation_call_count() > 0
+        assert allocation_calls() > 0
         assert point_fingerprint(on["sym6_145"]) == point_fingerprint(
             off["sym6_145"]
         )
@@ -281,10 +279,9 @@ class TestDesignCachePersistence:
             design_cache_path=str(path),
         )
         values.update(overrides)
-        return EvaluationSettings(**values)
+        return RuntimeConfig(**values)
 
-    def test_in_process_sweep_persists_design_cache(self, tmp_path):
-        from repro.design import allocation_call_count, reset_allocation_call_count
+    def test_in_process_sweep_persists_design_cache(self, tmp_path, allocation_calls):
         from repro.evaluation import parallel
 
         path = tmp_path / "design_cache.json"
@@ -297,10 +294,10 @@ class TestDesignCachePersistence:
         # dropping the process-local engines — re-derives identical points
         # with zero Algorithm 3 Monte Carlo searches.
         parallel.reset_worker_state()
-        reset_allocation_call_count()
+        allocation_calls.reset()
         second = run_sweep(["sym6_145"], jobs=1, settings=settings,
                            configs=FAST_CONFIGS)
-        assert allocation_call_count() == 0
+        assert allocation_calls() == 0
         assert point_fingerprint(first["sym6_145"]) == point_fingerprint(
             second["sym6_145"]
         )

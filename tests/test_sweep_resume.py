@@ -15,13 +15,10 @@ rest absent.
 import pytest
 
 from repro.cli import main
-from repro.design import (
-    allocation_call_count,
-    reset_allocation_call_count,
-    reset_shared_caches,
-)
-from repro.evaluation import EvaluationSettings, ExperimentConfig, SweepExecutor
+from repro.design import reset_shared_caches
+from repro.evaluation import ExperimentConfig, SweepExecutor
 from repro.evaluation import parallel
+from repro.runtime.config import RuntimeConfig
 
 BENCHMARK = "sym6_145"
 CONFIGS = (ExperimentConfig.EFF_FULL, ExperimentConfig.EFF_LAYOUT_ONLY)
@@ -42,7 +39,6 @@ def _clear_process_state():
     through anything but the checkpoint store on disk."""
     parallel.reset_worker_state()
     reset_shared_caches()
-    reset_allocation_call_count()
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +54,7 @@ def _interrupt_after(checkpoint_path, completed_points):
     """Run the sweep up to ``completed_points`` evaluated points, then stop
     — the on-disk state a mid-sweep kill leaves behind."""
     _clear_process_state()
-    settings = EvaluationSettings(**API_SETTINGS, checkpoint_path=checkpoint_path)
+    settings = RuntimeConfig(**API_SETTINGS, checkpoint_path=checkpoint_path)
     executor = SweepExecutor(settings=settings, configs=CONFIGS, jobs=1)
     points = executor.enumerate_points([BENCHMARK])
     assert len(points) > completed_points, "sweep too small to interrupt"
@@ -69,34 +65,38 @@ def _interrupt_after(checkpoint_path, completed_points):
 @pytest.mark.parametrize(
     "store", ["sharded:{tmp}/ckpt", "{tmp}/ckpt.sqlite"], ids=["sharded", "sqlite"]
 )
-def test_interrupted_sweep_resumes_byte_identical(tmp_path, baseline, store):
+def test_interrupted_sweep_resumes_byte_identical(tmp_path, baseline, store,
+                                                  allocation_calls):
     checkpoint = store.format(tmp=tmp_path)
     total = _interrupt_after(checkpoint, completed_points=3)
 
     # First resume recomputes only the missing points; the recorded
     # generation task is restored without a single Algorithm 3 call.
     _clear_process_state()
+    allocation_calls.reset()
     out = tmp_path / "resumed.json"
     assert main([
         "sweep", BENCHMARK, *FAST,
         "--checkpoint", checkpoint, "--resume", "--output", str(out),
     ]) == 0
     assert out.read_bytes() == baseline
-    assert allocation_call_count() == 0
+    assert allocation_calls() == 0
     assert total >= 3
 
-    # Now fully warm: every --jobs count replays to the same bytes, and
-    # the in-process run never even builds a routing engine.
+    # Now fully warm: every --jobs count replays to the same bytes with
+    # no Algorithm 3 search in any worker, and the in-process run never
+    # even builds a routing engine.
     for jobs in ("1", "2", "4"):
         _clear_process_state()
+        allocation_calls.reset()
         out = tmp_path / f"resumed-jobs{jobs}.json"
         assert main([
             "sweep", BENCHMARK, *FAST, "--jobs", jobs,
             "--checkpoint", checkpoint, "--resume", "--output", str(out),
         ]) == 0
         assert out.read_bytes() == baseline
+        assert allocation_calls() == 0
         if jobs == "1":
-            assert allocation_call_count() == 0
             assert not parallel.active_routing_engines(), (
                 "a fully-warm resume should restore every point without "
                 "creating a routing engine"
@@ -137,25 +137,25 @@ def test_resume_requires_checkpoint(capsys):
 
 def test_api_resume_requires_checkpoint_path():
     with pytest.raises(ValueError, match="checkpoint_path"):
-        EvaluationSettings(resume=True)
+        RuntimeConfig(resume=True)
 
 
 def test_settings_change_invalidates_checkpoint_keys(tmp_path):
     """Content-digest keys: a changed knob must recompute, not replay."""
     from repro.evaluation import generation_task_key, point_task_key
 
-    base = EvaluationSettings(**API_SETTINGS)
-    changed = EvaluationSettings(yield_trials=251, frequency_local_trials=60)
+    base = RuntimeConfig(**API_SETTINGS)
+    changed = RuntimeConfig(yield_trials=251, frequency_local_trials=60)
     assert generation_task_key(BENCHMARK, "eff-full", base) == \
         generation_task_key(BENCHMARK, "eff-full", changed), \
         "generation keys must ignore evaluation-only knobs"
 
-    design_changed = EvaluationSettings(yield_trials=250, frequency_local_trials=61)
+    design_changed = RuntimeConfig(yield_trials=250, frequency_local_trials=61)
     assert generation_task_key(BENCHMARK, "eff-full", base) != \
         generation_task_key(BENCHMARK, "eff-full", design_changed)
 
     _clear_process_state()
-    settings = EvaluationSettings(
+    settings = RuntimeConfig(
         **API_SETTINGS, checkpoint_path=str(tmp_path / "ck.sqlite")
     )
     executor = SweepExecutor(settings=settings, configs=CONFIGS, jobs=1)
