@@ -49,8 +49,7 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.benchmarks import get_benchmark
-from repro.collision import active_backend, reset_screening_stats, screening_stats
-from repro.collision.screening import PHASE_KEYS
+from repro.collision import active_backend
 from repro.design import DesignEngine, FrequencyAllocator, reset_shared_caches
 from repro.design.engine import (
     BusStrategy,
@@ -58,6 +57,7 @@ from repro.design.engine import (
     FrequencyStrategy,
     architecture_collision_key,
 )
+from repro.runtime.metrics import diff_snapshots, empty_snapshot, global_metrics
 
 from _bench_utils import RESULTS_DIR, write_result
 
@@ -90,6 +90,9 @@ FULL_SEEDS = (1, 2, 3, 4, 5)
 
 SMOKE_LOCAL_TRIALS = 800
 FULL_LOCAL_TRIALS = 2000
+
+#: The ``screening/<phase>`` timers of the cold path, in reporting order.
+PHASES = ("pack", "merge", "dispute", "joint")
 
 
 def _clear_process_caches() -> None:
@@ -145,17 +148,17 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
     identical = screened_plans == replica_plans
 
     screened_time = float("inf")
-    stats = {}
+    delta = empty_snapshot()
     for _repeat in range(repeats):
         _clear_process_caches()
-        reset_screening_stats()
+        before = global_metrics().snapshot()
         start = time.perf_counter()
         for architecture in structures:
             screened_allocator.allocate(architecture)
         elapsed = time.perf_counter() - start
         if elapsed < screened_time:
             screened_time = elapsed
-            stats = screening_stats()
+            delta = diff_snapshots(global_metrics().snapshot(), before)
 
     replica_time = float("inf")
     for _repeat in range(repeats):
@@ -164,14 +167,24 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
             replica_allocator.allocate(architecture)
         replica_time = min(replica_time, time.perf_counter() - start)
 
+    stats = {
+        name[len("screening/"):]: value
+        for name, value in delta["counters"].items()
+        if name.startswith("screening/")
+    }
     candidates = max(1, stats.get("candidates", 0))
-    phase_ns = {key: stats.get(key, 0) for key in PHASE_KEYS}
+    phase_ns = {
+        f"{phase}_ns": round(
+            delta["timers"].get(f"screening/{phase}", {}).get("total_s", 0.0) * 1e9
+        )
+        for phase in PHASES
+    }
     screen_ns = max(1, sum(phase_ns.values()))
     return {
         "bench": "screening",
         "smoke": smoke,
         "repeats": repeats,
-        "screening_backend": stats.get("backend"),
+        "screening_backend": active_backend(),
         "screening_phase_ns": phase_ns,
         "screening_phase_fraction": {
             key: round(value / screen_ns, 4) for key, value in phase_ns.items()

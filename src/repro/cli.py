@@ -37,7 +37,7 @@ from repro.collision.yield_simulator import YieldSimulator
 from repro.design.frequency_allocation import ALLOCATION_STRATEGIES
 from repro.design.flow import DesignFlow, DesignOptions
 from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS
+from repro.evaluation.experiment import DEFAULT_CONFIGS, evaluate_benchmark
 from repro.evaluation.figures import format_figure10_table
 from repro.evaluation.parallel import run_sweep
 from repro.profiling.profiler import profile_circuit
@@ -400,6 +400,16 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-design`` console script."""
     args = build_parser().parse_args(argv)
+    # Reject unknown benchmark names before any of them is worked on.
+    names = getattr(args, "benchmarks", [])
+    if hasattr(args, "benchmark"):
+        names = [args.benchmark]
+    for name in names:
+        try:
+            benchmark_info(name)
+        except KeyError as error:
+            print(f"repro-design: error: {error.args[0]}", file=sys.stderr)
+            return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "profile":
@@ -575,8 +585,8 @@ def _cmd_sweep(
         or heartbeat_timeout is not None or failures_out
     )
     baseline = global_metrics().snapshot()
-    # Canonicalize up front: fails fast on unknown names (before forking
-    # workers) and collapses aliases/duplicates onto the sweep's keys.
+    # Collapse aliases/duplicates onto the sweep's keys; building each
+    # circuit here also memoizes it before any worker forks.
     names = list(dict.fromkeys(get_benchmark(name).name for name in benchmarks))
     configs = (
         tuple(ExperimentConfig(value) for value in config_values)
@@ -667,7 +677,11 @@ def _cmd_evaluate(benchmarks: List[str], config: RuntimeConfig,
     baseline = global_metrics().snapshot()
     session = session_for(config)
     for name in benchmarks:
-        _print_result(session.evaluate(name), plot)
+        result = evaluate_benchmark(
+            get_benchmark(name), settings=config,
+            engine=session.routing_engine, design_engine=session.design_engine,
+        )
+        _print_result(result, plot)
     # Locked file-level merges behind miss-count watermarks: a concurrent
     # writer's (or an earlier run's) entries are never dropped by the
     # refresh, and fully warm runs skip the rewrite entirely.

@@ -32,11 +32,9 @@ from repro.collision.merge_kernel import (
 from repro.collision.screening import (
     SCREENING_EPSILON,
     ScreeningBounds,
-    reset_screening_stats,
     screen_candidate_bounds,
     screen_candidate_bounds_batch,
     screening_applicable,
-    screening_stats,
 )
 from repro.collision.analytic import (
     AnalyticYieldEstimate,
@@ -67,10 +65,8 @@ __all__ = [
     "active_backend",
     "available_backends",
     "fused_union_bounds",
-    "reset_screening_stats",
     "screen_candidate_bounds",
     "screen_candidate_bounds_batch",
     "screening_applicable",
-    "screening_stats",
     "set_backend",
 ]

@@ -542,8 +542,6 @@ def screen_candidate_bounds_batch(
         results.append(
             ScreeningBounds(lower=lower, upper=upper, events=region.events)
         )
-    _STATS["pack_ns"] += pack_ns
-    _STATS["merge_ns"] += merge_ns
     from repro.runtime.metrics import global_metrics
 
     metrics = global_metrics()
@@ -589,28 +587,6 @@ def screen_candidate_bounds(
     )[0]
 
 
-# ---------------------------------------------------------------------------
-# Process-wide screening instrumentation:
-# the benchmarks and tests read pruned-candidate fractions and the
-# cold-path phase breakdown from here.
-# ---------------------------------------------------------------------------
-
-_STATS: Dict[str, int] = {
-    "calls": 0,        # screened ranking calls
-    "candidates": 0,   # candidates entering screened rankings
-    "exact": 0,        # candidates decided by tight bounds alone
-    "verified": 0,     # candidates verified by the joint kernel
-    "pruned": 0,       # candidates provably discarded without verification
-    "pack_ns": 0,      # family building + endpoint matrix packing
-    "merge_ns": 0,     # fused merge kernel (sort + sweep + count)
-    "dispute_ns": 0,   # survivor selection among undecided candidates
-    "joint_ns": 0,     # joint-kernel verification of survivors
-}
-
-#: The phase-timer keys of :data:`_STATS`, in reporting order.
-PHASE_KEYS = ("pack_ns", "merge_ns", "dispute_ns", "joint_ns")
-
-
 def record_screening(
     candidates: int,
     exact: int,
@@ -621,23 +597,16 @@ def record_screening(
     dispute_ns: int = 0,
     joint_ns: int = 0,
 ) -> None:
-    """Accumulate one screened ranking (or batch of them) into the stats.
+    """Record one screened ranking (or batch of them) as ``screening/*`` metrics.
 
-    ``pack_ns``/``merge_ns`` accumulate at the kernel call site
-    (:func:`screen_candidate_bounds_batch`); the decision/verification
-    phases are timed by the caller and land here.  The same totals are
-    mirrored into the structured metrics registry
+    The counts land in the structured metrics registry
     (:mod:`repro.runtime.metrics`) in one locked update, so
     ``--metrics-out`` reports prune fractions and the phase breakdown
-    merged associatively across sweep workers.
+    merged associatively across sweep workers.  The ``pack``/``merge``
+    timers are observed at the kernel call site
+    (:func:`screen_candidate_bounds_batch`); the decision/verification
+    phases are timed by the caller and land here.
     """
-    _STATS["calls"] += calls
-    _STATS["candidates"] += candidates
-    _STATS["exact"] += exact
-    _STATS["verified"] += verified
-    _STATS["pruned"] += pruned
-    _STATS["dispute_ns"] += dispute_ns
-    _STATS["joint_ns"] += joint_ns
     from repro.runtime.metrics import global_metrics
 
     metrics = global_metrics()
@@ -654,22 +623,3 @@ def record_screening(
     # counter-delta determinism contract (wall time never repeats).
     metrics.observe("screening/dispute", dispute_ns * 1e-9)
     metrics.observe("screening/joint", joint_ns * 1e-9)
-
-
-def screening_stats() -> Dict[str, object]:
-    """Process-wide screening counters (see :func:`record_screening`).
-
-    Includes the per-phase cold-path timers (:data:`PHASE_KEYS`) and the
-    active merge-kernel ``backend`` name.
-    """
-    stats: Dict[str, object] = dict(_STATS)
-    stats["backend"] = active_backend()
-    return stats
-
-
-def reset_screening_stats() -> Dict[str, object]:
-    """Zero the process-wide screening counters; returns the previous values."""
-    previous = screening_stats()
-    for key in _STATS:
-        _STATS[key] = 0
-    return previous

@@ -585,17 +585,18 @@ class AllocationStrategy:
     ) -> Tuple[Dict[int, float], List[int]]:
         """The paper's centre-out BFS greedy walk; returns (assignment, order).
 
-        With ``batched_rankings`` on (and no per-qubit candidate
-        filtering, which may read intermediate assignments), the walk
-        processes the BFS order in waves (:meth:`_next_wave`): each wave
-        is ranked through one fused batched kernel call and then assigned
+        Without per-qubit candidate filtering, the walk processes the
+        BFS order in waves (:meth:`_next_wave`): each wave is ranked
+        through one fused batched kernel call and then assigned
         wholesale.  Winners are bit-identical to the sequential walk —
-        see :meth:`_next_wave` for why.
+        see :meth:`_next_wave` for why.  A ``candidate_indices_for``
+        filter may read intermediate assignments, so it keeps the
+        sequential one-qubit-at-a-time walk.
         """
         frequencies: Dict[int, float] = {context.center: middle_frequency()}
         context.mark_assigned(context.center)
         order = context.traversal_order()
-        if candidate_indices_for is None and context.allocator.batched_rankings:
+        if candidate_indices_for is None:
             remaining = [qubit for qubit in order if qubit not in frequencies]
             while remaining:
                 wave, remaining = self._next_wave(context, remaining)
@@ -607,10 +608,9 @@ class AllocationStrategy:
         for qubit in order:
             if qubit in frequencies:
                 continue
-            subset = candidate_indices_for(context, qubit, frequencies) \
-                if candidate_indices_for is not None else None
             frequencies[qubit] = context.best_frequency(
-                qubit, frequencies, candidate_indices=subset
+                qubit, frequencies,
+                candidate_indices=candidate_indices_for(context, qubit, frequencies),
             )
             context.mark_assigned(qubit)
         return frequencies, order
@@ -675,25 +675,18 @@ class CoordinateDescentStrategy(AllocationStrategy):
     def assign(self, context: _AllocationContext) -> Dict[int, float]:
         frequencies, order = self._bfs_assign(context)
         passes = max(1, context.allocator.refinement_passes)
-        batched = context.allocator.batched_rankings
         for _sweep in range(passes):
-            if batched:
-                # Same wave discipline as the BFS walk: non-conflicting
-                # qubits never read each other's refined frequencies, so
-                # ranking a wave against the pre-wave assignment and
-                # applying its updates together is bit-identical to the
-                # in-place sequential sweep.
-                remaining = list(order)
-                while remaining:
-                    wave, remaining = self._next_wave(context, remaining)
-                    winners = context.scorer.best_frequencies_for(
-                        wave, frequencies
-                    )
-                    for qubit in wave:
-                        frequencies[qubit] = winners[qubit]
-            else:
-                for qubit in order:
-                    frequencies[qubit] = context.best_frequency(qubit, frequencies)
+            # Same wave discipline as the BFS walk: non-conflicting qubits
+            # never read each other's refined frequencies, so ranking a
+            # wave against the pre-wave assignment and applying its
+            # updates together is bit-identical to the in-place
+            # sequential sweep.
+            remaining = list(order)
+            while remaining:
+                wave, remaining = self._next_wave(context, remaining)
+                winners = context.scorer.best_frequencies_for(wave, frequencies)
+                for qubit in wave:
+                    frequencies[qubit] = winners[qubit]
         return frequencies
 
 
@@ -826,13 +819,6 @@ class FrequencyAllocator:
             their keys, so results are bit-identical with the caches on
             or off; disabling them exists for benchmarking the
             uncached cold path.
-        batched_rankings: Whether the BFS walk and refinement sweeps
-            rank waves of mutually independent qubits through one fused
-            batched kernel call instead of one call per qubit
-            (:meth:`AllocationStrategy._next_wave`).  Wave members never
-            share a collision connection, so winners are bit-identical
-            with batching on or off; the flag exists for benchmarking
-            and identity tests.
     """
 
     sigma_ghz: float = DEFAULT_SIGMA_GHZ
@@ -845,7 +831,6 @@ class FrequencyAllocator:
     strategy: Union[str, AllocationStrategy] = BfsGreedyStrategy.name
     screening: bool = True
     shared_caches: bool = True
-    batched_rankings: bool = True
 
     def allocate(self, architecture: Architecture) -> Dict[int, float]:
         """Assign a frequency to every qubit of ``architecture``.

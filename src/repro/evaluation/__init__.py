@@ -37,7 +37,6 @@ from repro.evaluation.supervisor import (
     SupervisedExecutor,
     SupervisorPolicy,
     TaskFailure,
-    run_supervised_sweep,
 )
 from repro.evaluation.pareto import is_dominated, pareto_front
 from repro.evaluation.analysis import (
@@ -70,7 +69,6 @@ __all__ = [
     "SupervisedExecutor",
     "SupervisorPolicy",
     "TaskFailure",
-    "run_supervised_sweep",
     "pareto_front",
     "is_dominated",
     "HeadlineComparison",

@@ -43,13 +43,13 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults
 from repro.evaluation import parallel
 from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS, ExperimentResult
+from repro.evaluation.experiment import DEFAULT_CONFIGS
 from repro.evaluation.parallel import SweepExecutor
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import global_metrics
@@ -63,6 +63,14 @@ FAILURE_REPORT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+#: How often workers prove liveness.
+HEARTBEAT_INTERVAL_S = 0.25
+#: Upper bound on any single retry backoff delay.
+BACKOFF_CAP_S = 2.0
+#: How long to wait for workers to exit cleanly.
+SHUTDOWN_GRACE_S = 5.0
+
+
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Supervision knobs.
@@ -70,42 +78,34 @@ class SupervisorPolicy:
     None of these can affect sweep *values* (retries re-derive the same
     content-addressed seeds), so the policy deliberately lives outside
     :class:`~repro.runtime.config.RuntimeConfig` and the config digest.
+    Every retry that follows a worker crash runs on the numpy screening
+    backend.
 
     Args:
         task_deadline_s: Kill a task attempt running longer than this
             (None disables; hung workers then require heartbeats).
-        heartbeat_interval_s: How often workers prove liveness.
         heartbeat_timeout_s: Kill a busy worker silent this long — the
             GIL-holding-hang detector (None disables).
         max_task_retries: Retries *after* the first attempt before a
             task is quarantined.
         backoff_base_s: Retry ``n`` (1-based) becomes eligible after
-            ``backoff_base_s * 2**(n-1)`` seconds, capped below —
-            deterministic, no jitter, so schedules replay.
-        backoff_cap_s: Upper bound on any single backoff delay.
-        demote_after_crash: Force the numpy screening backend on every
-            retry that follows a worker crash.
-        shutdown_grace_s: How long to wait for workers to exit cleanly.
+            ``backoff_base_s * 2**(n-1)`` seconds, capped at
+            :data:`BACKOFF_CAP_S` — deterministic, no jitter, so
+            schedules replay.
     """
 
     task_deadline_s: Optional[float] = None
-    heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: Optional[float] = None
     max_task_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    demote_after_crash: bool = True
-    shutdown_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be > 0")
 
     def backoff_delay(self, retry_number: int) -> float:
         """Delay before 1-based retry ``retry_number`` becomes eligible."""
-        return min(self.backoff_cap_s, self.backoff_base_s * (2 ** (retry_number - 1)))
+        return min(BACKOFF_CAP_S, self.backoff_base_s * (2 ** (retry_number - 1)))
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ class SupervisedExecutor(SweepExecutor):
             parent_conn, child_conn = multiprocessing.Pipe()
             process = multiprocessing.Process(
                 target=_worker_main,
-                args=(child_conn, worker_id, policy.heartbeat_interval_s),
+                args=(child_conn, worker_id, HEARTBEAT_INTERVAL_S),
                 daemon=True,
                 name=f"sweep-worker-{worker_id}",
             )
@@ -448,7 +448,7 @@ class SupervisedExecutor(SweepExecutor):
                 pass
             if worker.process.is_alive():
                 worker.process.kill()
-            worker.process.join(policy.shutdown_grace_s)
+            worker.process.join(SHUTDOWN_GRACE_S)
 
         def _attempt_failed(
             index: int, attempt: int, reason: str, detail: str,
@@ -470,7 +470,7 @@ class SupervisedExecutor(SweepExecutor):
                 metrics.increment("supervisor/quarantined_tasks")
                 finished += 1
                 return
-            if policy.demote_after_crash and reason == "crash":
+            if reason == "crash":
                 demoted.add(index)
             next_backend = "numpy" if index in demoted else None
             if next_backend is not None and backend is None:
@@ -594,22 +594,8 @@ class SupervisedExecutor(SweepExecutor):
                 except (BrokenPipeError, OSError):
                     pass
             for worker in list(workers.values()):
-                worker.process.join(policy.shutdown_grace_s)
+                worker.process.join(SHUTDOWN_GRACE_S)
                 _retire(worker)
 
         ordered = [quarantined[index] for index in sorted(quarantined)]
         return outcomes, ordered
-
-
-def run_supervised_sweep(
-    benchmarks: Sequence[str],
-    jobs: int = 1,
-    settings: Optional[RuntimeConfig] = None,
-    configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    policy: Optional[SupervisorPolicy] = None,
-) -> Tuple[Dict[str, ExperimentResult], "SupervisedExecutor"]:
-    """Run a supervised sweep; returns (results, executor-with-failures)."""
-    executor = SupervisedExecutor(
-        settings=settings, configs=configs, jobs=jobs, policy=policy,
-    )
-    return executor.run(benchmarks), executor

@@ -12,8 +12,7 @@ cycles:
   flags / config JSON and carried through workers unchanged.
 * :mod:`repro.runtime.session` — the :class:`~repro.runtime.session.Session`
   object that lazily constructs and owns the shared engines, caches, and
-  persistence stores, and dedupes identical concurrent requests by
-  content digest.
+  persistence stores, one per config digest per process.
 
 Submodules are imported lazily (PEP 562): the engines import
 ``repro.runtime.metrics`` while *they* are still being imported, so this

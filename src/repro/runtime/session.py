@@ -6,56 +6,30 @@ to lazily constructed shared state — the :class:`~repro.mapping.engine.Routing
 :class:`~repro.design.engine.DesignEngine` (with its persistent
 :class:`~repro.design.engine.DesignCache`), the sweep checkpoint store,
 and the process-wide ``YieldSimulator`` noise-tensor caches those engines
-share — and exposes digest-keyed entry points (:meth:`Session.design`,
-:meth:`Session.route`, :meth:`Session.evaluate`, :meth:`Session.sweep`).
+share.  Callers use the engines directly; the session only builds them
+once and merges what they computed back into the stores.
 
-Two properties make this the surface a long-lived serving tier can mount:
+Sessions register themselves in a process-level registry keyed by
+``config.digest()`` (store paths canonicalized first, so relative/symlink
+aliases of one cache file share one warm engine).  :func:`session_for`
+is the get-or-create entry used by the CLI and by every sweep worker.
 
-* **One session per config per process.** Sessions register themselves
-  in a process-level registry keyed by ``config.digest()`` (store paths
-  canonicalized first, so relative/symlink aliases of one cache file
-  share one warm engine).  :func:`session_for` is the get-or-create
-  entry used by the CLI and by every sweep worker.
-* **Concurrent identical requests dedupe.** Entry points serialize
-  engine access (the engines are not thread-safe) and track in-flight
-  request keys: a thread asking for work another thread is already
-  computing waits for it, then serves the answer from the now-warm
-  engine caches — one engine call total, counted under the
-  ``session/deduped_requests`` metric.
-
-Everything a session returns is byte-identical to what fresh per-call
-engines would produce: engines are transparent caches over pure
-deterministic functions, and the session adds no state of its own.
+Everything computed through a session's engines is byte-identical to
+what fresh per-call engines would produce: engines are transparent
+caches over pure deterministic functions, and the session adds no
+state of its own.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional
 
-from repro.benchmarks.library import get_benchmark
-from repro.circuit.circuit import QuantumCircuit
-from repro.design.engine import DesignEngine, DesignOptions, circuit_design_key
+from repro.design.engine import DesignEngine
 from repro.evaluation.checkpoint import SweepCheckpoint
-from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import (
-    DEFAULT_CONFIGS,
-    ExperimentResult,
-    design_engine_for,
-    evaluate_benchmark,
-)
-from repro.hardware.architecture import Architecture
-from repro.mapping.engine import (
-    RoutingEngine,
-    architecture_cache_key,
-    circuit_cache_key,
-    profile_cache_key,
-)
-from repro.profiling.profiler import CircuitProfile
+from repro.evaluation.experiment import design_engine_for
+from repro.mapping.engine import RoutingEngine
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.metrics import MetricsRegistry, global_metrics
-
-T = TypeVar("T")
 
 
 class Session:
@@ -68,13 +42,9 @@ class Session:
     sweep tasks find the same warm engines the CLI command used.
     """
 
-    def __init__(self, config: Optional[RuntimeConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = config or RuntimeConfig()
-        self.metrics = metrics or global_metrics()
-        self._lock = threading.RLock()  # serializes engine compute
-        self._flight_lock = threading.Lock()
-        self._inflight: Dict[Tuple, threading.Event] = {}
+        self._lock = threading.RLock()  # serializes construction and persists
         self._routing_engine: Optional[RoutingEngine] = None
         self._design_engine: Optional[DesignEngine] = None
         self._checkpoint: Optional[SweepCheckpoint] = None
@@ -82,12 +52,6 @@ class Session:
         # computed something the store has not seen from this session.
         self._merged_routing_misses = 0
         self._merged_design_misses = 0
-        # Screening-stats watermark: the process-wide screening counters
-        # at construction time, so :meth:`screening_stats` reports only
-        # this session's work — no stale counts leak between sessions.
-        from repro.collision import screening_stats as _screening_stats
-
-        self._screening_baseline = _screening_stats()
         _register(self)
 
     # -- lazily constructed shared state -----------------------------------
@@ -132,139 +96,6 @@ class Session:
     def has_design_engine(self) -> bool:
         """Whether the design engine was ever constructed (tests/metrics)."""
         return self._design_engine is not None
-
-    # -- request dedup ------------------------------------------------------
-
-    def _deduped(self, key: Tuple, compute: Callable[[], T]) -> T:
-        """Run ``compute`` unless an identical request is already in flight.
-
-        The owning thread computes under the session lock; followers
-        wait for it, then recompute under the lock themselves — by then
-        the engines are warm, so the follower's call is a cache hit and
-        the expensive work ran exactly once.
-        """
-        while True:
-            with self._flight_lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    owner = True
-                else:
-                    owner = False
-            if owner:
-                try:
-                    with self._lock:
-                        return compute()
-                finally:
-                    with self._flight_lock:
-                        del self._inflight[key]
-                    event.set()
-            self.metrics.increment("session/deduped_requests")
-            event.wait()
-
-    # -- digest-keyed entry points ------------------------------------------
-
-    def design_options(self, **overrides) -> DesignOptions:
-        """Design-flow options derived from this session's config."""
-        base = dict(
-            sigma_ghz=self.config.sigma_ghz,
-            local_trials=self.config.frequency_local_trials,
-            allocation_strategy=self.config.allocation_strategy,
-            frequency_screening=self.config.screening,
-        )
-        base.update(overrides)
-        return DesignOptions(**base)
-
-    def design(
-        self,
-        circuit: QuantumCircuit,
-        max_four_qubit_buses: int = 0,
-        options: Optional[DesignOptions] = None,
-        name: Optional[str] = None,
-    ) -> Architecture:
-        """Design one architecture (see :meth:`DesignEngine.design`)."""
-        options = options or self.design_options()
-        key = ("design", circuit_design_key(circuit), max_four_qubit_buses,
-               _options_key(options), name)
-        return self._deduped(
-            key,
-            lambda: self.design_engine.design(
-                circuit, max_four_qubit_buses, options, name=name
-            ),
-        )
-
-    def design_series(
-        self,
-        circuit: QuantumCircuit,
-        max_buses: Optional[int] = None,
-        options: Optional[DesignOptions] = None,
-    ) -> List[Architecture]:
-        """Design a bus-count series (see :meth:`DesignEngine.design_series`)."""
-        options = options or self.design_options()
-        key = ("design_series", circuit_design_key(circuit), max_buses,
-               _options_key(options))
-        return self._deduped(
-            key,
-            lambda: self.design_engine.design_series(circuit, max_buses, options),
-        )
-
-    def route(
-        self,
-        circuit: QuantumCircuit,
-        architecture: Architecture,
-        profile: Optional[CircuitProfile] = None,
-        keep_routed_circuit: Optional[bool] = None,
-    ):
-        """Route a circuit (see :meth:`RoutingEngine.route`)."""
-        if keep_routed_circuit is None:
-            keep_routed_circuit = self.config.keep_routed_circuits
-        key = ("route", circuit_cache_key(circuit),
-               architecture_cache_key(architecture),
-               profile_cache_key(profile), keep_routed_circuit)
-        return self._deduped(
-            key,
-            lambda: self.routing_engine.route(
-                circuit, architecture, profile=profile,
-                keep_routed_circuit=keep_routed_circuit,
-            ),
-        )
-
-    def evaluate(
-        self,
-        benchmark,
-        configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    ) -> ExperimentResult:
-        """Evaluate one benchmark (name or circuit) on this session's engines."""
-        circuit = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
-        configs = tuple(configs)
-        key = ("evaluate", circuit_design_key(circuit),
-               tuple(config.value for config in configs))
-        return self._deduped(
-            key,
-            lambda: evaluate_benchmark(
-                circuit, configs, settings=self.config,
-                engine=self.routing_engine, design_engine=self.design_engine,
-            ),
-        )
-
-    def sweep(
-        self,
-        benchmarks: Iterable[str],
-        configs=None,
-        jobs: int = 1,
-    ):
-        """Run the parallel evaluation sweep on this session's config.
-
-        With ``jobs=1`` the sweep tasks run in this process and find this
-        session through the registry; with ``jobs>1`` workers rebuild an
-        equivalent session from the pickled config (same digest) and
-        their metrics deltas merge back into this process's registry.
-        """
-        from repro.evaluation.parallel import SweepExecutor
-
-        configs = DEFAULT_CONFIGS if configs is None else configs
-        return SweepExecutor(settings=self.config, configs=configs, jobs=jobs).run(benchmarks)
 
     # -- persistence --------------------------------------------------------
 
@@ -315,48 +146,6 @@ class Session:
             return False
         checkpoint.record_failure(dict(failure))
         return True
-
-    # -- observability ------------------------------------------------------
-
-    def screening_stats(self) -> Dict[str, object]:
-        """This session's screening work: counts and phase-ns deltas.
-
-        The process-wide screening counters are monotone; the delta
-        against the construction-time watermark is exactly what this
-        session (and anything sharing the process since) screened.  If
-        :func:`repro.collision.reset_screening_stats` zeroed the globals
-        after this session was built, the raw counts are below the
-        watermark — the clamp then reports the post-reset counts rather
-        than negative values.
-        """
-        from repro.collision import screening_stats as _screening_stats
-
-        current = _screening_stats()
-        baseline = self._screening_baseline
-        stats: Dict[str, object] = {}
-        for key, value in current.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                before = baseline.get(key, 0)
-                delta = value - before
-                stats[key] = delta if delta >= 0 else value
-            else:
-                stats[key] = value  # e.g. the active backend name
-        return stats
-
-
-def _options_key(options: DesignOptions) -> Tuple:
-    """Hashable value identity of design options, for request dedup keys."""
-    return (
-        options.bus_strategy,
-        options.frequency_strategy,
-        options.sigma_ghz,
-        options.local_trials,
-        options.random_bus_seed,
-        options.frequency_seed,
-        options.frequency_refinement_passes,
-        options.allocation_strategy,
-        options.frequency_screening,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Tests for the runtime session layer: config digests, the process
-registry, request dedup, and worker→parent metrics merging."""
+registry, and worker→parent metrics merging."""
 
 import pickle
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -142,9 +140,9 @@ class TestSessionRegistry:
 
 
 class TestSessionByteIdentity:
-    """Acceptance: one shared warm Session serves design + evaluate +
-    sweep with outputs byte-identical to fresh per-call engines, for any
-    --jobs count, cold and warm."""
+    """Acceptance: one shared warm Session serves evaluate and sweep with
+    outputs byte-identical to fresh per-call engines, for any --jobs
+    count, cold and warm."""
 
     def test_warm_session_evaluate_matches_fresh_engines(self):
         _cold_process()
@@ -152,8 +150,16 @@ class TestSessionByteIdentity:
         fresh = evaluate_benchmark(circuit, configs=FAST_CONFIGS,
                                    settings=FAST_CONFIG)
         session = session_for(FAST_CONFIG)
-        cold = session.evaluate("sym6_145", FAST_CONFIGS)
-        warm = session.evaluate("sym6_145", FAST_CONFIGS)
+
+        def evaluate():
+            return evaluate_benchmark(
+                get_benchmark("sym6_145"), configs=FAST_CONFIGS,
+                settings=FAST_CONFIG, engine=session.routing_engine,
+                design_engine=session.design_engine,
+            )
+
+        cold = evaluate()
+        warm = evaluate()
         assert point_fingerprint(cold) == point_fingerprint(fresh)
         assert point_fingerprint(warm) == point_fingerprint(fresh)
 
@@ -164,57 +170,12 @@ class TestSessionByteIdentity:
         session = session_for(FAST_CONFIG)  # warm from the run above
         assert session.has_design_engine
         for jobs in (1, 2, 4):
-            result = session.sweep(["sym6_145"], configs=FAST_CONFIGS, jobs=jobs)
+            result = run_sweep(["sym6_145"], jobs=jobs, settings=FAST_CONFIG,
+                               configs=FAST_CONFIGS)
+            assert session_for(FAST_CONFIG) is session
             assert point_fingerprint(result["sym6_145"]) == point_fingerprint(
                 reference["sym6_145"]
             ), f"warm session sweep diverged at jobs={jobs}"
-
-
-class TestConcurrentDedup:
-    def test_identical_concurrent_requests_compute_once(self, allocation_calls):
-        circuit = get_benchmark("sym6_145")
-
-        # Reference: the Algorithm 3 search cost of one cold design.
-        _cold_process()
-        allocation_calls.reset()
-        session_for(FAST_CONFIG).design(circuit, 1)
-        single = allocation_calls()
-        assert single > 0
-
-        _cold_process()
-        allocation_calls.reset()
-        session = session_for(FAST_CONFIG)
-        deduped_before = global_metrics().counter("session/deduped_requests")
-
-        # Hold the owner's engine call open until at least one follower
-        # has parked on the in-flight event (followers bump the dedup
-        # counter *before* waiting).  Without the gate a fast cold design
-        # can finish before the pool even dispatches the other threads,
-        # and every request would be served from the warm cache instead
-        # of exercising the dedup path.
-        engine = session.design_engine
-        real_design = engine.design
-
-        def gated_design(*args, **kwargs):
-            deadline = time.monotonic() + 10.0
-            while (global_metrics().counter("session/deduped_requests")
-                   <= deduped_before and time.monotonic() < deadline):
-                time.sleep(0.001)
-            return real_design(*args, **kwargs)
-
-        engine.design = gated_design
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(
-                    lambda _: session.design(circuit, 1), range(8)
-                ))
-        finally:
-            engine.design = real_design
-        assert allocation_calls() == single, (
-            "concurrent identical requests must resolve to one engine call"
-        )
-        assert len({arch.name for arch in results}) == 1
-        assert global_metrics().counter("session/deduped_requests") > deduped_before
 
 
 class TestWorkerMetricsMerge:

@@ -20,13 +20,13 @@ import pytest
 from repro.collision import (
     CollisionThresholds,
     YieldSimulator,
-    reset_screening_stats,
+    active_backend,
     screening_applicable,
-    screening_stats,
 )
 from repro.design import ALLOCATION_STRATEGIES, FrequencyAllocator
 from repro.hardware import Architecture, Lattice
 from repro.hardware.frequency import candidate_frequencies
+from repro.runtime.metrics import diff_snapshots, global_metrics
 
 
 def random_region(rng, num_qubits=None):
@@ -207,22 +207,31 @@ class TestScreenedCounts:
 
     def test_stats_accumulate_and_reset(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
-        reset_screening_stats()
+        before = global_metrics().snapshot()
+        screened = simulator.screened_failure_counts(
+            candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
+        )
+        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
+        candidates = candidate_frequencies().shape[0]
+        assert counters["screening/calls"] == 1
+        assert counters["screening/candidates"] == candidates
+        assert counters.get("screening/pruned", 0) == screened.pruned
+        assert counters.get("screening/verified", 0) == screened.verified
+        assert counters[f"screening/backend/{active_backend()}"] == 1
+        # Counts accumulate across calls; a later baseline restarts them.
+        middle = global_metrics().snapshot()
         simulator.screened_failure_counts(
             candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
         )
-        stats = screening_stats()
-        assert stats["calls"] == 1
-        assert stats["candidates"] == candidate_frequencies().shape[0]
-        previous = reset_screening_stats()
-        assert previous == stats
-        assert screening_stats()["calls"] == 0
+        now = global_metrics().snapshot()
+        assert diff_snapshots(now, before)["counters"]["screening/calls"] == 2
+        assert diff_snapshots(now, middle)["counters"]["screening/calls"] == 1
 
 
 class TestSessionScreeningStats:
-    """Phase counters reset coherently and stay session-scoped."""
+    """The ``screening/*`` metrics a command's ``--metrics-out`` reports."""
 
-    PHASE_KEYS = ("pack_ns", "merge_ns", "dispute_ns", "joint_ns")
+    PHASES = ("pack", "merge", "dispute", "joint")
 
     def _run_screen(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
@@ -231,47 +240,17 @@ class TestSessionScreeningStats:
         )
 
     def test_phase_counters_reset_with_the_logical_counters(self):
-        reset_screening_stats()
         self._run_screen()
-        stats = screening_stats()
-        assert stats["pack_ns"] > 0
-        for key in self.PHASE_KEYS:
-            assert stats[key] >= 0
-        previous = reset_screening_stats()
-        assert previous == stats
-        cleared = screening_stats()
-        for key in ("calls",) + self.PHASE_KEYS:
-            assert cleared[key] == 0
-        assert cleared["backend"] == stats["backend"]
-
-    def test_new_session_starts_from_zero_counts(self):
-        from repro.runtime.session import Session
-
-        reset_screening_stats()
-        stale = Session()
+        before = global_metrics().snapshot()
         self._run_screen()
-        assert stale.screening_stats()["calls"] == 1
-        fresh = Session()
-        fresh_stats = fresh.screening_stats()
-        assert fresh_stats["calls"] == 0
-        for key in self.PHASE_KEYS:
-            assert fresh_stats[key] == 0
-        self._run_screen()
-        assert fresh.screening_stats()["calls"] == 1
-        assert stale.screening_stats()["calls"] == 2
-
-    def test_global_reset_after_construction_clamps_to_current(self):
-        from repro.runtime.session import Session
-
-        reset_screening_stats()
-        self._run_screen()
-        self._run_screen()
-        session = Session()  # watermark: calls == 2
-        reset_screening_stats()
-        self._run_screen()
-        # Raw count (1) sits below the watermark (2): the session reports
-        # the post-reset count instead of a negative delta.
-        assert session.screening_stats()["calls"] == 1
+        delta = diff_snapshots(global_metrics().snapshot(), before)
+        # One baseline scopes the logical counters and the phase timers alike.
+        assert delta["counters"]["screening/calls"] == 1
+        timers = delta["timers"]
+        assert timers["screening/pack"]["total_s"] > 0
+        for phase in self.PHASES:
+            assert timers[f"screening/{phase}"]["count"] == 1
+            assert timers[f"screening/{phase}"]["total_s"] >= 0
 
 
 class TestAllocatorIdentity:

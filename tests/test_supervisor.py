@@ -11,6 +11,7 @@ import pytest
 
 from repro import faults
 from repro.evaluation.supervisor import (
+    BACKOFF_CAP_S,
     FAILURE_REPORT_FORMAT,
     FAILURE_REPORT_VERSION,
     QuarantinedTask,
@@ -31,17 +32,15 @@ from repro.runtime.metrics import diff_snapshots, global_metrics
 def test_policy_validation():
     with pytest.raises(ValueError, match="max_task_retries"):
         SupervisorPolicy(max_task_retries=-1)
-    with pytest.raises(ValueError, match="heartbeat_interval_s"):
-        SupervisorPolicy(heartbeat_interval_s=0.0)
 
 
 def test_backoff_is_deterministic_exponential_with_cap():
-    policy = SupervisorPolicy(backoff_base_s=0.05, backoff_cap_s=0.3)
-    assert policy.backoff_delay(1) == pytest.approx(0.05)
-    assert policy.backoff_delay(2) == pytest.approx(0.10)
-    assert policy.backoff_delay(3) == pytest.approx(0.20)
-    assert policy.backoff_delay(4) == pytest.approx(0.30)  # capped
-    assert policy.backoff_delay(10) == pytest.approx(0.30)
+    policy = SupervisorPolicy(backoff_base_s=BACKOFF_CAP_S / 4)
+    assert policy.backoff_delay(1) == pytest.approx(BACKOFF_CAP_S / 4)
+    assert policy.backoff_delay(2) == pytest.approx(BACKOFF_CAP_S / 2)
+    assert policy.backoff_delay(3) == pytest.approx(BACKOFF_CAP_S)
+    assert policy.backoff_delay(4) == pytest.approx(BACKOFF_CAP_S)  # capped
+    assert policy.backoff_delay(10) == pytest.approx(BACKOFF_CAP_S)
 
 
 # -- failure records ---------------------------------------------------------
