@@ -161,6 +161,22 @@ class TestCommands:
         assert "estimated yield" in output
         assert "Architecture:" in output
 
+    @staticmethod
+    def _assert_unknown_benchmark_error(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro-design: error: unknown benchmark 'nosuch'"), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
+    def test_unknown_benchmark_raises(self, capsys):
+        """Unknown names exit 2 with a one-line error, before any benchmark runs."""
+        for argv in (["profile", "nosuch"], ["design", "nosuch"],
+                     ["evaluate", "nosuch"],
+                     ["evaluate", "sym6_145", "nosuch", "--trials", "200"]):
+            assert main(argv) == 2
+            self._assert_unknown_benchmark_error(capsys)
+
     def test_sweep_prints_table(self, capsys):
         assert main(
             ["sweep", "sym6_145", "--jobs", "2", "--trials", "300",
@@ -169,6 +185,14 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "sym6_145" in output
         assert "eff-layout-only" in output
+
+    def test_sweep_unknown_benchmark_raises_before_forking(
+        self, capsys, allocation_calls
+    ):
+        allocation_calls.reset()
+        assert main(["sweep", "sym6_145", "nosuch", "--jobs", "2"]) == 2
+        self._assert_unknown_benchmark_error(capsys)
+        assert allocation_calls() == 0
 
 
 class TestDesignCacheRoundTrip:
@@ -267,17 +291,6 @@ class TestCacheBackendFlag:
                 assert exited.value.code == 2
                 err = capsys.readouterr().err
                 assert err.startswith("repro-design: error:") and message in err, err
-        # Unknown benchmark names are rejected before any benchmark runs.
-        for argv in (["profile", "nosuch"], ["design", "nosuch"],
-                     ["evaluate", "nosuch"],
-                     ["evaluate", "sym6_145", "nosuch", *self.FAST],
-                     ["sweep", "nosuch", "--jobs", "2"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(
-                "repro-design: error: unknown benchmark 'nosuch'"), captured.err
-            assert captured.err.count("\n") == 1, captured.err
 
 
 class TestScreeningAndStatsFlags:
