@@ -126,7 +126,7 @@ def run_bench(smoke: bool = False, repeats: int = 2) -> dict:
         for _repeat in range(repeats):
             cache_path.unlink(missing_ok=True)
             # Unbounded frequency cache, mirroring the production warm path
-            # (design_engine_for): the zero-search guarantee must hold
+            # (Session.design_engine): the zero-search guarantee must hold
             # however large the grid grows, so the sessions must not shed
             # plans to an LRU bound before persisting or after loading.
             engine = DesignEngine(frequency_cache=DesignCache(max_entries=None))

@@ -16,7 +16,7 @@ twelve-benchmark, 10,000-trial sweep (several minutes).
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.evaluation import ExperimentConfig, evaluate_benchmark
+from repro.evaluation import ExperimentConfig, run_sweep
 from repro.evaluation.figures import format_figure10_table
 from repro.visualization import render_pareto_scatter
 
@@ -28,13 +28,14 @@ def test_fig10_yield_vs_performance(benchmark, benchmark_name):
     settings = active_settings()
     circuit = get_benchmark(benchmark_name)
 
-    result = benchmark.pedantic(
-        evaluate_benchmark,
-        args=(circuit,),
+    results = benchmark.pedantic(
+        run_sweep,
+        args=([benchmark_name],),
         kwargs={"settings": settings},
         rounds=1,
         iterations=1,
     )
+    result = results[circuit.name]
 
     table = format_figure10_table(result)
     scatter = render_pareto_scatter(result)

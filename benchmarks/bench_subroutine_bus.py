@@ -10,8 +10,7 @@ degenerates to random selection.
 
 import pytest
 
-from repro.benchmarks import get_benchmark
-from repro.evaluation import ExperimentConfig, evaluate_benchmark
+from repro.evaluation import ExperimentConfig, run_sweep
 
 from _bench_utils import active_settings, full_run_requested, write_result
 
@@ -25,15 +24,15 @@ BUS_BENCHMARKS = ("z4_268", "adr4_197", "qft_16") if not full_run_requested() el
 @pytest.mark.parametrize("benchmark_name", BUS_BENCHMARKS)
 def test_section542_bus_selection_quality(benchmark, benchmark_name):
     settings = active_settings()
-    circuit = get_benchmark(benchmark_name)
 
-    result = benchmark.pedantic(
-        evaluate_benchmark,
-        args=(circuit,),
+    results = benchmark.pedantic(
+        run_sweep,
+        args=([benchmark_name],),
         kwargs={"configs": CONFIGS, "settings": settings},
         rounds=1,
         iterations=1,
     )
+    result = results[benchmark_name]
 
     eff = {p.num_four_qubit_buses: p for p in result.by_config(ExperimentConfig.EFF_FULL)}
     random_points = result.by_config(ExperimentConfig.EFF_RD_BUS)

@@ -6,11 +6,10 @@ paper reports ~10x average yield improvement, smaller when the
 5-frequency yield is already high (sym6, UCCSD).
 """
 
-from repro.benchmarks import benchmark_suite
 from repro.evaluation import (
     ExperimentConfig,
-    evaluate_suite,
     frequency_allocation_gain,
+    run_sweep,
 )
 from repro.evaluation.analysis import geometric_mean_yield_ratio
 
@@ -21,11 +20,9 @@ CONFIGS = (ExperimentConfig.EFF_FULL, ExperimentConfig.EFF_5_FREQ)
 
 def test_section543_frequency_allocation_gain(benchmark):
     settings = active_settings()
-    circuits = benchmark_suite(list(active_benchmarks()))
-
     results = benchmark.pedantic(
-        evaluate_suite,
-        args=(circuits,),
+        run_sweep,
+        args=(list(active_benchmarks()),),
         kwargs={"configs": CONFIGS, "settings": settings},
         rounds=1,
         iterations=1,

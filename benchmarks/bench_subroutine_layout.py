@@ -7,8 +7,7 @@ with ~35x average yield improvement over baseline (2), using far fewer
 hardware resources.
 """
 
-from repro.benchmarks import benchmark_suite
-from repro.evaluation import ExperimentConfig, evaluate_suite, layout_effect_gain
+from repro.evaluation import ExperimentConfig, layout_effect_gain, run_sweep
 from repro.evaluation.analysis import geometric_mean_yield_ratio, mean_performance_change
 
 from _bench_utils import active_benchmarks, active_settings, write_result
@@ -18,11 +17,9 @@ CONFIGS = (ExperimentConfig.IBM, ExperimentConfig.EFF_LAYOUT_ONLY)
 
 def test_section541_layout_effect(benchmark):
     settings = active_settings()
-    circuits = benchmark_suite(list(active_benchmarks()))
-
     results = benchmark.pedantic(
-        evaluate_suite,
-        args=(circuits,),
+        run_sweep,
+        args=(list(active_benchmarks()),),
         kwargs={"configs": CONFIGS, "settings": settings},
         rounds=1,
         iterations=1,

@@ -18,8 +18,7 @@ assertions target the direction and order of magnitude rather than the
 exact paper values.
 """
 
-from repro.benchmarks import benchmark_suite
-from repro.evaluation import ExperimentConfig, evaluate_suite, headline_comparisons
+from repro.evaluation import ExperimentConfig, headline_comparisons, run_sweep
 from repro.evaluation.analysis import geometric_mean_yield_ratio, mean_performance_change
 
 from _bench_utils import active_benchmarks, active_settings, write_result
@@ -29,11 +28,9 @@ CONFIGS = (ExperimentConfig.IBM, ExperimentConfig.EFF_FULL)
 
 def test_section53_headline_numbers(benchmark):
     settings = active_settings()
-    circuits = benchmark_suite(list(active_benchmarks()))
-
     results = benchmark.pedantic(
-        evaluate_suite,
-        args=(circuits,),
+        run_sweep,
+        args=(list(active_benchmarks()),),
         kwargs={"configs": CONFIGS, "settings": settings},
         rounds=1,
         iterations=1,

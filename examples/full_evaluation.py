@@ -21,12 +21,12 @@ Run:  python examples/full_evaluation.py [--fast] [benchmark ...]
 
 import argparse
 
-from repro.benchmarks import BENCHMARK_NAMES, benchmark_suite
+from repro.benchmarks import BENCHMARK_NAMES
 from repro.evaluation import (
-    evaluate_suite,
     frequency_allocation_gain,
     headline_comparisons,
     layout_effect_gain,
+    run_sweep,
 )
 from repro.evaluation.analysis import geometric_mean_yield_ratio, mean_performance_change
 from repro.evaluation.figures import format_figure10_table
@@ -49,8 +49,7 @@ def main() -> None:
     else:
         settings = RuntimeConfig()
 
-    circuits = benchmark_suite(args.benchmarks)
-    results = evaluate_suite(circuits, settings=settings)
+    results = run_sweep(args.benchmarks, settings=settings)
 
     for result in results.values():
         print(format_figure10_table(result))

@@ -6,18 +6,18 @@ Subcommands:
   coupling degree list of a benchmark (paper Section 3).
 * ``design <benchmark>`` — run the full design flow and print the
   generated architecture series with yield estimates.
-* ``evaluate <benchmark> [...]`` — run the Figure 10 experiment for one or
-  more benchmarks and print the data tables and ASCII Pareto plots.
-* ``sweep <benchmark> [...]`` — the same experiment grid sharded across
-  worker processes (``--jobs N``) with deterministic per-point seeds:
-  results are byte-identical for every job count.
+* ``sweep <benchmark> [...]`` (alias ``evaluate``) — run the Figure 10
+  experiment grid for one or more benchmarks and print the data tables
+  and ASCII Pareto plots.  The grid can be sharded across worker
+  processes (``--jobs N``); per-point seeds make the results
+  byte-identical for every job count.
 * ``cache migrate <src> <dst>`` — copy a persisted cache store (routing
   cache, design cache, or sweep checkpoint) to another backend.
 * ``list`` — list the available benchmarks.
 
-The ``evaluate`` and ``sweep`` subcommands resolve their flags into one
-frozen :class:`~repro.runtime.config.RuntimeConfig` (optionally seeded
-from a ``--runtime-config`` JSON file) and run on the process's
+``sweep`` resolves its flags into one frozen
+:class:`~repro.runtime.config.RuntimeConfig` (optionally seeded from a
+``--runtime-config`` JSON file) and runs on the process's
 :class:`~repro.runtime.session.Session` for that config; ``--metrics-out``
 writes the merged structured metrics report of the invocation.
 """
@@ -32,14 +32,15 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.benchmarks.library import BENCHMARK_NAMES, benchmark_info, get_benchmark
-from repro.persistence import BACKENDS, atomic_write_text, parse_store_path
+from repro.persistence import atomic_write_text
 from repro.collision.yield_simulator import YieldSimulator
 from repro.design.frequency_allocation import ALLOCATION_STRATEGIES
 from repro.design.flow import DesignFlow, DesignOptions
 from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS, evaluate_benchmark
+from repro.evaluation.experiment import DEFAULT_CONFIGS
 from repro.evaluation.figures import format_figure10_table
-from repro.evaluation.parallel import run_sweep
+from repro.evaluation.parallel import SweepExecutor
+from repro.evaluation.supervisor import SupervisedExecutor, SupervisorPolicy
 from repro.profiling.profiler import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 from repro.visualization.ascii_art import render_architecture, render_coupling_matrix
@@ -79,21 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_allocation_strategy_argument(design_parser)
     _add_screening_argument(design_parser)
 
-    evaluate_parser = subparsers.add_parser(
-        "evaluate", help="run the Figure 10 experiment for benchmarks"
-    )
-    evaluate_parser.add_argument("benchmarks", nargs="+", help="benchmark names (see 'list')")
-    evaluate_parser.add_argument("--trials", type=int, default=_TRIALS_DEFAULT)
-    evaluate_parser.add_argument(
-        "--plot", action="store_true", help="also print an ASCII Pareto scatter plot"
-    )
-    _add_router_arguments(evaluate_parser)
-    _add_design_arguments(evaluate_parser)
-    _add_runtime_arguments(evaluate_parser)
-
     sweep_parser = subparsers.add_parser(
-        "sweep",
-        help="run the evaluation grid sharded across worker processes",
+        "sweep", aliases=["evaluate"],
+        help="run the Figure 10 evaluation grid, optionally sharded across "
+             "worker processes",
     )
     sweep_parser.add_argument("benchmarks", nargs="+", help="benchmark names (see 'list')")
     sweep_parser.add_argument(
@@ -113,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint", default=None, metavar="PATH",
         help="sweep checkpoint store: every completed generation/evaluation "
              "task is recorded into it, so an interrupted sweep can restart "
-             "with --resume (any cache backend; see --cache-backend)",
+             "with --resume (any store backend; a json:/sharded:/sqlite: "
+             "prefix picks one)",
     )
     sweep_parser.add_argument(
         "--resume", action="store_true",
@@ -150,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
              "this long (catches hangs that hold the GIL)",
     )
     supervision.add_argument(
-        "--max-task-retries", type=int, default=2, metavar="N",
+        "--max-task-retries", type=int, default=None, metavar="N",
         help="retries after a task's first failed attempt before it is "
              "quarantined (default: 2)",
     )
     supervision.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
+        "--retry-backoff", type=float, default=None, metavar="SECONDS",
         help="base of the deterministic exponential retry backoff "
              "(default: 0.05)",
     )
@@ -187,12 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
         "source", help="existing store to read (backend sniffed or prefixed)"
     )
     migrate_parser.add_argument(
-        "dest", help="store to (re)write with the source's full entry list"
-    )
-    migrate_parser.add_argument(
-        "--cache-backend", default="auto", choices=("auto",) + BACKENDS,
-        help="backend for an unprefixed DEST path (default: auto — sniff "
-             "existing state, else single-file JSON)",
+        "dest",
+        help="store to (re)write with the source's full entry list; a "
+             "json:/sharded:/sqlite: prefix picks its backend (default: "
+             "sniff existing state, else single-file JSON)",
     )
 
     lint_parser = subparsers.add_parser(
@@ -232,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_router_arguments(parser: argparse.ArgumentParser) -> None:
-    """Routing-engine knobs shared by ``evaluate`` and ``sweep``."""
+    """Routing-engine knobs of ``sweep``."""
     group = parser.add_argument_group("routing engine")
     group.add_argument(
         "--router-passes", type=int, default=DEFAULT_EVALUATION_ROUTING.passes,
@@ -259,7 +248,7 @@ def _add_allocation_strategy_argument(target) -> None:
     """The Algorithm 3 strategy flag, defined once for every subcommand.
 
     ``--allocation-strategy`` is canonical; ``--alloc-strategy`` is kept
-    as a compatible alias.  On ``evaluate``/``sweep`` the chosen strategy
+    as a compatible alias.  On ``sweep`` the chosen strategy
     applies to the eff-full / eff-rd-bus configurations and stays
     byte-identical for any ``--jobs`` count.
     """
@@ -282,7 +271,7 @@ def _add_screening_argument(target) -> None:
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
-    """Design-engine knobs shared by ``evaluate`` and ``sweep``."""
+    """Design-engine knobs of ``sweep``."""
     group = parser.add_argument_group("design engine")
     _add_allocation_strategy_argument(group)
     _add_screening_argument(group)
@@ -298,17 +287,10 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
         help="Monte Carlo trials per candidate frequency inside Algorithm 3 "
              "(default: 2000, as in the paper)",
     )
-    group.add_argument(
-        "--cache-backend", default="auto", choices=("auto",) + BACKENDS,
-        help="storage backend for --routing-cache / --design-cache / "
-             "--checkpoint paths without an explicit json:/sharded:/sqlite: "
-             "prefix (default: auto — sniff existing state, else single-file "
-             "JSON)",
-    )
 
 
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
-    """Runtime-session knobs shared by ``evaluate`` and ``sweep``."""
+    """Runtime-session knobs of ``sweep``."""
     group = parser.add_argument_group("runtime session")
     group.add_argument(
         "--runtime-config", default=None, metavar="PATH",
@@ -325,24 +307,14 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_path(path: Optional[str], backend: str) -> Optional[str]:
-    """Apply ``--cache-backend`` to a store path.
-
-    An explicit ``json:`` / ``sharded:`` / ``sqlite:`` prefix on the path
-    always wins; otherwise a non-``auto`` backend choice is encoded as
-    that prefix, so it survives the trip through the pickled
-    ``RuntimeConfig`` into every worker process.
-    """
-    if path is None or backend == "auto":
-        return path
-    scheme, _ = parse_store_path(path)
-    if scheme is not None:
-        return path
-    return f"{backend}:{path}"
+def _usage_error(message: str) -> int:
+    """Report invalid input as one ``repro-design: error:`` line; exit status 2."""
+    print(f"repro-design: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
-    """Resolve one frozen ``RuntimeConfig`` for an evaluate/sweep invocation.
+    """Resolve one frozen ``RuntimeConfig`` for a sweep invocation.
 
     Precedence: built-in defaults < the ``--runtime-config`` JSON file <
     CLI flags spelled differently from their parser defaults.  (A flag
@@ -354,7 +326,7 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     try:
         config = (
             RuntimeConfig.from_json(args.runtime_config)
-            if getattr(args, "runtime_config", None)
+            if args.runtime_config
             else RuntimeConfig()
         )
         routing = config.routing
@@ -376,24 +348,15 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
         for flag, field in (("routing_cache", "routing_cache_path"),
                             ("design_cache", "design_cache_path"),
                             ("checkpoint", "checkpoint_path")):
-            value = getattr(args, flag, None)
+            value = getattr(args, flag)
             if value is not None:
                 updates[field] = value
-        if getattr(args, "resume", False):
+        if args.resume:
             updates["resume"] = True
-        # --cache-backend applies to every unprefixed store path, whether
-        # it came from a flag or from the config file.
-        backend = args.cache_backend
-        for field in ("routing_cache_path", "design_cache_path", "checkpoint_path"):
-            value = updates.get(field, getattr(config, field))
-            prefixed = _store_path(value, backend)
-            if prefixed != value:
-                updates[field] = prefixed
         if updates:
             config = dataclasses.replace(config, **updates)
     except (OSError, ValueError) as error:
-        print(f"repro-design: error: {error}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_usage_error(str(error))) from None
     return config
 
 
@@ -408,8 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             benchmark_info(name)
         except KeyError as error:
-            print(f"repro-design: error: {error.args[0]}", file=sys.stderr)
-            return 2
+            return _usage_error(error.args[0])
     if args.command == "list":
         return _cmd_list()
     if args.command == "profile":
@@ -417,26 +379,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "design":
         return _cmd_design(args.benchmark, args.buses, args.trials, args.allocation_strategy,
                            screening=not args.no_screening)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args.benchmarks, _runtime_config(args), args.plot,
-                             metrics_out=args.metrics_out)
-    if args.command == "sweep":
-        if args.resume and not (args.checkpoint or args.runtime_config):
-            print("repro-design: error: --resume requires --checkpoint",
-                  file=sys.stderr)
-            return 2
-        return _cmd_sweep(args.benchmarks, args.jobs, args.configs, args.plot,
-                          _runtime_config(args), output=args.output,
-                          metrics_out=args.metrics_out,
-                          supervised=args.supervised,
-                          task_deadline=args.task_deadline,
-                          heartbeat_timeout=args.heartbeat_timeout,
-                          max_task_retries=args.max_task_retries,
-                          retry_backoff=args.retry_backoff,
-                          fault_plan=args.fault_plan,
-                          failures_out=args.failures_out)
+    if args.command in ("sweep", "evaluate"):
+        return _cmd_sweep(args)
     if args.command == "cache":
-        return _cmd_cache_migrate(args.source, args.dest, args.cache_backend)
+        return _cmd_cache_migrate(args.source, args.dest)
     if args.command == "lint":
         return _cmd_lint(args)
     return 2
@@ -484,6 +430,10 @@ def _cmd_profile(benchmark: str) -> int:
 
 def _cmd_design(benchmark: str, buses: Optional[int], trials: int,
                 alloc_strategy: str = "bfs-greedy", screening: bool = True) -> int:
+    if trials < 1:
+        return _usage_error(f"--trials must be >= 1, got {trials}")
+    if buses is not None and buses < 0:
+        return _usage_error(f"--buses must be >= 0, got {buses}")
     circuit = get_benchmark(benchmark)
     flow = DesignFlow(circuit, DesignOptions(allocation_strategy=alloc_strategy,
                                              frequency_screening=screening))
@@ -558,92 +508,82 @@ def _write_metrics(path: str, baseline, *, command: str,
     ))
 
 
-def _cmd_sweep(
-    benchmarks: List[str],
-    jobs: int,
-    config_values: Optional[List[str]],
-    plot: bool,
-    config: RuntimeConfig,
-    output: Optional[str] = None,
-    metrics_out: Optional[str] = None,
-    supervised: bool = False,
-    task_deadline: Optional[float] = None,
-    heartbeat_timeout: Optional[float] = None,
-    max_task_retries: int = 2,
-    retry_backoff: float = 0.05,
-    fault_plan: Optional[str] = None,
-    failures_out: Optional[str] = None,
-) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """``sweep`` and its ``evaluate`` alias: score the Figure 10 grid.
+
+    Invalid input exits with status 2 before any benchmark is built or
+    any worker forks.
+    """
     from repro import faults
-    from repro.evaluation.parallel import save_worker_routing_cache
     from repro.runtime.metrics import global_metrics
 
-    # Any supervision knob (or a fault plan, which only the supervised
-    # executor survives) opts the sweep into supervised execution.
-    supervised = bool(
-        supervised or fault_plan or task_deadline is not None
-        or heartbeat_timeout is not None or failures_out
+    if args.resume and not (args.checkpoint or args.runtime_config):
+        return _usage_error("--resume requires --checkpoint")
+    config = _runtime_config(args)
+    configs = (
+        tuple(ExperimentConfig(value) for value in args.configs)
+        if args.configs
+        else DEFAULT_CONFIGS
     )
+    # The supervision knobs default to None, so spelling any of them — or
+    # a fault plan, which only the supervised executor survives — opts
+    # the sweep into supervised execution.
+    knobs = {
+        "task_deadline_s": args.task_deadline,
+        "heartbeat_timeout_s": args.heartbeat_timeout,
+        "max_task_retries": args.max_task_retries,
+        "backoff_base_s": args.retry_backoff,
+    }
+    knobs = {name: value for name, value in knobs.items() if value is not None}
+    supervisor = None
+    try:
+        if args.fault_plan:
+            # Load eagerly: workers read the plan lazily at the first
+            # injection site, where a missing/invalid file would surface as
+            # an "error" failure on every task and quarantine the whole
+            # sweep instead of failing here, before any work starts.
+            faults.FaultPlan.load(args.fault_plan)
+        if args.supervised or args.fault_plan or args.failures_out or knobs:
+            supervisor = SupervisedExecutor(
+                settings=config, configs=configs, jobs=args.jobs,
+                policy=SupervisorPolicy(**knobs),
+            )
+            executor: SweepExecutor = supervisor
+        else:
+            executor = SweepExecutor(settings=config, configs=configs, jobs=args.jobs)
+    except (OSError, ValueError) as error:
+        return _usage_error(str(error))
     baseline = global_metrics().snapshot()
     # Collapse aliases/duplicates onto the sweep's keys; building each
     # circuit here also memoizes it before any worker forks.
-    names = list(dict.fromkeys(get_benchmark(name).name for name in benchmarks))
-    configs = (
-        tuple(ExperimentConfig(value) for value in config_values)
-        if config_values
-        else DEFAULT_CONFIGS
-    )
+    names = list(dict.fromkeys(get_benchmark(name).name for name in args.benchmarks))
     previous_plan = os.environ.get(faults.FAULT_PLAN_ENV)
-    if fault_plan:
-        # Load eagerly: workers read the plan lazily at the first
-        # injection site, where a missing/invalid file would surface as
-        # an "error" failure on every task and quarantine the whole
-        # sweep instead of failing here, before any work starts.
-        faults.FaultPlan.load(fault_plan)
+    if args.fault_plan:
         # Arm via the environment so forked workers inherit the plan.
-        os.environ[faults.FAULT_PLAN_ENV] = fault_plan
+        os.environ[faults.FAULT_PLAN_ENV] = args.fault_plan
         faults.reset()
-    executor = None
     try:
-        if supervised:
-            from repro.evaluation.supervisor import SupervisedExecutor, SupervisorPolicy
-
-            policy = SupervisorPolicy(
-                task_deadline_s=task_deadline,
-                heartbeat_timeout_s=heartbeat_timeout,
-                max_task_retries=max_task_retries,
-                backoff_base_s=retry_backoff,
-            )
-            executor = SupervisedExecutor(
-                settings=config, configs=configs, jobs=jobs, policy=policy,
-            )
-            results = executor.run(names)
-        else:
-            results = run_sweep(names, jobs=jobs, settings=config, configs=configs)
+        results = executor.run(names)
     finally:
-        if fault_plan:
+        if args.fault_plan:
             if previous_plan is None:
                 os.environ.pop(faults.FAULT_PLAN_ENV, None)
             else:
                 os.environ[faults.FAULT_PLAN_ENV] = previous_plan
             faults.reset()
-    # Both caches merge from inside the workers after every task, so the
-    # files are complete for every --jobs count; this final call only
-    # rewrites if an in-process engine somehow still holds unmerged
-    # results (it skips the file entirely otherwise).
-    save_worker_routing_cache(config)
-    if output:
-        atomic_write_text(output, _sweep_report(names, results))
+    if args.output:
+        atomic_write_text(args.output, _sweep_report(names, results))
     for name in names:
-        _print_result(results[name], plot)
-    if metrics_out:
-        _write_metrics(metrics_out, baseline, command="sweep", config=config,
-                       jobs=jobs)
-    failures = executor.failures if executor is not None else []
-    if failures_out and executor is not None:
+        _print_result(results[name], args.plot)
+    if args.metrics_out:
+        # The command name as typed: "sweep" or its "evaluate" alias.
+        _write_metrics(args.metrics_out, baseline, command=args.command,
+                       config=config, jobs=args.jobs)
+    failures = supervisor.failures if supervisor is not None else []
+    if args.failures_out and supervisor is not None:
         atomic_write_text(
-            failures_out,
-            json.dumps(executor.failure_report(), indent=2, sort_keys=True) + "\n",
+            args.failures_out,
+            json.dumps(supervisor.failure_report(), indent=2, sort_keys=True) + "\n",
         )
     if failures:
         print(
@@ -665,34 +605,7 @@ def _cmd_sweep(
     return 0
 
 
-def _cmd_evaluate(benchmarks: List[str], config: RuntimeConfig,
-                  plot: bool, metrics_out: Optional[str] = None) -> int:
-    from repro.runtime.metrics import global_metrics
-    from repro.runtime.session import session_for
-
-    # The process session owns one engine of each kind across benchmarks:
-    # the IBM baselines repeat, so their routers/distance matrices are
-    # built once, and design stages shared between benchmarks (or with
-    # earlier in-process invocations of the same config) compute once.
-    baseline = global_metrics().snapshot()
-    session = session_for(config)
-    for name in benchmarks:
-        result = evaluate_benchmark(
-            get_benchmark(name), settings=config,
-            engine=session.routing_engine, design_engine=session.design_engine,
-        )
-        _print_result(result, plot)
-    # Locked file-level merges behind miss-count watermarks: a concurrent
-    # writer's (or an earlier run's) entries are never dropped by the
-    # refresh, and fully warm runs skip the rewrite entirely.
-    session.persist()
-    if metrics_out:
-        _write_metrics(metrics_out, baseline, command="evaluate", config=config,
-                       jobs=1)
-    return 0
-
-
-def _cmd_cache_migrate(source: str, dest: str, backend: str) -> int:
+def _cmd_cache_migrate(source: str, dest: str) -> int:
     """``repro-design cache migrate``: copy a store to another backend.
 
     The source's cache kind is detected by reading it under each known
@@ -713,7 +626,6 @@ def _cmd_cache_migrate(source: str, dest: str, backend: str) -> int:
         ("sweep checkpoint", SweepCheckpoint.FORMAT, SweepCheckpoint.VERSION,
          SweepCheckpoint._record_key),
     )
-    dest = _store_path(dest, backend)
     for kind, file_format, version, key_of in kinds:
         try:
             entries = read_cache_entries(source, file_format, version, kind=kind)

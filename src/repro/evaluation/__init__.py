@@ -20,16 +20,12 @@ from repro.evaluation.configs import (
 from repro.evaluation.experiment import (
     DataPoint,
     ExperimentResult,
-    design_engine_for,
-    evaluate_benchmark,
     evaluate_point,
-    evaluate_suite,
 )
 from repro.evaluation.parallel import (
     SweepExecutor,
     SweepPoint,
     run_sweep,
-    save_worker_routing_cache,
     sweep_point_seed,
 )
 from repro.evaluation.supervisor import (
@@ -53,17 +49,13 @@ __all__ = [
     "config_display_name",
     "DataPoint",
     "ExperimentResult",
-    "design_engine_for",
-    "evaluate_benchmark",
     "evaluate_point",
-    "evaluate_suite",
     "SweepCheckpoint",
     "generation_task_key",
     "point_task_key",
     "SweepExecutor",
     "SweepPoint",
     "run_sweep",
-    "save_worker_routing_cache",
     "sweep_point_seed",
     "QuarantinedTask",
     "SupervisedExecutor",

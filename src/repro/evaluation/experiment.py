@@ -1,7 +1,7 @@
-"""Running the Figure 10 experiment: yield vs post-mapping gate count.
+"""The Figure 10 data types and the scoring of one grid point.
 
-For one benchmark, every architecture of every requested configuration is
-scored on the two axes of the paper's Figure 10:
+The paper's Figure 10 places every (benchmark x configuration x
+architecture) point on two axes:
 
 * **yield rate** — Monte Carlo estimate with the collision model of
   Section 4.3.1;
@@ -10,17 +10,23 @@ scored on the two axes of the paper's Figure 10:
   worst (largest) gate count among all evaluated architectures of that
   benchmark sits at 1.0, and better-performing architectures lie to the
   right (> 1.0).
+
+This module holds the result types (:class:`DataPoint`,
+:class:`ExperimentResult`), the default configuration list, and
+:func:`evaluate_point`, which scores one point.  The grid itself is
+enumerated and scored by :class:`~repro.evaluation.parallel.SweepExecutor`,
+the one evaluation path behind both ``repro-design sweep`` and its
+``evaluate`` alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.collision.yield_simulator import YieldSimulator
-from repro.design.engine import DesignEngine
-from repro.evaluation.configs import ExperimentConfig, architectures_for_config
+from repro.evaluation.configs import ExperimentConfig
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
 from repro.mapping.router import route_circuit
@@ -35,26 +41,6 @@ DEFAULT_CONFIGS = (
     ExperimentConfig.EFF_5_FREQ,
     ExperimentConfig.EFF_LAYOUT_ONLY,
 )
-
-def design_engine_for(settings: RuntimeConfig) -> DesignEngine:
-    """A fresh :class:`DesignEngine` warm-loaded per ``settings``.
-
-    The single construction path used by the serial harness, the sweep
-    workers, and the CLI: when ``settings.design_cache_path`` names a
-    persisted :class:`~repro.design.engine.DesignCache` file, its
-    Algorithm 3 frequency plans are merged in before any design runs
-    (missing files are ignored).  The frequency cache is unbounded in
-    that case — the zero-search warm-session guarantee must hold however
-    large the persisted grid grew, and memory stays bounded by the
-    counts-only file the operator chose to persist.
-    """
-    if not settings.design_cache_path:
-        return DesignEngine()
-    from repro.design.engine import DesignCache
-
-    engine = DesignEngine(frequency_cache=DesignCache(max_entries=None))
-    engine.frequency_cache.load(settings.design_cache_path, missing_ok=True)
-    return engine
 
 
 @dataclass
@@ -108,87 +94,6 @@ class ExperimentResult:
             point.normalized_reciprocal_gates = worst / point.total_gates
 
 
-def evaluate_benchmark(
-    circuit: QuantumCircuit,
-    configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    settings: Optional[RuntimeConfig] = None,
-    engine: Optional[RoutingEngine] = None,
-    design_engine: Optional[DesignEngine] = None,
-) -> ExperimentResult:
-    """Evaluate one benchmark across the requested configurations.
-
-    Architectures that cannot host the benchmark (fewer physical than
-    logical qubits) are skipped, mirroring the paper where every baseline
-    has at least as many qubits as the largest benchmark.
-
-    Args:
-        engine: Optional shared :class:`RoutingEngine`; multi-benchmark
-            callers pass one so baseline architectures shared across
-            benchmarks keep their routers and distance matrices.  Must be
-            configured with ``settings.routing``.
-        design_engine: Optional shared :class:`DesignEngine`; the
-            benchmark's configurations share its profile/layout/selection
-            stages and its memoized frequency allocations (results are
-            identical with or without one).
-    """
-    settings = settings or RuntimeConfig()
-    simulator = YieldSimulator(
-        trials=settings.yield_trials, sigma_ghz=settings.sigma_ghz, seed=settings.yield_seed
-    )
-    if engine is None:
-        engine = RoutingEngine(settings.routing)
-        if settings.routing_cache_path:
-            engine.cache.load(settings.routing_cache_path, missing_ok=True)
-    if design_engine is None:
-        design_engine = design_engine_for(settings)
-    # The design engine's profile stage serves both the architecture
-    # generation below and the router's initial placement.
-    profile = design_engine.profile(circuit)
-    result = ExperimentResult(benchmark=circuit.name)
-    for config in configs:
-        for architecture in architectures_for_config(
-            circuit,
-            config,
-            random_bus_seeds=settings.random_bus_seeds,
-            frequency_local_trials=settings.frequency_local_trials,
-            engine=design_engine,
-            allocation_strategy=settings.allocation_strategy,
-            screening=settings.screening,
-        ):
-            if architecture.num_qubits < circuit.num_qubits:
-                continue
-            result.points.append(
-                evaluate_point(circuit, profile, architecture, config, simulator, settings,
-                               engine=engine)
-            )
-    result.normalize()
-    return result
-
-
-def evaluate_suite(
-    circuits: Dict[str, QuantumCircuit],
-    configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-    settings: Optional[RuntimeConfig] = None,
-) -> Dict[str, ExperimentResult]:
-    """Evaluate several benchmarks (the full Figure 10 grid by default).
-
-    One routing engine and one design engine serve the whole suite, so
-    baseline architectures shared across benchmarks keep their routers
-    and distance matrices, and design stages shared across circuits are
-    computed once.
-    """
-    settings = settings or RuntimeConfig()
-    engine = RoutingEngine(settings.routing)
-    if settings.routing_cache_path:
-        engine.cache.load(settings.routing_cache_path, missing_ok=True)
-    design_engine = design_engine_for(settings)
-    return {
-        name: evaluate_benchmark(circuit, configs, settings, engine=engine,
-                                 design_engine=design_engine)
-        for name, circuit in circuits.items()
-    }
-
-
 def evaluate_point(
     circuit: QuantumCircuit,
     profile: CircuitProfile,
@@ -212,7 +117,7 @@ def evaluate_point(
         architecture,
         profile=profile,
         parameters=settings.routing,
-        keep_routed_circuit=settings.keep_routed_circuits,
+        keep_routed_circuit=False,
         engine=engine,
     )
     yield_estimate = simulator.estimate(architecture)

@@ -89,14 +89,16 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
     seed), so the schedule that evaluated the point — worker id, arrival
     order, job count — can never influence the result.
 
-    Note this intentionally differs from :func:`evaluate_benchmark`,
-    which reuses one seed for every architecture (common random numbers
-    *across* architectures): per-point seeds keep every point
-    independently reproducible — it can be re-run, retried, or sharded
-    in isolation and still produce its sweep value — at the cost of
-    slightly noisier cross-architecture yield comparisons.  Candidate
-    comparisons *inside* a point (Algorithm 3) still use common random
-    numbers via ``estimate_batch``.
+    Per-point seeds keep every point reproducible in isolation: it can
+    be re-run, retried, resumed or sharded on its own and still produce
+    its sweep value, which is what makes ``--jobs N``, ``--resume`` and
+    supervised retries byte-identical.  The cost is noisier
+    cross-architecture yield comparisons: two architectures do not
+    share one random-number stream, so two identical designs (say, two
+    ``eff-rd-bus`` seeds that picked the same squares) get different
+    yield estimates.  Candidate comparisons *inside* a point
+    (Algorithm 3) still use common random numbers via
+    ``estimate_batch``.
     """
     return seed_for("sweep-yield", base_seed, benchmark, config_value, arch_index)
 
@@ -152,25 +154,6 @@ def active_routing_engines() -> List[RoutingEngine]:
         for session in _session_module().process_sessions()
         if session.has_routing_engine
     ]
-
-
-def save_worker_routing_cache(settings: RuntimeConfig) -> Optional[int]:
-    """Persist this process's unmerged routing results, if any remain.
-
-    Returns the number of entries the cache file holds after a merge, or
-    None when there was nothing to do: the config names no cache file,
-    this process routed nothing (multi-process sweeps route in their
-    workers), or every result was already merged by the per-task
-    in-worker merges — the common case, which skips the file rewrite
-    entirely.  The file-level merge is serialized under a per-path lock
-    and the file is rewritten atomically, so concurrent savers sharing
-    one cache path cannot drop each other's entries and the file never
-    shrinks to one saver's LRU bound.
-    """
-    session = _session_module().peek_session(settings)
-    if session is None:
-        return None
-    return session.persist_routing()
 
 
 def _generate_task(

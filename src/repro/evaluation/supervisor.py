@@ -102,6 +102,10 @@ class SupervisorPolicy:
     def __post_init__(self) -> None:
         if self.max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
+        for name in ("task_deadline_s", "heartbeat_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
     def backoff_delay(self, retry_number: int) -> float:
         """Delay before 1-based retry ``retry_number`` becomes eligible."""

@@ -430,9 +430,8 @@ def open_store(path: PathLike, backend: Optional[str] = None) -> CacheStore:
     """Resolve a store path to a backend instance.
 
     ``path`` may carry a ``json:`` / ``sharded:`` / ``sqlite:`` scheme
-    prefix naming the backend explicitly (the CLI's ``--cache-backend``
-    flag is spelled this way internally, so one string travels through
-    settings, workers, and cache classes unchanged).  Without a prefix
+    prefix naming the backend explicitly, so one string travels through
+    settings, workers, and cache classes unchanged.  Without a prefix
     or an explicit ``backend`` argument, the on-disk state decides; a
     fresh path defaults to the legacy single-file backend unless its
     suffix marks it as a database.

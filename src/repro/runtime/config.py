@@ -70,7 +70,6 @@ _FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
     "sigma_ghz": (int, float),
     "yield_seed": (int,),
     "frequency_local_trials": (int,),
-    "keep_routed_circuits": (bool,),
     "allocation_strategy": (str,),
     "screening": (bool,),
     "resume": (bool,),
@@ -93,8 +92,6 @@ class RuntimeConfig:
         yield_seed: Seed of the yield simulator.
         frequency_local_trials: Trials per candidate inside Algorithm 3.
         random_bus_seeds: Seeds for the ``eff-rd-bus`` sample cloud.
-        keep_routed_circuits: Whether mapping results retain full circuits
-            (disabled by default to keep sweeps light).
         routing: Router tuning parameters shared by every evaluation point.
             Defaults to :data:`DEFAULT_EVALUATION_ROUTING`; a mapping of
             :class:`~repro.mapping.sabre.SabreParameters` fields is
@@ -126,7 +123,6 @@ class RuntimeConfig:
     yield_seed: int = 7
     frequency_local_trials: int = 2000
     random_bus_seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
-    keep_routed_circuits: bool = False
     routing: SabreParameters = DEFAULT_EVALUATION_ROUTING
     routing_cache_path: Optional[str] = None
     allocation_strategy: str = "bfs-greedy"

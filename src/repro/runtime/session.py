@@ -25,9 +25,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from repro.design.engine import DesignEngine
+from repro.design.engine import DesignCache, DesignEngine
 from repro.evaluation.checkpoint import SweepCheckpoint
-from repro.evaluation.experiment import design_engine_for
 from repro.mapping.engine import RoutingEngine
 from repro.runtime.config import RuntimeConfig
 
@@ -69,10 +68,24 @@ class Session:
 
     @property
     def design_engine(self) -> DesignEngine:
-        """The shared design engine, warm-loaded from the persistent cache."""
+        """The shared design engine, warm-loaded from the persistent cache.
+
+        With a ``design_cache_path`` the stored Algorithm 3 frequency
+        plans are merged in before any design runs (a missing store is
+        ignored), and the frequency cache is unbounded: the zero-search
+        warm-session guarantee must hold however large the persisted grid
+        grew, and memory stays bounded by the counts-only store the
+        operator chose to persist.
+        """
         with self._lock:
             if self._design_engine is None:
-                self._design_engine = design_engine_for(self.config)
+                path = self.config.design_cache_path
+                if path:
+                    engine = DesignEngine(frequency_cache=DesignCache(max_entries=None))
+                    engine.frequency_cache.load(path, missing_ok=True)
+                else:
+                    engine = DesignEngine()
+                self._design_engine = engine
         return self._design_engine
 
     @property
@@ -128,10 +141,6 @@ class Session:
                 return None
             self._merged_design_misses = engine.frequency_cache.misses
             return engine.frequency_cache.merge_save(path)
-
-    def persist(self) -> Dict[str, Optional[int]]:
-        """Persist both engine caches; a dict of store entry counts."""
-        return {"routing": self.persist_routing(), "design": self.persist_design()}
 
     def record_task_failure(self, failure: Dict[str, object]) -> bool:
         """Record a supervised sweep's quarantined task in the checkpoint.

@@ -28,8 +28,7 @@ class TestMigrateRoundTrip:
         from repro.design.engine import DesignCache
 
         sqlite = tmp_path / "design.sqlite"
-        assert main(["cache", "migrate", str(design_cache), str(sqlite),
-                     "--cache-backend", "sqlite"]) == 0
+        assert main(["cache", "migrate", str(design_cache), f"sqlite:{sqlite}"]) == 0
         out = capsys.readouterr().out
         assert "design cache" in out
         assert sqlite.read_bytes()[: len(SQLITE_MAGIC)] == SQLITE_MAGIC
@@ -48,8 +47,7 @@ class TestMigrateRoundTrip:
     def test_migrated_store_serves_a_warm_run(self, tmp_path, design_cache, capsys,
                                               allocation_calls):
         sharded = tmp_path / "design-sharded"
-        assert main(["cache", "migrate", str(design_cache), str(sharded),
-                     "--cache-backend", "sharded"]) == 0
+        assert main(["cache", "migrate", str(design_cache), f"sharded:{sharded}"]) == 0
         capsys.readouterr()
         assert sharded.is_dir()
 
@@ -71,8 +69,7 @@ class TestMigrateRoundTrip:
         capsys.readouterr()
 
         dest = tmp_path / "routing.sqlite"
-        assert main(["cache", "migrate", str(source), str(dest),
-                     "--cache-backend", "sqlite"]) == 0
+        assert main(["cache", "migrate", str(source), f"sqlite:{dest}"]) == 0
         out = capsys.readouterr().out
         assert "routing cache" in out
 
@@ -90,8 +87,7 @@ class TestMigrateRoundTrip:
         capsys.readouterr()
 
         dest = tmp_path / "ckpt-sharded"
-        assert main(["cache", "migrate", str(source), str(dest),
-                     "--cache-backend", "sharded"]) == 0
+        assert main(["cache", "migrate", str(source), f"sharded:{dest}"]) == 0
         out = capsys.readouterr().out
         assert "sweep checkpoint" in out
         assert dest.is_dir()

@@ -109,22 +109,6 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "sym6_145", "--cache-stats"])
 
-    def test_cache_backend_defaults_to_auto(self):
-        for command in ("evaluate", "sweep"):
-            args = build_parser().parse_args([command, "sym6_145"])
-            assert args.cache_backend == "auto"
-
-    def test_cache_backend_choices(self):
-        for backend in ("json", "sharded", "sqlite"):
-            args = build_parser().parse_args(
-                ["sweep", "sym6_145", "--cache-backend", backend]
-            )
-            assert args.cache_backend == backend
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "sym6_145", "--cache-backend", "nope"]
-            )
-
     def test_sweep_checkpoint_flags(self):
         args = build_parser().parse_args(
             ["sweep", "sym6_145", "--checkpoint", "ck.sqlite", "--resume",
@@ -186,6 +170,18 @@ class TestCommands:
         assert "sym6_145" in output
         assert "eff-layout-only" in output
 
+    def test_evaluate_is_an_alias_of_sweep(self, capsys):
+        """``evaluate`` runs the sweep pipeline: the same bytes for the same
+        flags, and a repeated name collapses onto one result block."""
+        argv = ["sym6_145", "--trials", "200", "--local-trials", "100"]
+        assert main(["sweep", *argv]) == 0
+        swept = capsys.readouterr().out
+        assert "sym6_145" in swept
+        assert main(["evaluate", *argv]) == 0
+        assert capsys.readouterr().out == swept
+        assert main(["evaluate", "sym6_145", *argv]) == 0
+        assert capsys.readouterr().out == swept
+
     def test_sweep_unknown_benchmark_raises_before_forking(
         self, capsys, allocation_calls
     ):
@@ -239,39 +235,30 @@ class TestDesignCacheRoundTrip:
 
 
 class TestCacheBackendFlag:
-    """``--cache-backend`` routes unprefixed cache paths to a backend."""
+    """A ``json:``/``sharded:``/``sqlite:`` path prefix picks a store's
+    backend; invalid input exits 2 before any work."""
 
     FAST = ["--trials", "200", "--local-trials", "60"]
-
-    def test_store_path_prefixing(self):
-        from repro.cli import _store_path
-
-        assert _store_path(None, "sqlite") is None
-        assert _store_path("cache.json", "auto") == "cache.json"
-        assert _store_path("cache", "sharded") == "sharded:cache"
-        # An explicit scheme on the path always wins over the flag.
-        assert _store_path("json:cache", "sqlite") == "json:cache"
 
     def test_evaluate_writes_sqlite_design_cache(self, tmp_path, capsys):
         from repro.persistence import SQLITE_MAGIC
 
         cache = tmp_path / "design-cache"
         assert main(["evaluate", "sym6_145", *self.FAST,
-                     "--design-cache", str(cache),
-                     "--cache-backend", "sqlite"]) == 0
+                     "--design-cache", f"sqlite:{cache}"]) == 0
         capsys.readouterr()
         assert cache.read_bytes()[: len(SQLITE_MAGIC)] == SQLITE_MAGIC
 
     def test_evaluate_writes_sharded_design_cache(self, tmp_path, capsys):
         cache = tmp_path / "design-cache"
         assert main(["evaluate", "sym6_145", *self.FAST,
-                     "--design-cache", str(cache),
-                     "--cache-backend", "sharded"]) == 0
+                     "--design-cache", f"sharded:{cache}"]) == 0
         capsys.readouterr()
         assert cache.is_dir()
         assert (cache / "shards.json").exists()
 
-    def test_resume_without_checkpoint_is_an_error(self, tmp_path, capsys):
+    def test_resume_without_checkpoint_is_an_error(self, tmp_path, capsys,
+                                                   allocation_calls):
         """Like every invalid configuration: exit 2 with a one-line error."""
         assert main(["sweep", "sym6_145", *self.FAST, "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
@@ -291,6 +278,29 @@ class TestCacheBackendFlag:
                 assert exited.value.code == 2
                 err = capsys.readouterr().err
                 assert err.startswith("repro-design: error:") and message in err, err
+        rejected = [
+            (["sweep", "sym6_145", "--jobs", "0"], "jobs must be >= 1"),
+            (["sweep", "sym6_145", "--fault-plan", str(tmp_path / "missing.json")],
+             "missing.json"),
+            (["design", "sym6_145", "--trials", "0"], "--trials must be >= 1"),
+            (["design", "sym6_145", "--buses", "-1"], "--buses must be >= 0"),
+            (["sweep", "sym6_145", "--supervised", "--max-task-retries", "-1"],
+             "max_task_retries must be >= 0"),
+            # Without --supervised: the retry flag alone enables supervision.
+            (["sweep", "sym6_145", "--max-task-retries", "-1"],
+             "max_task_retries must be >= 0"),
+            (["sweep", "sym6_145", "--task-deadline", "-1"],
+             "task_deadline_s must be > 0"),
+            (["evaluate", "sym6_145", "--heartbeat-timeout", "0"],
+             "heartbeat_timeout_s must be > 0"),
+        ]
+        for argv, message in rejected:
+            allocation_calls.reset()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and allocation_calls() == 0, argv
+            assert captured.err.startswith("repro-design: error:"), captured.err
+            assert message in captured.err and captured.err.count("\n") == 1, captured.err
 
 
 class TestScreeningAndStatsFlags:
@@ -338,7 +348,9 @@ class TestScreeningAndStatsFlags:
             self._drop_process_caches()
             path = tmp_path / f"{name}.json"
             assert main([*argv, "--metrics-out", str(path)]) == 0
-            counters = validate_metrics_file(path)["counters"]
+            report = validate_metrics_file(path)
+            assert report["command"] == argv[0]
+            counters = report["counters"]
             for cache in ("routing/cache", "design/profile", "design/layout",
                           "design/bus-selection", "design/frequency"):
                 assert counters.get(f"{cache}/misses", 0) > 0, (name, cache)

@@ -6,8 +6,6 @@ from repro.benchmarks import get_benchmark
 from repro.evaluation import (
     ExperimentConfig,
     architectures_for_config,
-    evaluate_benchmark,
-    evaluate_suite,
     figure5_data,
     figure10_rows,
     format_figure10_table,
@@ -16,6 +14,7 @@ from repro.evaluation import (
     is_dominated,
     layout_effect_gain,
     pareto_front,
+    run_sweep,
 )
 from repro.evaluation.analysis import (
     compare_points,
@@ -35,7 +34,7 @@ FAST_SETTINGS = RuntimeConfig(
 @pytest.fixture(scope="module")
 def sym6_result():
     """Shared evaluation result for the smallest benchmark (fast settings)."""
-    return evaluate_benchmark(get_benchmark("sym6_145"), settings=FAST_SETTINGS)
+    return run_sweep(["sym6_145"], settings=FAST_SETTINGS)["sym6_145"]
 
 
 def make_point(yield_rate, gates, config=ExperimentConfig.EFF_FULL, buses=0, name="p"):
@@ -121,16 +120,14 @@ class TestExperiment:
 
     def test_too_small_architectures_skipped(self):
         """A 16-qubit benchmark cannot run on smaller generated layouts only."""
-        circuit = get_benchmark("qft_16")
-        result = evaluate_benchmark(
-            circuit, configs=[ExperimentConfig.IBM], settings=FAST_SETTINGS
-        )
+        result = run_sweep(
+            ["qft_16"], configs=[ExperimentConfig.IBM], settings=FAST_SETTINGS
+        )["qft_16"]
         assert all(point.num_qubits >= 16 for point in result.points)
 
     def test_evaluate_suite_keys(self):
-        circuits = {"sym6_145": get_benchmark("sym6_145")}
-        results = evaluate_suite(
-            circuits, configs=[ExperimentConfig.EFF_FULL], settings=FAST_SETTINGS
+        results = run_sweep(
+            ["sym6_145"], configs=[ExperimentConfig.EFF_FULL], settings=FAST_SETTINGS
         )
         assert set(results) == {"sym6_145"}
 

@@ -231,15 +231,18 @@ def test_fault_boundary_marks_function():
     assert handler.__fault_boundary__ is True
 
 
-def test_cli_rejects_missing_plan_before_forking(tmp_path):
+def test_cli_rejects_missing_plan_before_forking(tmp_path, capsys):
     # A bad --fault-plan path must fail at the CLI, not surface lazily
     # inside every worker as an "error" failure that quarantines the
     # whole sweep.
     from repro import cli
 
-    with pytest.raises(FileNotFoundError):
-        cli.main([
-            "sweep", "sym6_145", "--trials", "250", "--local-trials", "60",
-            "--configs", "eff-full",
-            "--fault-plan", str(tmp_path / "no-such-plan.json"),
-        ])
+    assert cli.main([
+        "sweep", "sym6_145", "--trials", "250", "--local-trials", "60",
+        "--configs", "eff-full",
+        "--fault-plan", str(tmp_path / "no-such-plan.json"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-design: error:")
+    assert "no-such-plan.json" in captured.err

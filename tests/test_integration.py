@@ -14,8 +14,8 @@ from repro.design import DesignFlow, DesignOptions
 from repro.design.flow import FrequencyStrategy
 from repro.evaluation import (
     ExperimentConfig,
-    evaluate_benchmark,
     pareto_front,
+    run_sweep,
 )
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import route_circuit
@@ -122,11 +122,11 @@ class TestParetoDominance:
         settings = RuntimeConfig(
             yield_trials=2000, frequency_local_trials=400, random_bus_seeds=(1,)
         )
-        result = evaluate_benchmark(
-            get_benchmark("sym6_145"),
+        result = run_sweep(
+            ["sym6_145"],
             configs=[ExperimentConfig.IBM, ExperimentConfig.EFF_FULL],
             settings=settings,
-        )
+        )["sym6_145"]
         ours = result.by_config(ExperimentConfig.EFF_FULL)
         baselines = result.by_config(ExperimentConfig.IBM)
         # Every IBM baseline is dominated on the yield axis by some eff-full design
@@ -143,10 +143,10 @@ class TestParetoDominance:
         settings = RuntimeConfig(
             yield_trials=1000, frequency_local_trials=300, random_bus_seeds=(1,)
         )
-        result = evaluate_benchmark(
-            get_benchmark("sym6_145"),
+        result = run_sweep(
+            ["sym6_145"],
             configs=[ExperimentConfig.IBM, ExperimentConfig.EFF_FULL],
             settings=settings,
-        )
+        )["sym6_145"]
         front = pareto_front(result.points)
         assert any(point.config is ExperimentConfig.EFF_FULL for point in front)

@@ -5,13 +5,8 @@ import pickle
 
 import pytest
 
-from repro.benchmarks import get_benchmark
 from repro.design import reset_shared_caches
-from repro.evaluation import (
-    ExperimentConfig,
-    evaluate_benchmark,
-    run_sweep,
-)
+from repro.evaluation import ExperimentConfig, run_sweep
 from repro.evaluation import parallel
 from repro.runtime.config import RuntimeConfig, canonical_store_path
 from repro.runtime.metrics import diff_snapshots, global_metrics
@@ -140,28 +135,8 @@ class TestSessionRegistry:
 
 
 class TestSessionByteIdentity:
-    """Acceptance: one shared warm Session serves evaluate and sweep with
-    outputs byte-identical to fresh per-call engines, for any --jobs
-    count, cold and warm."""
-
-    def test_warm_session_evaluate_matches_fresh_engines(self):
-        _cold_process()
-        circuit = get_benchmark("sym6_145")
-        fresh = evaluate_benchmark(circuit, configs=FAST_CONFIGS,
-                                   settings=FAST_CONFIG)
-        session = session_for(FAST_CONFIG)
-
-        def evaluate():
-            return evaluate_benchmark(
-                get_benchmark("sym6_145"), configs=FAST_CONFIGS,
-                settings=FAST_CONFIG, engine=session.routing_engine,
-                design_engine=session.design_engine,
-            )
-
-        cold = evaluate()
-        warm = evaluate()
-        assert point_fingerprint(cold) == point_fingerprint(fresh)
-        assert point_fingerprint(warm) == point_fingerprint(fresh)
+    """Acceptance: one shared warm Session serves every sweep with outputs
+    byte-identical to a cold sweep, for any --jobs count."""
 
     def test_warm_session_sweep_matches_cold_sweep_for_any_jobs(self):
         _cold_process()

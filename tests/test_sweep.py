@@ -5,11 +5,11 @@ import pytest
 from repro.evaluation import (
     ExperimentConfig,
     SweepExecutor,
-    evaluate_benchmark,
     run_sweep,
     sweep_point_seed,
 )
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.session import session_for
 
 FAST_SETTINGS = RuntimeConfig(
     yield_trials=300,
@@ -72,23 +72,6 @@ class TestSweepStructure:
             assert point.benchmark == "sym6_145"
             assert point.architecture.num_qubits >= 7
 
-    def test_matches_evaluate_benchmark_structure(self):
-        """The sweep covers the same architectures as the serial harness."""
-        from repro.benchmarks import get_benchmark
-
-        sweep = run_sweep(
-            ["sym6_145"], jobs=1, settings=FAST_SETTINGS, configs=FAST_CONFIGS
-        )["sym6_145"]
-        serial = evaluate_benchmark(
-            get_benchmark("sym6_145"), configs=FAST_CONFIGS, settings=FAST_SETTINGS
-        )
-        assert [p.architecture_name for p in sweep.points] == [
-            p.architecture_name for p in serial.points
-        ]
-        assert [p.total_gates for p in sweep.points] == [
-            p.total_gates for p in serial.points
-        ]
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
@@ -108,8 +91,6 @@ class TestSweepStructure:
 
 class TestRoutingCachePersistence:
     def test_in_process_sweep_persists_and_reuses_routing_results(self, tmp_path):
-        from repro.evaluation.parallel import save_worker_routing_cache
-
         path = tmp_path / "routing_cache.json"
         settings = RuntimeConfig(
             yield_trials=300,
@@ -120,9 +101,9 @@ class TestRoutingCachePersistence:
         first = run_sweep(["sym6_145"], jobs=1, settings=settings,
                           configs=FAST_CONFIGS)
         # The per-task in-worker merges already persisted everything; the
-        # end-of-sweep call reports nothing left to merge.
+        # session has nothing left to merge.
         assert path.exists()
-        assert save_worker_routing_cache(settings) is None
+        assert session_for(settings).persist_routing() is None
 
         # A later invocation warm-loads the persisted results and produces
         # byte-identical output.
