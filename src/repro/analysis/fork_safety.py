@@ -6,7 +6,9 @@ parent folds together.  Two things keep that safe:
 
 * **REPRO-P401** — objects crossing the fork boundary must be
   picklable-by-construction.  In any module that imports
-  ``multiprocessing`` / ``concurrent.futures``, lambdas handed to pool
+  ``multiprocessing`` / ``concurrent.futures`` or the supervised worker
+  loop (``repro.evaluation.supervisor``, whose callers build the task
+  payloads its workers receive), lambdas handed to pool
   mapping APIs and worker-payload dataclass fields holding callables or
   open handles are flagged: they pickle late (or never) and only fail
   under ``--jobs N``.
@@ -32,10 +34,14 @@ _POOL_METHODS = {
 }
 _UNPICKLABLE_ANNOTATION_TOKENS = ("Callable", "TextIO", "BinaryIO", "IO[")
 _FORK_MODULES = {"multiprocessing", "concurrent"}
+_SUPERVISOR_MODULE = "repro.evaluation.supervisor"
 
 
 def _uses_fork(module: ModuleContext) -> bool:
-    return bool(_FORK_MODULES & set(module.imported_modules))
+    return bool(_FORK_MODULES & set(module.imported_modules)) or any(
+        (origin + ".").startswith(_SUPERVISOR_MODULE + ".")
+        for origin in module.aliases.values()
+    )
 
 
 def _is_dataclass_def(module: ModuleContext, node: ast.ClassDef) -> bool:

@@ -40,7 +40,7 @@ from repro.evaluation.configs import ExperimentConfig
 from repro.evaluation.experiment import DEFAULT_CONFIGS
 from repro.evaluation.figures import format_figure10_table
 from repro.evaluation.parallel import SweepExecutor
-from repro.evaluation.supervisor import SupervisedExecutor, SupervisorPolicy
+from repro.evaluation.supervisor import SupervisorPolicy
 from repro.profiling.profiler import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 from repro.visualization.ascii_art import render_architecture, render_coupling_matrix
@@ -119,17 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     supervision = sweep_parser.add_argument_group(
         "supervision",
-        "fault-tolerant execution: supervised workers with heartbeats, "
-        "deadlines, bounded retry, and poison-task quarantine.  Any of "
-        "these flags enables supervision; none of them can change sweep "
-        "values (retries re-derive the same content-addressed seeds)",
-    )
-    supervision.add_argument(
-        "--supervised", action="store_true",
-        help="run tasks in supervised worker processes: dead workers are "
-             "replaced, failed tasks retried with deterministic backoff, "
-             "and tasks that keep killing their worker are quarantined "
-             "instead of killing the sweep",
+        "fault-tolerant execution: --jobs N > 1 always runs tasks in "
+        "supervised workers, where a dead worker or a raising task is "
+        "retried and, at worst, quarantined (exit 3 with a partial "
+        "report); hung or wedged workers are caught only with "
+        "--task-deadline or --heartbeat-timeout.  At --jobs 1 any of "
+        "these flags runs the tasks in one supervised worker.  None of "
+        "them can change sweep values (retries re-derive the same "
+        "content-addressed seeds)",
     )
     supervision.add_argument(
         "--task-deadline", type=float, default=None, metavar="SECONDS",
@@ -154,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None, metavar="PATH",
         help="arm a deterministic fault-injection schedule (JSON; see "
              "repro.faults) in this process and every worker — testing "
-             "only; implies --supervised",
+             "only",
     )
     supervision.add_argument(
         "--failures-out", default=None, metavar="PATH",
@@ -525,9 +522,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.configs
         else DEFAULT_CONFIGS
     )
-    # The supervision knobs default to None, so spelling any of them — or
-    # a fault plan, which only the supervised executor survives — opts
-    # the sweep into supervised execution.
+    # The executor supervises every --jobs N > 1 sweep.  The supervision
+    # knobs default to None, so spelling any of them — or a fault plan,
+    # which only supervised workers survive — also supervises --jobs 1.
     knobs = {
         "task_deadline_s": args.task_deadline,
         "heartbeat_timeout_s": args.heartbeat_timeout,
@@ -535,7 +532,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "backoff_base_s": args.retry_backoff,
     }
     knobs = {name: value for name, value in knobs.items() if value is not None}
-    supervisor = None
+    supervised = bool(knobs or args.fault_plan or args.failures_out)
     try:
         if args.fault_plan:
             # Load eagerly: workers read the plan lazily at the first
@@ -543,14 +540,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # an "error" failure on every task and quarantine the whole
             # sweep instead of failing here, before any work starts.
             faults.FaultPlan.load(args.fault_plan)
-        if args.supervised or args.fault_plan or args.failures_out or knobs:
-            supervisor = SupervisedExecutor(
-                settings=config, configs=configs, jobs=args.jobs,
-                policy=SupervisorPolicy(**knobs),
-            )
-            executor: SweepExecutor = supervisor
-        else:
-            executor = SweepExecutor(settings=config, configs=configs, jobs=args.jobs)
+        executor = SweepExecutor(
+            settings=config, configs=configs, jobs=args.jobs,
+            policy=SupervisorPolicy(**knobs) if supervised else None,
+        )
     except (OSError, ValueError) as error:
         return _usage_error(str(error))
     baseline = global_metrics().snapshot()
@@ -579,19 +572,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # The command name as typed: "sweep" or its "evaluate" alias.
         _write_metrics(args.metrics_out, baseline, command=args.command,
                        config=config, jobs=args.jobs)
-    failures = supervisor.failures if supervisor is not None else []
-    if args.failures_out and supervisor is not None:
+    if args.failures_out:
         atomic_write_text(
             args.failures_out,
-            json.dumps(supervisor.failure_report(), indent=2, sort_keys=True) + "\n",
+            json.dumps(executor.failure_report(), indent=2, sort_keys=True) + "\n",
         )
-    if failures:
+    if executor.failures:
         print(
-            f"repro-design: sweep completed with {len(failures)} quarantined "
+            f"repro-design: sweep completed with {len(executor.failures)} quarantined "
             "task(s); their points are missing from the results above",
             file=sys.stderr,
         )
-        for item in failures:
+        for item in executor.failures:
             where = item.benchmark + "/" + item.config + (
                 f"#{item.arch_index}" if item.arch_index is not None else ""
             )

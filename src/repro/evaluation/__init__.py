@@ -30,7 +30,6 @@ from repro.evaluation.parallel import (
 )
 from repro.evaluation.supervisor import (
     QuarantinedTask,
-    SupervisedExecutor,
     SupervisorPolicy,
     TaskFailure,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "run_sweep",
     "sweep_point_seed",
     "QuarantinedTask",
-    "SupervisedExecutor",
     "SupervisorPolicy",
     "TaskFailure",
     "pareto_front",

@@ -17,7 +17,12 @@ The executor parallelizes both phases of a sweep: architecture
 *generation* (one task per benchmark x configuration, dominated by the
 Algorithm 3 frequency search) and point *evaluation* (one task per
 architecture, dominated by routing plus the Monte Carlo yield
-simulation).
+simulation).  With ``jobs=1`` and no supervision policy the tasks run
+in-process; otherwise every task runs in a worker of the supervised
+loop (:mod:`repro.evaluation.supervisor`).  Under the default policy a
+dead worker or a raising task costs a retry and, at worst, quarantines
+the task; hung or wedged workers are detected only with a task deadline
+or heartbeat timeout in the policy.
 
 Worker state lives in :class:`~repro.runtime.session.Session` objects
 found through the process-level registry, keyed by the config's content
@@ -32,7 +37,6 @@ for any task-completion order.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -47,6 +51,13 @@ from repro.evaluation.experiment import (
     DataPoint,
     ExperimentResult,
     evaluate_point,
+)
+from repro.evaluation.supervisor import (
+    FAILURE_REPORT_FORMAT,
+    FAILURE_REPORT_VERSION,
+    QuarantinedTask,
+    SupervisorPolicy,
+    supervise,
 )
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
@@ -104,8 +115,8 @@ def sweep_point_seed(base_seed: int, benchmark: str, config_value: str, arch_ind
 
 
 # ---------------------------------------------------------------------------
-# Worker task functions.  Must be module-level so they pickle under every
-# multiprocessing start method; they receive plain tuples and re-derive
+# Worker task functions.  Workers look them up by attribute name on this
+# module at call time (see _TASKS); they receive plain tuples and re-derive
 # circuits/profiles locally to keep the pickled payload small.
 #
 # All process-local worker state (engines, caches, checkpoints) lives in
@@ -192,7 +203,7 @@ def _generate_rows(
         allocation_strategy=settings.allocation_strategy,
         screening=settings.screening,
     )
-    # Merge freshly computed frequency plans back immediately: Pool
+    # Merge freshly computed frequency plans back immediately: sweep
     # workers have no end-of-sweep hook, and the locked merge keeps
     # concurrent workers from dropping each other's entries — so even
     # ``sweep --jobs N`` leaves the cache file complete.  Tasks served
@@ -261,6 +272,23 @@ def _evaluate_one(
     return point
 
 
+def _generation_identity(task: Tuple) -> Tuple[str, str, str, Optional[int]]:
+    return generation_task_key(*task), task[0], task[1], None
+
+
+def _point_identity(task: Tuple) -> Tuple[str, str, str, Optional[int]]:
+    return point_task_key(*task), task[0], task[1], task[2]
+
+
+#: Per task function name: the kind its failure records carry, and its
+#: identity — the checkpoint's content key (which also scopes fault
+#: plans) plus benchmark, config and architecture index.
+_TASKS = {
+    "_generate_task": ("generation", _generation_identity),
+    "_evaluate_task": ("point", _point_identity),
+}
+
+
 class SweepExecutor:
     """Shards (benchmark x config x architecture) points across processes.
 
@@ -269,8 +297,15 @@ class SweepExecutor:
             shared by every point and pickled whole into worker tasks.
         configs: Experiment configurations to sweep (Figure 10's five by
             default).
-        jobs: Worker process count; ``1`` runs everything in-process.
-            Results are byte-identical for any value.
+        jobs: Worker process count.  Results are byte-identical for any
+            value.
+        policy: How the supervised workers retry and time out tasks.
+            Tasks run in-process only when ``jobs == 1`` and this is
+            None; otherwise every task runs in a supervised worker, under
+            the default :class:`SupervisorPolicy` if none is given.
+
+    Tasks that exhaust their retries accumulate on :attr:`failures`;
+    :meth:`failure_report` renders them as the partial-result report.
     """
 
     def __init__(
@@ -278,12 +313,15 @@ class SweepExecutor:
         settings: Optional[RuntimeConfig] = None,
         configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
         jobs: int = 1,
+        policy: Optional[SupervisorPolicy] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.settings = settings or RuntimeConfig()
         self.configs = tuple(configs)
         self.jobs = int(jobs)
+        self.policy = policy
+        self.failures: List[QuarantinedTask] = []
 
     # -- phases ---------------------------------------------------------------
 
@@ -298,7 +336,7 @@ class SweepExecutor:
             for benchmark in benchmarks
             for config in self.configs
         ]
-        raw = self._run_tasks(_generate_task, tasks)
+        raw = self._run_tasks("_generate_task", tasks)
         return [
             SweepPoint(benchmark, ExperimentConfig(config_value), index, architecture)
             for generated in raw
@@ -312,7 +350,7 @@ class SweepExecutor:
              point.architecture, self.settings)
             for point in points
         ]
-        return self._run_tasks(_evaluate_task, tasks)
+        return self._run_tasks("_evaluate_task", tasks)
 
     def run(self, benchmarks: Sequence[str]) -> Dict[str, ExperimentResult]:
         """The full sweep: enumerate, evaluate, and assemble per-benchmark results.
@@ -331,34 +369,63 @@ class SweepExecutor:
             result.normalize()
         return results
 
+    def failure_report(self) -> dict:
+        """The structured partial-result report (``--failures-out``)."""
+        quarantined = sorted(
+            (item.record() for item in self.failures),
+            key=lambda r: (
+                r["task"], r["benchmark"], r["config"],
+                -1 if r["arch_index"] is None else r["arch_index"], r["key"],
+            ),
+        )
+        return {
+            "format": FAILURE_REPORT_FORMAT,
+            "version": FAILURE_REPORT_VERSION,
+            "quarantined": quarantined,
+        }
+
     # -- execution ------------------------------------------------------------
 
-    def _run_tasks(self, func, tasks):
-        """Map tasks (in-process or via a Pool) and merge metrics deltas.
+    def _run_tasks(self, name: str, tasks: List[Tuple]) -> List:
+        """Run one phase's tasks and merge their metrics deltas.
 
-        Every task returns ``(payload, metrics_delta)``.  When tasks ran
-        in forked workers, their deltas are folded into this process's
-        registry — key-wise sums, so the merged totals are deterministic
-        for any completion order.  In-process tasks incremented this
-        registry directly; merging their deltas again would double-count,
-        so they are dropped.
+        ``name`` is the task function's attribute name in this module,
+        looked up at call time (here or in the worker), so a rebinding of
+        the attribute is what runs.  Every task returns ``(payload,
+        metrics_delta)``.  In-process tasks incremented this registry
+        directly, so their deltas are dropped; a worker's deltas are
+        folded in with key-wise sums, deterministic for any completion
+        order.
         """
-        forked = not (self.jobs == 1 or len(tasks) <= 1)
-        results = self._map(func, tasks)
-        payloads = []
+        if not tasks:
+            return []
+        if self.jobs == 1 and self.policy is None:
+            func = globals()[name]
+            return [func(task)[0] for task in tasks]
+        kind, identity = _TASKS[name]
+        identities = [identity(task) for task in tasks]
+        outcomes, quarantined = supervise(
+            name, tasks, [key for key, *_ in identities], self.jobs,
+            self.policy or SupervisorPolicy(),
+        )
         metrics = global_metrics()
-        for payload, delta in results:
-            payloads.append(payload)
-            if forked:
+        payloads = []
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            payload, delta = outcome
+            if delta is not None:
                 metrics.merge(delta)
+            payloads.append(payload)
+        for index, failures in quarantined.items():
+            key, benchmark, config_value, arch_index = identities[index]
+            item = QuarantinedTask(
+                kind, key, benchmark, config_value, arch_index,
+                attempts=len(failures), failures=failures,
+            )
+            self.failures.append(item)
+            _worker_session(self.settings).record_task_failure(item.record())
         return payloads
-
-    def _map(self, func, tasks):
-        if self.jobs == 1 or len(tasks) <= 1:
-            return [func(task) for task in tasks]
-        processes = min(self.jobs, len(tasks))
-        with multiprocessing.Pool(processes=processes) as pool:
-            return pool.map(func, tasks, chunksize=1)
 
 
 def run_sweep(
@@ -367,5 +434,18 @@ def run_sweep(
     settings: Optional[RuntimeConfig] = None,
     configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
 ) -> Dict[str, ExperimentResult]:
-    """One-call convenience wrapper around :class:`SweepExecutor`."""
-    return SweepExecutor(settings=settings, configs=configs, jobs=jobs).run(benchmarks)
+    """One-call convenience wrapper around :class:`SweepExecutor`.
+
+    Raises ``RuntimeError`` if a task was quarantined, rather than return
+    results with its points missing; a :class:`SweepExecutor` accepts a
+    partial sweep and leaves the tasks on ``failures``.
+    """
+    executor = SweepExecutor(settings=settings, configs=configs, jobs=jobs)
+    results = executor.run(benchmarks)
+    if executor.failures:
+        quarantined = "; ".join(
+            f"{item.task} task {item.key} ({item.failures[-1].detail.splitlines()[0]})"
+            for item in executor.failures
+        )
+        raise RuntimeError(f"{len(executor.failures)} sweep task(s) quarantined: {quarantined}")
+    return results

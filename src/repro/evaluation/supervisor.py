@@ -1,8 +1,9 @@
-"""Supervised sweep execution: fault-tolerant workers over the sweep grid.
+"""The supervised worker loop behind every multi-process sweep.
 
-:class:`SupervisedExecutor` runs the same deterministic task grid as
-:class:`~repro.evaluation.parallel.SweepExecutor`, but owns its worker
-pool directly instead of delegating to ``multiprocessing.Pool``:
+:func:`supervise` runs one phase of sweep tasks in worker processes it
+owns directly, for :class:`~repro.evaluation.parallel.SweepExecutor`
+whenever it does not run the tasks in-process (``--jobs N > 1``, or any
+supervision flag at ``--jobs 1``):
 
 * every worker gets a **dedicated pipe** (a SIGKILL'd worker can never
   wedge a shared queue lock) and a **heartbeat thread**;
@@ -15,9 +16,13 @@ pool directly instead of delegating to ``multiprocessing.Pool``:
   screening backend (``REPRO_SCREENING_BACKEND=numpy`` semantics forced
   for that attempt) — safe because the backends are bit-identical by
   contract, so a native-kernel segfault costs speed, never results;
-* a task that exhausts its retries is **quarantined**: recorded to the
-  checkpoint as a structured ``failure`` entry, counted, and skipped —
-  the sweep completes with a partial-result report instead of dying.
+* a task that exhausts its retries is **quarantined**: reported back
+  with its per-attempt failures and skipped, so the sweep completes
+  with a partial-result report instead of dying.
+
+Workers receive a task function's *name* and resolve it as an attribute
+of :mod:`repro.evaluation.parallel` at call time, so a rebinding of that
+attribute (a tracer's wrapper, a test double) is what runs.
 
 Determinism: tasks are dispatched and collected **by grid index**, each
 attempt re-derives the task's per-point seeds from its content identity,
@@ -35,6 +40,7 @@ Every supervision event is counted in the
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import threading
 import time
@@ -43,15 +49,9 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.evaluation import parallel
-from repro.evaluation.checkpoint import generation_task_key, point_task_key
-from repro.evaluation.configs import ExperimentConfig
-from repro.evaluation.experiment import DEFAULT_CONFIGS
-from repro.evaluation.parallel import SweepExecutor
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import global_metrics
 
 FAILURE_REPORT_FORMAT = "repro-sweep-failures"
@@ -106,6 +106,10 @@ class SupervisorPolicy:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if not (math.isfinite(self.backoff_base_s) and self.backoff_base_s >= 0):
+            raise ValueError(
+                f"backoff_base_s must be finite and >= 0, got {self.backoff_base_s}"
+            )
 
     def backoff_delay(self, retry_number: int) -> float:
         """Delay before 1-based retry ``retry_number`` becomes eligible."""
@@ -156,80 +160,6 @@ class QuarantinedTask:
 
 
 # ---------------------------------------------------------------------------
-# Task kinds.  The supervisor addresses tasks by the same content digests
-# the checkpoint uses, so fault plans, retries, and failure records are
-# all keyed identically to resume records.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaskKind:
-    """Parent-side registry entry for one kind of sweep task.
-
-    Never crosses the fork boundary: workers receive the kind *name*
-    over the pipe and resolve these callables from their own copy of
-    the module-level registry, so the Callable fields are not worker
-    payload.
-    """
-
-    name: str
-    func: Callable[[Any], Tuple[Any, Any]]  # repro-lint: disable=REPRO-P401
-    key_of: Callable[[Any], str]  # repro-lint: disable=REPRO-P401
-    describe: Callable[[Any], Dict[str, Any]]  # repro-lint: disable=REPRO-P401
-
-
-def _generation_key(task: Tuple) -> str:
-    benchmark, config_value, settings = task
-    return generation_task_key(benchmark, config_value, settings)
-
-
-def _generation_describe(task: Tuple) -> Dict[str, Any]:
-    benchmark, config_value, _ = task
-    return {"benchmark": benchmark, "config": config_value, "arch_index": None}
-
-
-def _point_key(task: Tuple) -> str:
-    benchmark, config_value, arch_index, architecture, settings = task
-    return point_task_key(benchmark, config_value, arch_index, architecture, settings)
-
-
-def _point_describe(task: Tuple) -> Dict[str, Any]:
-    benchmark, config_value, arch_index, _, _ = task
-    return {"benchmark": benchmark, "config": config_value, "arch_index": arch_index}
-
-
-_TASK_KINDS: Dict[str, TaskKind] = {}
-
-
-def register_task_kind(kind: TaskKind) -> None:
-    """Make a task function supervisable (also a test hook).
-
-    Worker processes resolve the function by ``kind.name``, so the kind
-    must be registered at import time of this module in *every* process
-    (module-level registration satisfies that under any start method).
-    """
-    _TASK_KINDS[kind.name] = kind
-
-
-register_task_kind(TaskKind(
-    "generation", parallel._generate_task, _generation_key, _generation_describe,
-))
-register_task_kind(TaskKind(
-    "point", parallel._evaluate_task, _point_key, _point_describe,
-))
-
-
-def _kind_for(func: Callable) -> TaskKind:
-    for kind in _TASK_KINDS.values():
-        if kind.func is func:
-            return kind
-    raise KeyError(
-        f"task function {getattr(func, '__name__', func)!r} is not a "
-        "registered supervisable task kind"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Worker side.
 # ---------------------------------------------------------------------------
 
@@ -252,15 +182,18 @@ def _forced_backend(backend: Optional[str]):
 
 @faults.fault_boundary
 def _run_attempt(
-    kind_name: str, task: Any, digest: str, attempt: int, backend: Optional[str],
+    task_name: str, task: Any, digest: str, attempt: int, backend: Optional[str],
 ) -> Tuple[str, Any, Any]:
     """Run one task attempt, converting any raise into a failure message."""
-    kind = _TASK_KINDS[kind_name]
+    # Deferred: parallel imports this module, and the attribute must be
+    # looked up at call time to see any rebinding.
+    from repro.evaluation import parallel
+
     try:
         with faults.task_context(digest, attempt):
             faults.maybe_inject("task:start")
             with _forced_backend(backend):
-                payload, delta = kind.func(task)
+                payload, delta = getattr(parallel, task_name)(task)
         return "done", payload, delta
     except Exception as error:  # fault boundary: reported, never swallowed
         detail = f"{type(error).__name__}: {error}"
@@ -291,8 +224,8 @@ def _worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
             break
         if message[0] == "stop":
             break
-        _, index, attempt, digest, backend, kind_name, task = message
-        status, payload, delta = _run_attempt(kind_name, task, digest, attempt, backend)
+        _, index, attempt, digest, backend, task_name, task = message
+        status, payload, delta = _run_attempt(task_name, task, digest, attempt, backend)
         _send(("result", worker_id, index, attempt, status, payload, delta))
     stop.set()
 
@@ -302,23 +235,18 @@ def _worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class _Worker:
     """Parent-side handle on one worker process."""
 
-    __slots__ = (
-        "id", "process", "conn", "task_index", "attempt", "backend",
-        "dispatched_at", "last_beat",
-    )
-
-    def __init__(self, worker_id: int, process, conn) -> None:
-        self.id = worker_id
-        self.process = process
-        self.conn = conn
-        self.task_index: Optional[int] = None
-        self.attempt = 0
-        self.backend: Optional[str] = None
-        self.dispatched_at = 0.0
-        self.last_beat = 0.0
+    id: int
+    process: Any
+    conn: Any
+    last_beat: float
+    task_index: Optional[int] = None
+    attempt: int = 0
+    backend: Optional[str] = None
+    dispatched_at: float = 0.0
 
     @property
     def busy(self) -> bool:
@@ -337,269 +265,200 @@ class _Pending:
     backend: Optional[str] = None
 
 
-class SupervisedExecutor(SweepExecutor):
-    """A :class:`SweepExecutor` whose workers are supervised.
+def supervise(
+    task_name: str,
+    tasks: Sequence[Any],
+    digests: Sequence[str],
+    jobs: int,
+    policy: SupervisorPolicy,
+) -> Tuple[List[Optional[Tuple[Any, Any]]], Dict[int, List[TaskFailure]]]:
+    """Run ``tasks`` in up to ``jobs`` supervised workers.
 
-    Unlike the base executor, tasks always run in worker processes —
-    even with ``jobs=1`` — so a crash or hang can never take down the
-    coordinating process.  Results are byte-identical to the base
-    executor's for every completed task.
-
-    Quarantined tasks accumulate on :attr:`failures`;
-    :meth:`failure_report` renders them as the partial-result report.
+    ``task_name`` names the task function in
+    :mod:`repro.evaluation.parallel`; ``digests[i]`` is task ``i``'s
+    content key, which scopes fault plans to it.  Returns, in task
+    order, each task's ``(payload, metrics_delta)`` (None if it was
+    quarantined), and the per-attempt failures of every quarantined
+    task keyed by its index, in index order.
     """
+    metrics = global_metrics()
+    total = len(tasks)
+    metrics.increment("supervisor/tasks", total)
 
-    def __init__(
-        self,
-        settings: Optional[RuntimeConfig] = None,
-        configs: Iterable[ExperimentConfig] = DEFAULT_CONFIGS,
-        jobs: int = 1,
-        policy: Optional[SupervisorPolicy] = None,
-    ) -> None:
-        super().__init__(settings=settings, configs=configs, jobs=jobs)
-        self.policy = policy or SupervisorPolicy()
-        self.failures: List[QuarantinedTask] = []
+    outcomes: List[Optional[Tuple[Any, Any]]] = [None] * total
+    quarantined: Dict[int, List[TaskFailure]] = {}
+    failures: Dict[int, List[TaskFailure]] = {index: [] for index in range(total)}
+    demoted: set = set()
+    pending = deque(_Pending(index, 0, 0.0) for index in range(total))
+    finished = 0
 
-    # -- reporting ------------------------------------------------------------
+    workers: Dict[int, _Worker] = {}
+    next_worker_id = 0
+    target = min(jobs, total)
 
-    def failure_report(self) -> dict:
-        """The structured partial-result report (``--failures-out``)."""
-        quarantined = sorted(
-            (item.record() for item in self.failures),
-            key=lambda r: (
-                r["task"], r["benchmark"], r["config"],
-                -1 if r["arch_index"] is None else r["arch_index"], r["key"],
-            ),
+    def _spawn(replacement: bool) -> None:
+        nonlocal next_worker_id
+        worker_id = next_worker_id
+        next_worker_id += 1
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_worker_main,
+            args=(child_conn, worker_id, HEARTBEAT_INTERVAL_S),
+            daemon=True,
+            name=f"sweep-worker-{worker_id}",
         )
-        return {
-            "format": FAILURE_REPORT_FORMAT,
-            "version": FAILURE_REPORT_VERSION,
-            "quarantined": quarantined,
-        }
+        process.start()
+        child_conn.close()
+        workers[worker_id] = _Worker(worker_id, process, parent_conn, time.monotonic())
+        if replacement:
+            metrics.increment("supervisor/worker_restarts")
 
-    # -- execution ------------------------------------------------------------
-
-    def _run_tasks(self, func, tasks):
-        if not tasks:
-            return []
-        kind = _kind_for(func)
-        outcomes, quarantined = self._supervise(kind, list(tasks))
-        metrics = global_metrics()
-        payloads = []
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            payload, delta = outcome
-            if delta is not None:
-                # Supervised tasks always run in workers, so deltas
-                # always merge (no in-process double-count case).
-                metrics.merge(delta)
-            payloads.append(payload)
-        for item in quarantined:
-            self.failures.append(item)
-            self._record_failure(item)
-        return payloads
-
-    def _record_failure(self, item: QuarantinedTask) -> None:
-        if not self.settings.checkpoint_path:
-            return
-        session = parallel._session_module().session_for(self.settings)
-        session.record_task_failure(item.record())
-
-    def _supervise(
-        self, kind: TaskKind, tasks: List,
-    ) -> Tuple[List[Optional[Tuple[Any, Any]]], List[QuarantinedTask]]:
-        policy = self.policy
-        metrics = global_metrics()
-        total = len(tasks)
-        digests = [kind.key_of(task) for task in tasks]
-        metrics.increment("supervisor/tasks", total)
-
-        outcomes: List[Optional[Tuple[Any, Any]]] = [None] * total
-        quarantined: Dict[int, QuarantinedTask] = {}
-        failures: Dict[int, List[TaskFailure]] = {index: [] for index in range(total)}
-        demoted: set = set()
-        pending = deque(_Pending(index, 0, 0.0) for index in range(total))
-        finished = 0
-
-        workers: Dict[int, _Worker] = {}
-        next_worker_id = 0
-        target = min(self.jobs, total)
-
-        def _spawn(replacement: bool) -> None:
-            nonlocal next_worker_id
-            worker_id = next_worker_id
-            next_worker_id += 1
-            parent_conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_worker_main,
-                args=(child_conn, worker_id, HEARTBEAT_INTERVAL_S),
-                daemon=True,
-                name=f"sweep-worker-{worker_id}",
-            )
-            process.start()
-            child_conn.close()
-            workers[worker_id] = _Worker(worker_id, process, parent_conn)
-            workers[worker_id].last_beat = time.monotonic()
-            if replacement:
-                metrics.increment("supervisor/worker_restarts")
-
-        def _retire(worker: _Worker) -> None:
-            workers.pop(worker.id, None)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(SHUTDOWN_GRACE_S)
-
-        def _attempt_failed(
-            index: int, attempt: int, reason: str, detail: str,
-            backend: Optional[str],
-        ) -> None:
-            nonlocal finished
-            failures[index].append(TaskFailure(reason, detail, attempt, backend))
-            if attempt >= policy.max_task_retries:
-                describe = kind.describe(tasks[index])
-                quarantined[index] = QuarantinedTask(
-                    task=kind.name,
-                    key=digests[index],
-                    benchmark=describe["benchmark"],
-                    config=describe["config"],
-                    arch_index=describe["arch_index"],
-                    attempts=attempt + 1,
-                    failures=failures[index],
-                )
-                metrics.increment("supervisor/quarantined_tasks")
-                finished += 1
-                return
-            if reason == "crash":
-                demoted.add(index)
-            next_backend = "numpy" if index in demoted else None
-            if next_backend is not None and backend is None:
-                metrics.increment("supervisor/backend_demotions")
-            eligible_at = time.monotonic() + policy.backoff_delay(attempt + 1)
-            pending.append(_Pending(index, attempt + 1, eligible_at, next_backend))
-            metrics.increment("supervisor/retries")
-
-        def _fail_worker_task(worker: _Worker, reason: str, detail: str) -> None:
-            index, attempt, backend = worker.task_index, worker.attempt, worker.backend
-            worker.clear()
-            if index is not None and outcomes[index] is None and index not in quarantined:
-                _attempt_failed(index, attempt, reason, detail, backend)
-
-        def _dispatch(worker: _Worker, item: _Pending) -> bool:
-            message = (
-                "task", item.index, item.attempt, digests[item.index],
-                item.backend, kind.name, tasks[item.index],
-            )
-            try:
-                worker.conn.send(message)
-            except (BrokenPipeError, OSError):
-                pending.appendleft(item)  # worker died idle; not a task failure
-                _retire(worker)
-                return False
-            worker.task_index = item.index
-            worker.attempt = item.attempt
-            worker.backend = item.backend
-            worker.dispatched_at = worker.last_beat = time.monotonic()
-            return True
-
-        def _handle_message(worker: _Worker, message: Tuple) -> None:
-            nonlocal finished
-            worker.last_beat = time.monotonic()
-            if message[0] != "result":
-                return
-            _, _, index, attempt, status, payload, delta = message
-            if worker.task_index != index or outcomes[index] is not None:
-                worker.clear()
-                return  # stale result (task already resolved elsewhere)
-            backend = worker.backend
-            worker.clear()
-            if status == "done":
-                outcomes[index] = (payload, delta)
-                finished += 1
-            else:
-                _attempt_failed(index, attempt, "error", payload, backend)
-
+    def _retire(worker: _Worker) -> None:
+        workers.pop(worker.id, None)
         try:
-            for _ in range(target):
-                _spawn(replacement=False)
-            while finished < total:
-                now = time.monotonic()
-                # Keep the pool at strength while work remains.
-                while len(workers) < target and (pending or any(
-                    worker.busy for worker in workers.values()
-                ) or not workers):
-                    _spawn(replacement=True)
-                # Hand eligible attempts to idle workers, lowest index first.
-                idle = [w for w in workers.values() if not w.busy]
-                for worker in idle:
-                    if not pending:
-                        break
-                    eligible = sorted(
-                        (item for item in pending if item.eligible_at <= now),
-                        key=lambda item: item.index,
-                    )
-                    if not eligible:
-                        break
-                    item = eligible[0]
-                    pending.remove(item)
-                    _dispatch(worker, item)
-                if finished >= total:
-                    break
-                # Wait for results/heartbeats; short tick bounds every
-                # health check (deadline, heartbeat, backoff eligibility).
-                conns = [w.conn for w in workers.values()]
-                ready = mp_connection.wait(conns, timeout=0.05) if conns else []
-                by_conn = {w.conn: w for w in workers.values()}
-                for conn in ready:
-                    worker = by_conn.get(conn)
-                    if worker is None:
-                        continue
-                    try:
-                        while conn.poll():
-                            _handle_message(worker, conn.recv())
-                    except (EOFError, OSError):
-                        pass  # torn pipe: the liveness check below decides
-                # Liveness, deadline, and heartbeat enforcement.
-                now = time.monotonic()
-                for worker in list(workers.values()):
-                    if not worker.process.is_alive():
-                        exitcode = worker.process.exitcode
-                        metrics.increment("supervisor/worker_crashes")
-                        _fail_worker_task(
-                            worker, "crash", f"worker exited with code {exitcode}",
-                        )
-                        _retire(worker)
-                    elif worker.busy and policy.task_deadline_s is not None and \
-                            now - worker.dispatched_at > policy.task_deadline_s:
-                        metrics.increment("supervisor/deadline_kills")
-                        deadline = policy.task_deadline_s
-                        _fail_worker_task(
-                            worker, "deadline",
-                            f"task exceeded {deadline:.3f}s deadline",
-                        )
-                        _retire(worker)
-                    elif worker.busy and policy.heartbeat_timeout_s is not None and \
-                            now - worker.last_beat > policy.heartbeat_timeout_s:
-                        metrics.increment("supervisor/heartbeat_timeouts")
-                        timeout = policy.heartbeat_timeout_s
-                        _fail_worker_task(
-                            worker, "heartbeat",
-                            f"no heartbeat for {timeout:.3f}s",
-                        )
-                        _retire(worker)
-        finally:
-            for worker in list(workers.values()):
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for worker in list(workers.values()):
-                worker.process.join(SHUTDOWN_GRACE_S)
-                _retire(worker)
+            worker.conn.close()
+        except OSError:
+            pass
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join(SHUTDOWN_GRACE_S)
 
-        ordered = [quarantined[index] for index in sorted(quarantined)]
-        return outcomes, ordered
+    def _attempt_failed(
+        index: int, attempt: int, reason: str, detail: str,
+        backend: Optional[str],
+    ) -> None:
+        nonlocal finished
+        failures[index].append(TaskFailure(reason, detail, attempt, backend))
+        if attempt >= policy.max_task_retries:
+            quarantined[index] = failures[index]
+            metrics.increment("supervisor/quarantined_tasks")
+            finished += 1
+            return
+        if reason == "crash":
+            demoted.add(index)
+        next_backend = "numpy" if index in demoted else None
+        if next_backend is not None and backend is None:
+            metrics.increment("supervisor/backend_demotions")
+        eligible_at = time.monotonic() + policy.backoff_delay(attempt + 1)
+        pending.append(_Pending(index, attempt + 1, eligible_at, next_backend))
+        metrics.increment("supervisor/retries")
+
+    def _fail_worker_task(worker: _Worker, reason: str, detail: str) -> None:
+        index, attempt, backend = worker.task_index, worker.attempt, worker.backend
+        worker.clear()
+        if index is not None and outcomes[index] is None and index not in quarantined:
+            _attempt_failed(index, attempt, reason, detail, backend)
+
+    def _dispatch(worker: _Worker, item: _Pending) -> bool:
+        message = (
+            "task", item.index, item.attempt, digests[item.index],
+            item.backend, task_name, tasks[item.index],
+        )
+        try:
+            worker.conn.send(message)
+        except (BrokenPipeError, OSError):
+            pending.appendleft(item)  # worker died idle; not a task failure
+            _retire(worker)
+            return False
+        worker.task_index = item.index
+        worker.attempt = item.attempt
+        worker.backend = item.backend
+        worker.dispatched_at = worker.last_beat = time.monotonic()
+        return True
+
+    def _handle_message(worker: _Worker, message: Tuple) -> None:
+        nonlocal finished
+        worker.last_beat = time.monotonic()
+        if message[0] != "result":
+            return
+        _, _, index, attempt, status, payload, delta = message
+        if worker.task_index != index or outcomes[index] is not None:
+            worker.clear()
+            return  # stale result (task already resolved elsewhere)
+        backend = worker.backend
+        worker.clear()
+        if status == "done":
+            outcomes[index] = (payload, delta)
+            finished += 1
+        else:
+            _attempt_failed(index, attempt, "error", payload, backend)
+
+    try:
+        for _ in range(target):
+            _spawn(replacement=False)
+        while finished < total:
+            now = time.monotonic()
+            # Keep the pool at strength while work remains.
+            while len(workers) < target and (pending or any(
+                worker.busy for worker in workers.values()
+            ) or not workers):
+                _spawn(replacement=True)
+            # Hand eligible attempts to idle workers, lowest index first.
+            idle = [w for w in workers.values() if not w.busy]
+            for worker in idle:
+                if not pending:
+                    break
+                eligible = sorted(
+                    (item for item in pending if item.eligible_at <= now),
+                    key=lambda item: item.index,
+                )
+                if not eligible:
+                    break
+                item = eligible[0]
+                pending.remove(item)
+                _dispatch(worker, item)
+            if finished >= total:
+                break
+            # Wait for results/heartbeats; short tick bounds every
+            # health check (deadline, heartbeat, backoff eligibility).
+            conns = [w.conn for w in workers.values()]
+            ready = mp_connection.wait(conns, timeout=0.05) if conns else []
+            by_conn = {w.conn: w for w in workers.values()}
+            for conn in ready:
+                worker = by_conn.get(conn)
+                if worker is None:
+                    continue
+                try:
+                    while conn.poll():
+                        _handle_message(worker, conn.recv())
+                except (EOFError, OSError):
+                    pass  # torn pipe: the liveness check below decides
+            # Liveness, deadline, and heartbeat enforcement.
+            now = time.monotonic()
+            for worker in list(workers.values()):
+                if not worker.process.is_alive():
+                    exitcode = worker.process.exitcode
+                    metrics.increment("supervisor/worker_crashes")
+                    _fail_worker_task(
+                        worker, "crash", f"worker exited with code {exitcode}",
+                    )
+                    _retire(worker)
+                elif worker.busy and policy.task_deadline_s is not None and \
+                        now - worker.dispatched_at > policy.task_deadline_s:
+                    metrics.increment("supervisor/deadline_kills")
+                    deadline = policy.task_deadline_s
+                    _fail_worker_task(
+                        worker, "deadline",
+                        f"task exceeded {deadline:.3f}s deadline",
+                    )
+                    _retire(worker)
+                elif worker.busy and policy.heartbeat_timeout_s is not None and \
+                        now - worker.last_beat > policy.heartbeat_timeout_s:
+                    metrics.increment("supervisor/heartbeat_timeouts")
+                    timeout = policy.heartbeat_timeout_s
+                    _fail_worker_task(
+                        worker, "heartbeat",
+                        f"no heartbeat for {timeout:.3f}s",
+                    )
+                    _retire(worker)
+    finally:
+        for worker in list(workers.values()):
+            try:
+                worker.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in list(workers.values()):
+            worker.process.join(SHUTDOWN_GRACE_S)
+            _retire(worker)
+
+    return outcomes, dict(sorted(quarantined.items()))

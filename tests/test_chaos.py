@@ -108,7 +108,8 @@ def task_digests():
 
 
 def test_supervised_fault_free_matches_plain_executor(tmp_path, baseline):
-    payload, counters, derived = _run_sweep(tmp_path, "plain", ["--supervised"])
+    """A --jobs 2 sweep with no supervision flag is supervised."""
+    payload, counters, derived = _run_sweep(tmp_path, "plain", [])
     assert payload == baseline
     assert counters["supervisor/tasks"] == 7  # 2 generation + 5 points
     assert "supervisor/retries" not in counters
@@ -216,7 +217,7 @@ def test_poison_task_is_quarantined_with_partial_results(
     _clear_process_state()
     out = tmp_path / "healed.json"
     assert main([
-        "sweep", BENCHMARK, *FAST, "--supervised",
+        "sweep", BENCHMARK, *FAST,
         "--checkpoint", checkpoint, "--resume", "--output", str(out),
     ]) == 0
     assert out.read_bytes() == baseline
@@ -226,7 +227,7 @@ def test_torn_checkpoint_salvage_resumes_byte_identical(tmp_path, baseline):
     """A checkpoint torn mid-append is salvaged, not fatal, on --resume."""
     checkpoint = tmp_path / "ck.json"
     payload, _, _ = _run_sweep(tmp_path, "record", [
-        "--supervised", "--checkpoint", str(checkpoint),
+        "--checkpoint", str(checkpoint),
     ])
     assert payload == baseline
     intact = checkpoint.read_bytes()

@@ -284,11 +284,14 @@ class TestCacheBackendFlag:
              "missing.json"),
             (["design", "sym6_145", "--trials", "0"], "--trials must be >= 1"),
             (["design", "sym6_145", "--buses", "-1"], "--buses must be >= 0"),
-            (["sweep", "sym6_145", "--supervised", "--max-task-retries", "-1"],
-             "max_task_retries must be >= 0"),
-            # Without --supervised: the retry flag alone enables supervision.
             (["sweep", "sym6_145", "--max-task-retries", "-1"],
              "max_task_retries must be >= 0"),
+            (["sweep", "sym6_145", "--jobs", "2", "--max-task-retries", "-1"],
+             "max_task_retries must be >= 0"),
+            (["sweep", "sym6_145", "--retry-backoff", "-1"],
+             "backoff_base_s must be finite and >= 0"),
+            (["sweep", "sym6_145", "--retry-backoff", "nan"],
+             "backoff_base_s must be finite and >= 0"),
             (["sweep", "sym6_145", "--task-deadline", "-1"],
              "task_deadline_s must be > 0"),
             (["evaluate", "sym6_145", "--heartbeat-timeout", "0"],

@@ -103,6 +103,14 @@ BAD_FIXTURES = [
         "class Task:\n"
         "    fn: Callable[[int], int]\n",
     ),
+    # A module that hands tasks to the supervised worker loop builds fork
+    # payloads without importing multiprocessing itself.
+    (
+        "REPRO-P401",
+        "from repro.evaluation.supervisor import supervise\n\n"
+        "def run(pool, tasks):\n"
+        "    return pool.map(lambda task: task, tasks)\n",
+    ),
     ("REPRO-P402", "def poke(registry):\n    registry._counters['x'] = 1\n"),
 ]
 

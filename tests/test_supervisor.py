@@ -3,25 +3,28 @@
 The heavy end-to-end scenarios (real sweeps under seeded fault plans)
 live in ``tests/test_chaos.py``; this module covers the policy algebra,
 the failure-record shapes, report ordering, and the supervision loop
-itself driven by tiny synthetic task kinds — cheap enough to run in the
-default suite.
+itself driven by tiny test doubles rebound as the task functions — cheap
+enough to run in the default suite.
 """
+
+import functools
+import os
 
 import pytest
 
 from repro import faults
+from repro.cli import main
+from repro.evaluation import parallel
+from repro.evaluation.checkpoint import generation_task_key
+from repro.evaluation.configs import ExperimentConfig
+from repro.evaluation.parallel import SweepExecutor
 from repro.evaluation.supervisor import (
     BACKOFF_CAP_S,
     FAILURE_REPORT_FORMAT,
     FAILURE_REPORT_VERSION,
     QuarantinedTask,
-    SupervisedExecutor,
     SupervisorPolicy,
     TaskFailure,
-    TaskKind,
-    _kind_for,
-    _TASK_KINDS,
-    register_task_kind,
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import diff_snapshots, global_metrics
@@ -32,6 +35,9 @@ from repro.runtime.metrics import diff_snapshots, global_metrics
 def test_policy_validation():
     with pytest.raises(ValueError, match="max_task_retries"):
         SupervisorPolicy(max_task_retries=-1)
+    for backoff in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="backoff_base_s"):
+            SupervisorPolicy(backoff_base_s=backoff)
 
 
 def test_backoff_is_deterministic_exponential_with_cap():
@@ -67,7 +73,7 @@ def test_failure_record_shape():
 
 
 def test_failure_report_envelope_and_ordering():
-    executor = SupervisedExecutor(settings=RuntimeConfig())
+    executor = SweepExecutor(settings=RuntimeConfig())
     executor.failures.extend([
         _quarantined(key="z", benchmark="b2", arch_index=4),
         _quarantined(key="a", benchmark="b1", arch_index=None, task="generation"),
@@ -84,77 +90,72 @@ def test_failure_report_envelope_and_ordering():
 
 
 def test_empty_failure_report():
-    executor = SupervisedExecutor(settings=RuntimeConfig())
+    executor = SweepExecutor(settings=RuntimeConfig())
     assert executor.failure_report()["quarantined"] == []
 
 
-# -- task-kind registry ------------------------------------------------------
-
-
-def test_unregistered_function_is_rejected():
-    def mystery(task):
-        return task, None
-
-    with pytest.raises(KeyError, match="not a .*registered"):
-        _kind_for(mystery)
-
-
-# -- the supervision loop, driven by synthetic task kinds --------------------
+# -- the supervision loop, driven by rebound task functions ------------------
 #
-# The worker resolves task kinds from its module-level registry; under the
-# fork start method a kind registered by the test is inherited by worker
-# processes, so tiny synthetic tasks exercise the real dispatch/collect/
-# retry machinery in milliseconds.
+# Workers look the task function up by name on repro.evaluation.parallel at
+# call time, and forked workers inherit the parent's module attributes, so
+# a test double rebound there exercises the real dispatch/collect/retry
+# machinery in milliseconds.  Tasks are generation-shaped tuples whose
+# config field carries a number.
+
+SETTINGS = RuntimeConfig()
+
+
+def _task(number):
+    return ("synthetic", str(number), SETTINGS)
+
+
+def _key(number):
+    return generation_task_key("synthetic", str(number), SETTINGS)
 
 
 def _double(task):
-    return task * 2, None
+    return int(task[1]) * 2, None
 
 
 def _always_fail(task):
-    raise ValueError(f"synthetic failure for task {task}")
+    raise ValueError(f"synthetic failure for task {task[1]}")
 
 
-def _describe(task):
-    return {"benchmark": "synthetic", "config": "unit", "arch_index": task}
+def _supervise(monkeypatch, func, numbers, **policy_kwargs):
+    """Run ``func`` as the generation task under supervision.
 
-
-@pytest.fixture
-def synthetic_kinds():
-    register_task_kind(TaskKind("test-double", _double, lambda t: f"d{t:04x}", _describe))
-    register_task_kind(TaskKind("test-fail", _always_fail, lambda t: f"f{t:04x}", _describe))
-    yield
-    _TASK_KINDS.pop("test-double", None)
-    _TASK_KINDS.pop("test-fail", None)
-
-
-def _supervise(kind_name, tasks, **policy_kwargs):
+    Returns the completed payloads (task order) and the quarantined tasks.
+    """
     policy_kwargs.setdefault("backoff_base_s", 0.001)
-    executor = SupervisedExecutor(
-        settings=RuntimeConfig(), jobs=2,
-        policy=SupervisorPolicy(**policy_kwargs),
+    monkeypatch.setattr(parallel, "_generate_task", func)
+    executor = SweepExecutor(
+        settings=SETTINGS, jobs=2, policy=SupervisorPolicy(**policy_kwargs),
     )
-    return executor._supervise(_TASK_KINDS[kind_name], tasks)
+    payloads = executor._run_tasks("_generate_task", [_task(n) for n in numbers])
+    return payloads, executor.failures
 
 
-def test_supervised_tasks_complete_in_index_order(synthetic_kinds):
+def test_supervised_tasks_complete_in_index_order(monkeypatch):
     before = global_metrics().snapshot()
-    outcomes, quarantined = _supervise("test-double", [1, 2, 3, 4, 5])
-    assert [payload for payload, _ in outcomes] == [2, 4, 6, 8, 10]
+    payloads, quarantined = _supervise(monkeypatch, _double, [1, 2, 3, 4, 5])
+    assert payloads == [2, 4, 6, 8, 10]
     assert quarantined == []
     delta = diff_snapshots(global_metrics().snapshot(), before)
     assert delta["counters"]["supervisor/tasks"] == 5
     assert "supervisor/retries" not in delta["counters"]
 
 
-def test_failing_task_retries_then_quarantines(synthetic_kinds):
+def test_failing_task_retries_then_quarantines(monkeypatch):
     before = global_metrics().snapshot()
-    outcomes, quarantined = _supervise("test-fail", [7], max_task_retries=1)
-    assert outcomes == [None]
+    payloads, quarantined = _supervise(
+        monkeypatch, _always_fail, [7], max_task_retries=1,
+    )
+    assert payloads == []
     assert len(quarantined) == 1
     item = quarantined[0]
-    assert item.task == "test-fail" and item.key == "f0007"
-    assert item.benchmark == "synthetic" and item.arch_index == 7
+    assert item.task == "generation" and item.key == _key(7)
+    assert item.benchmark == "synthetic" and item.config == "7"
+    assert item.arch_index is None
     assert item.attempts == 2  # first attempt + one retry
     assert [f.reason for f in item.failures] == ["error", "error"]
     assert all("synthetic failure" in f.detail for f in item.failures)
@@ -163,16 +164,18 @@ def test_failing_task_retries_then_quarantines(synthetic_kinds):
     assert delta["counters"]["supervisor/quarantined_tasks"] == 1
 
 
-def test_quarantine_does_not_block_other_tasks(synthetic_kinds):
-    outcomes, quarantined = _supervise("test-double", [1, 2], max_task_retries=0)
-    assert [payload for payload, _ in outcomes] == [2, 4]
+def test_quarantine_does_not_block_other_tasks(monkeypatch):
+    payloads, quarantined = _supervise(monkeypatch, _double, [1, 2], max_task_retries=0)
+    assert payloads == [2, 4]
     assert quarantined == []
-    outcomes, quarantined = _supervise("test-fail", [1, 2], max_task_retries=0)
-    assert outcomes == [None, None]
-    assert [item.arch_index for item in quarantined] == [1, 2]
+    payloads, quarantined = _supervise(
+        monkeypatch, _always_fail, [1, 2], max_task_retries=0,
+    )
+    assert payloads == []
+    assert [item.config for item in quarantined] == ["1", "2"]
 
 
-def test_worker_crash_is_detected_and_retried(synthetic_kinds):
+def test_worker_crash_is_detected_and_retried(monkeypatch):
     """A SIGKILL'd worker costs a retry and a restart, never the result.
 
     The plan is armed in the parent and inherited by forked workers; the
@@ -180,12 +183,12 @@ def test_worker_crash_is_detected_and_retried(synthetic_kinds):
     """
     faults.reset()
     faults.arm(faults.FaultPlan(faults=(
-        faults.FaultSpec(site="task:start", kind="kill", task="d0001"),
+        faults.FaultSpec(site="task:start", kind="kill", task=_key(1)),
     )))
     before = global_metrics().snapshot()
     try:
-        outcomes, quarantined = _supervise("test-double", [1, 2, 3])
-        assert [payload for payload, _ in outcomes] == [2, 4, 6]
+        payloads, quarantined = _supervise(monkeypatch, _double, [1, 2, 3])
+        assert payloads == [2, 4, 6]
         assert quarantined == []
     finally:
         faults.reset()
@@ -196,12 +199,55 @@ def test_worker_crash_is_detected_and_retried(synthetic_kinds):
     assert delta["counters"]["supervisor/backend_demotions"] == 1
 
 
-def test_run_attempt_reports_exceptions_not_raises(synthetic_kinds):
+def test_run_sweep_raises_when_a_task_is_quarantined(monkeypatch):
+    """``run_sweep`` never returns results with points silently missing."""
+    monkeypatch.setattr(parallel, "_generate_task", _always_fail)
+    with pytest.raises(RuntimeError, match="1 sweep task.*synthetic failure"):
+        parallel.run_sweep(
+            ["sym6_145"], jobs=2, settings=SETTINGS,
+            configs=[ExperimentConfig("eff-full")],
+        )
+
+
+def test_run_attempt_reports_exceptions_not_raises(monkeypatch):
     from repro.evaluation.supervisor import _run_attempt
 
-    status, payload, delta = _run_attempt("test-fail", 3, "f0003", 0, None)
+    monkeypatch.setattr(parallel, "_generate_task", _always_fail)
+    status, payload, delta = _run_attempt("_generate_task", _task(3), _key(3), 0, None)
     assert status == "error"
     assert "synthetic failure for task 3" in payload
     assert delta is None
-    status, payload, delta = _run_attempt("test-double", 3, "d0003", 0, None)
+    monkeypatch.setattr(parallel, "_generate_task", _double)
+    status, payload, delta = _run_attempt("_generate_task", _task(3), _key(3), 0, None)
     assert status == "done" and payload == 6
+
+
+def test_traced_task_function_runs_in_workers(monkeypatch, tmp_path):
+    """A tracer's rebinding of a task function is what supervised workers run.
+
+    The wrapper is installed the way perfbench's tracer installs its own:
+    a ``functools.wraps`` wrapper assigned to the module attribute.  It
+    must run in the workers and leave the sweep report byte-identical.
+    """
+    sweep = ["sweep", "sym6_145", "--trials", "200", "--local-trials", "100",
+             "--jobs", "2", "--task-deadline", "600"]
+    plain = tmp_path / "plain.json"
+    parallel.reset_worker_state()
+    assert main([*sweep, "--output", str(plain)]) == 0
+
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    original = parallel._evaluate_task
+
+    @functools.wraps(original)
+    def traced(task):
+        (markers / str(os.getpid())).touch()
+        return original(task)
+
+    monkeypatch.setattr(parallel, "_evaluate_task", traced)
+    wrapped = tmp_path / "wrapped.json"
+    parallel.reset_worker_state()
+    assert main([*sweep, "--output", str(wrapped)]) == 0
+    assert wrapped.read_bytes() == plain.read_bytes()
+    pids = {int(path.name) for path in markers.iterdir()}
+    assert pids and os.getpid() not in pids
