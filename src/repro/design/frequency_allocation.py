@@ -298,12 +298,6 @@ class _AllocationContext:
         share with an earlier allocation.
         """
         allocator = self.allocator
-        if not allocator.shared_caches:
-            rng = np.random.default_rng(seed_for("freq-alloc", allocator.seed, qubit))
-            return rng.normal(
-                0.0, allocator.sigma_ghz,
-                size=(allocator.local_trials, region_size),
-            )
         key = (
             allocator.seed, allocator.sigma_ghz, allocator.local_trials,
             qubit, region_size,
@@ -354,7 +348,6 @@ class _LocalRegionScorer:
         self.screening = (
             allocator.screening and context._simulator.screening_enabled()
         )
-        self.memoized = allocator.shared_caches
         # Everything the local simulation reads besides the per-call
         # region content; part of every ranking-memo key.
         self._memo_prefix = (
@@ -448,25 +441,23 @@ class _LocalRegionScorer:
             # band is as good as any other choice.
             return middle_frequency(), None
 
-        memo_key = None
-        if self.memoized:
-            members: Set[int] = set()
-            for pair in local_pairs:
-                members.update(pair)
-            for triple in local_triples:
-                members.update(triple)
-            members.discard(qubit)
-            memo_key = (
-                self._memo_prefix,
-                qubit,
-                tuple(local_pairs),
-                tuple(local_triples),
-                tuple(frequencies[member] for member in sorted(members)),
-                None if candidate_indices is None else tuple(candidate_indices),
-            )
-            winner = _RANKING_MEMO.get(memo_key)
-            if winner is not None:
-                return winner, None
+        members: Set[int] = set()
+        for pair in local_pairs:
+            members.update(pair)
+        for triple in local_triples:
+            members.update(triple)
+        members.discard(qubit)
+        memo_key = (
+            self._memo_prefix,
+            qubit,
+            tuple(local_pairs),
+            tuple(local_triples),
+            tuple(frequencies[member] for member in sorted(members)),
+            None if candidate_indices is None else tuple(candidate_indices),
+        )
+        winner = _RANKING_MEMO.get(memo_key)
+        if winner is not None:
+            return winner, None
 
         region: Set[int] = {qubit}
         for a, b in local_pairs:
@@ -536,8 +527,7 @@ class _LocalRegionScorer:
         winner = float(
             request.candidates[tie_set[np.argmin(request.mid_distance[tie_set])]]
         )
-        if request.memo_key is not None:
-            _bounded_put(_RANKING_MEMO, _RANKING_MEMO_LIMIT, request.memo_key, winner)
+        _bounded_put(_RANKING_MEMO, _RANKING_MEMO_LIMIT, request.memo_key, winner)
         return winner
 
 
@@ -813,12 +803,6 @@ class FrequencyAllocator:
             provably winner-preserving, so the allocation is
             bit-identical with it on or off — the flag exists as an
             escape hatch and for benchmarking the cold path.
-        shared_caches: Whether rankings may be served from the
-            process-wide content-keyed caches (CRN noise tensors and
-            local-region ranking winners).  Both are pure functions of
-            their keys, so results are bit-identical with the caches on
-            or off; disabling them exists for benchmarking the
-            uncached cold path.
     """
 
     sigma_ghz: float = DEFAULT_SIGMA_GHZ
@@ -830,7 +814,6 @@ class FrequencyAllocator:
     refinement_passes: int = 0
     strategy: Union[str, AllocationStrategy] = BfsGreedyStrategy.name
     screening: bool = True
-    shared_caches: bool = True
 
     def allocate(self, architecture: Architecture) -> Dict[int, float]:
         """Assign a frequency to every qubit of ``architecture``.

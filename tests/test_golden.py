@@ -1,13 +1,20 @@
-"""Golden contracts: committed sweep-report digests and checkpoint task keys.
+"""Golden contracts: the design flow's outputs, committed.
 
-``tests/golden/contracts.json`` pins two things every refactor must keep:
+``tests/golden/contracts.json`` pins four things every refactor must keep:
 
-* the SHA-256 of ``sweep sym6_145 --trials 200 --local-trials 100
-  --output`` for each Algorithm 3 strategy, at ``--jobs 1`` and
-  ``--jobs 2`` (the byte-identity contract across job counts);
-* ``generation_task_key`` / ``point_task_key`` for one fixed non-default
-  configuration and for the defaults, so existing checkpoint stores keep
-  resuming after a change.
+* ``sweep_sha256`` — the SHA-256 of ``sweep sym6_145 --trials 200
+  --local-trials 100 --output`` for each Algorithm 3 strategy, at
+  ``--jobs 1`` and ``--jobs 2`` (the byte-identity contract across job
+  counts);
+* ``task_keys`` — ``generation_task_key`` / ``point_task_key`` for one
+  fixed non-default configuration and for the defaults, so existing
+  checkpoint stores keep resuming after a change;
+* ``routing_swaps`` — SABRE swap counts per point of a 20-point routing
+  grid, for the single forward pass (``SabreParameters()``) and for the
+  evaluation default (``DEFAULT_EVALUATION_ROUTING``);
+* ``design_fingerprints`` — the SHA-256 of every generated
+  architecture's name, 4-qubit-bus origins, coupling edges and
+  frequencies, per (benchmark, ``eff-*`` configuration).
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -23,11 +30,19 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.cli import main
-from repro.design import ALLOCATION_STRATEGIES, reset_shared_caches
+from repro.design import (
+    ALLOCATION_STRATEGIES,
+    DesignEngine,
+    DesignFlow,
+    DesignOptions,
+    reset_shared_caches,
+)
 from repro.evaluation import ExperimentConfig, architectures_for_config, parallel
 from repro.evaluation.checkpoint import generation_task_key, point_task_key
+from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
+from repro.mapping import RoutingEngine
 from repro.mapping.sabre import SabreParameters
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "contracts.json"
 SWEEP_ARGV = ["sweep", "sym6_145", "--trials", "200", "--local-trials", "100"]
@@ -44,6 +59,17 @@ FIXED_CONFIG = RuntimeConfig(
     routing=SabreParameters(passes=3, restarts=2, seed=5),
     allocation_strategy="analytic-guided",
 )
+
+ROUTING_BENCHMARKS = ("sym6_145", "z4_268", "adr4_197", "qft_16", "ising_model_16")
+DESIGN_BENCHMARKS = ("sym6_145", "z4_268", "adr4_197")
+DESIGN_CONFIGS = (
+    ExperimentConfig.EFF_FULL,
+    ExperimentConfig.EFF_5_FREQ,
+    ExperimentConfig.EFF_RD_BUS,
+    ExperimentConfig.EFF_LAYOUT_ONLY,
+)
+DESIGN_SEEDS = (1, 2, 3)
+DESIGN_LOCAL_TRIALS = 800
 
 
 def sweep_digest(tmp_path: Path, strategy: str, jobs: int) -> str:
@@ -78,6 +104,56 @@ def task_keys() -> dict:
     return keys
 
 
+def routing_swaps() -> dict:
+    """Swap counts per ``benchmark/architecture`` point, single pass vs default."""
+    single, default = RoutingEngine(SabreParameters()), RoutingEngine(DEFAULT_EVALUATION_ROUTING)
+    swaps = {}
+    for name in ROUTING_BENCHMARKS:
+        circuit = get_benchmark(name)
+        targets = {
+            "ibm_16q_2x8_2qbus": ibm_16q_2x8(False),
+            "ibm_16q_2x8_4qbus": ibm_16q_2x8(True),
+            "ibm_20q_4x5_4qbus": ibm_20q_4x5(True),
+            "eff_0_buses": DesignFlow(circuit, DesignOptions(local_trials=200)).design(0),
+        }
+        for label, architecture in targets.items():
+            swaps[f"{name}/{label}"] = {
+                "single_pass": single.route(circuit, architecture,
+                                            keep_routed_circuit=False).num_swaps,
+                "evaluation_default": default.route(circuit, architecture,
+                                                    keep_routed_circuit=False).num_swaps,
+            }
+    return swaps
+
+
+def fingerprint(architecture) -> list:
+    """Everything a design golden compares, per architecture."""
+    return [
+        architecture.name,
+        sorted(bus.square.origin for bus in architecture.four_qubit_buses()),
+        sorted(architecture.coupling_edges()),
+        sorted(architecture.frequencies.items()),
+    ]
+
+
+def design_fingerprints() -> dict:
+    """SHA-256 of the architecture fingerprints per ``benchmark/config``."""
+    reset_shared_caches()
+    engine = DesignEngine()
+    digests = {}
+    for name in DESIGN_BENCHMARKS:
+        for config in DESIGN_CONFIGS:
+            architectures = architectures_for_config(
+                get_benchmark(name), config,
+                random_bus_seeds=DESIGN_SEEDS,
+                frequency_local_trials=DESIGN_LOCAL_TRIALS,
+                engine=engine,
+            )
+            encoded = json.dumps([fingerprint(arch) for arch in architectures])
+            digests[f"{name}/{config.value}"] = hashlib.sha256(encoded.encode()).hexdigest()
+    return digests
+
+
 def load_golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -96,6 +172,23 @@ def test_checkpoint_task_keys_match_golden():
     assert task_keys() == load_golden()["task_keys"]
 
 
+def test_routing_swaps_match_golden():
+    live = routing_swaps()
+    assert live == load_golden()["routing_swaps"]
+    worse = {point: counts for point, counts in live.items()
+             if counts["evaluation_default"] > counts["single_pass"]}
+    assert not worse, f"the evaluation default loses points to the single pass: {worse}"
+    totals = {kind: sum(counts[kind] for counts in live.values())
+              for kind in ("single_pass", "evaluation_default")}
+    assert totals["evaluation_default"] < totals["single_pass"], (
+        f"the evaluation default no longer lowers the grid swap total: {totals}"
+    )
+
+
+def test_design_fingerprints_match_golden():
+    assert design_fingerprints() == load_golden()["design_fingerprints"]
+
+
 def regenerate() -> None:
     """Rewrite the golden file from the current code."""
     import tempfile
@@ -107,7 +200,13 @@ def regenerate() -> None:
             if sweep_digest(Path(scratch), strategy, 2) != serial:
                 raise SystemExit(f"{strategy}: --jobs 1 and --jobs 2 reports differ")
             digests[strategy] = serial
-    golden = {"sweep_argv": SWEEP_ARGV, "sweep_sha256": digests, "task_keys": task_keys()}
+    golden = {
+        "design_fingerprints": design_fingerprints(),
+        "routing_swaps": routing_swaps(),
+        "sweep_argv": SWEEP_ARGV,
+        "sweep_sha256": digests,
+        "task_keys": task_keys(),
+    }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -10,8 +10,9 @@ Covers three layers:
   — the winner-preservation contract: every minimum-count candidate is
   known with its exact joint count;
 * the allocator integration — Algorithm 3 produces bit-identical plans
-  with screening (and the shared ranking caches) on or off, for every
-  allocation strategy.
+  with screening on or off, for every allocation strategy and for the
+  unique collision structures of an evaluation grid, where the joint
+  kernel scores at most a tenth of the candidate rows.
 """
 
 import numpy as np
@@ -23,7 +24,19 @@ from repro.collision import (
     active_backend,
     screening_applicable,
 )
-from repro.design import ALLOCATION_STRATEGIES, FrequencyAllocator
+from repro.benchmarks import get_benchmark
+from repro.design import (
+    ALLOCATION_STRATEGIES,
+    DesignEngine,
+    FrequencyAllocator,
+    reset_shared_caches,
+)
+from repro.design.engine import (
+    BusStrategy,
+    DesignOptions,
+    FrequencyStrategy,
+    architecture_collision_key,
+)
 from repro.hardware import Architecture, Lattice
 from repro.hardware.frequency import candidate_frequencies
 from repro.runtime.metrics import diff_snapshots, global_metrics
@@ -261,30 +274,20 @@ class TestAllocatorIdentity:
 
     @pytest.mark.parametrize("strategy", sorted(ALLOCATION_STRATEGIES))
     def test_screening_is_bit_identical_per_strategy(self, strategy):
-        # shared_caches off on both sides: the ranking memo's keys
-        # deliberately exclude the screening flag, so leaving it on would
-        # serve the second run from the first and compare nothing.
+        # The shared caches are cleared before each side: the ranking
+        # memo's keys deliberately exclude the screening flag, so a warm
+        # memo would serve the second run from the first and compare
+        # nothing.
         arch = self.grid(2, 4)
+        reset_shared_caches()
         screened = FrequencyAllocator(
-            local_trials=500, seed=11, strategy=strategy,
-            screening=True, shared_caches=False,
+            local_trials=500, seed=11, strategy=strategy, screening=True,
         ).allocate(arch)
+        reset_shared_caches()
         direct = FrequencyAllocator(
-            local_trials=500, seed=11, strategy=strategy,
-            screening=False, shared_caches=False,
+            local_trials=500, seed=11, strategy=strategy, screening=False,
         ).allocate(arch)
         assert screened == direct
-
-    def test_shared_caches_are_bit_identical(self):
-        from repro.design import reset_shared_caches
-
-        arch = self.grid(3, 3)
-        reset_shared_caches()  # the default path computes fresh, via screening
-        cached = FrequencyAllocator(local_trials=500, seed=7).allocate(arch)
-        uncached = FrequencyAllocator(
-            local_trials=500, seed=7, screening=False, shared_caches=False
-        ).allocate(arch)
-        assert cached == uncached
 
     def test_ranking_memo_serves_repeat_allocations_identically(self):
         arch = self.grid(2, 3)
@@ -306,3 +309,60 @@ class TestAllocatorIdentity:
         other = (set(arch.qubits) - {center}).pop()
         assert frequencies[center] == pytest.approx(middle_frequency())
         assert frequencies[other] == pytest.approx(5.15)
+
+
+class TestGridScreening:
+    """The screen on the evaluation grid's cold Algorithm 3 workload.
+
+    The unique collision structures of the ``eff-full`` bus series and
+    the ``eff-rd-bus`` seed clouds of two benchmarks, deduplicated as the
+    design engine's frequency stage deduplicates them.
+    """
+
+    BENCHMARKS = ("sym6_145", "z4_268")
+    SEEDS = (1, 2)
+    LOCAL_TRIALS = 800
+    #: Ceiling on the candidate rows the joint kernel may still score
+    #: (the unscreened path scores all of them).
+    MAX_JOINT_ROW_FRACTION = 0.10
+
+    def structures(self):
+        engine = DesignEngine()
+        cheap = DesignOptions(frequency_strategy=FrequencyStrategy.FIVE_FREQUENCY)
+        unique = {}
+        for name in self.BENCHMARKS:
+            circuit = get_benchmark(name)
+            limit = engine.max_four_qubit_buses(circuit)
+            designs = [engine.design(circuit, buses, cheap) for buses in range(limit + 1)]
+            for seed in self.SEEDS:
+                options = DesignOptions(
+                    bus_strategy=BusStrategy.RANDOM,
+                    random_bus_seed=seed,
+                    frequency_strategy=FrequencyStrategy.FIVE_FREQUENCY,
+                )
+                designs += [engine.design(circuit, buses, options)
+                            for buses in range(1, limit + 1)]
+            for arch in designs:
+                unique.setdefault(architecture_collision_key(arch), arch)
+        return list(unique.values())
+
+    def test_screened_plans_match_unscreened_and_skip_the_joint_kernel(self):
+        structures = self.structures()
+        assert len(structures) == 11
+        screened_allocator = FrequencyAllocator(local_trials=self.LOCAL_TRIALS)
+        direct_allocator = FrequencyAllocator(
+            local_trials=self.LOCAL_TRIALS, screening=False
+        )
+        reset_shared_caches()
+        before = global_metrics().snapshot()
+        screened = [screened_allocator.allocate(arch) for arch in structures]
+        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
+        reset_shared_caches()
+        direct = [direct_allocator.allocate(arch) for arch in structures]
+        assert screened == direct
+        candidates = counters.get("screening/candidates", 0)
+        assert candidates > 0, "the screen never ran"
+        verified = counters.get("screening/verified", 0)
+        assert verified <= self.MAX_JOINT_ROW_FRACTION * candidates, (
+            f"the joint kernel still scored {verified} of {candidates} candidate rows"
+        )
