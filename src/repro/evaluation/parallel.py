@@ -61,7 +61,6 @@ from repro.evaluation.supervisor import (
 )
 from repro.hardware.architecture import Architecture
 from repro.mapping.engine import RoutingEngine
-from repro.profiling.profiler import profile_circuit
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import Snapshot, diff_snapshots, global_metrics
 from repro.utils.rng import seed_for
@@ -248,7 +247,7 @@ def _evaluate_one(
                 return recorded
     faults.maybe_inject("evaluate:start")
     circuit = get_benchmark(benchmark)
-    profile = profile_circuit(circuit)
+    profile = session.design_engine.profile(circuit)
     simulator = YieldSimulator(
         trials=settings.yield_trials,
         sigma_ghz=settings.sigma_ghz,

@@ -9,14 +9,17 @@ Invariants covered (ISSUE satellite list):
 * yield is monotonically non-increasing as ``sigma_ghz`` grows (common
   random numbers, collision-free designs);
 * the collision mask is invariant under qubit relabeling;
-* connection-free (degenerate) regions always fabricate successfully.
+* connection-free (degenerate) regions always fabricate successfully;
+* the survivor-compacted ``estimate_from_arrays`` counts exactly the
+  trials the dense ``collision_mask`` reference leaves collision-free,
+  for the paper's thresholds and for non-foldable ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.collision import (
@@ -160,6 +163,52 @@ class TestRelabelingInvariance:
             relabeled, relabeled_pairs, relabeled_triples
         )
         assert np.array_equal(mask, relabeled_mask)
+
+
+def dense_successes(simulator, frequencies, pairs, triples):
+    """``trials - collision_mask(...).sum()`` over the simulator's seeded noise draw."""
+    noise = np.random.default_rng(simulator.seed).normal(
+        0.0, simulator.sigma_ghz, size=(simulator.trials, frequencies.shape[0])
+    )
+    sampled = frequencies[None, :] + noise
+    return simulator.trials - int(simulator.collision_mask(sampled, pairs, triples).sum())
+
+
+#: Condition 3 wider than |delta| defeats the folded interval kernel.
+NON_FOLDABLE = CollisionThresholds(condition_3_ghz=0.5)
+
+connection_free_regions = frequency_vectors(1, 4).map(lambda f: (f, [], []))
+
+
+class TestCompactedMatchesDense:
+    @given(
+        region=st.one_of(
+            chain_regions(max_qubits=8), star_regions(), connection_free_regions
+        ),
+        sigma=sigmas_ghz,
+        seed=seeds,
+        trials=st.one_of(st.just(1), trial_counts),
+        thresholds=st.sampled_from([DEFAULT_THRESHOLDS, NON_FOLDABLE]),
+    )
+    @example(
+        region=(np.array([5.05, 5.06, 5.29]), [(0, 1), (1, 2)], [(1, 0, 2)]),
+        sigma=0.0, seed=0, trials=1, thresholds=NON_FOLDABLE,
+    )
+    @example(
+        region=(np.array([5.17]), [], []),
+        sigma=0.05, seed=0, trials=1, thresholds=DEFAULT_THRESHOLDS,
+    )
+    @settings(max_examples=examples(50))
+    def test_compacted_successes_equal_dense_mask(
+        self, region, sigma, seed, trials, thresholds
+    ):
+        frequencies, pairs, triples = region
+        simulator = YieldSimulator(
+            trials=trials, sigma_ghz=sigma, seed=seed, thresholds=thresholds
+        )
+        estimate = simulator.estimate_from_arrays(frequencies, pairs, triples)
+        assert estimate.successes == dense_successes(simulator, frequencies, pairs, triples)
+
 
 class TestDegenerateRegions:
     @given(frequencies=frequency_vectors(1, 4), sigma=sigmas_ghz, seed=seeds)

@@ -360,5 +360,13 @@ class TestScreeningAndStatsFlags:
             assert counters.get("design/profile/hits", 0) > 0, name
             caches[name] = {key: value for key, value in counters.items()
                             if key.endswith(("/hits", "/misses"))}
+        # Point tasks take their profile from the worker's design engine,
+        # so each worker process misses once per circuit: only the total
+        # number of profile lookups is independent of --jobs.
+        profile_lookups = {
+            name: counters.pop("design/profile/hits") + counters.pop("design/profile/misses")
+            for name, counters in caches.items()
+        }
+        assert profile_lookups["sweep-jobs2"] == profile_lookups["sweep"]
         assert caches["sweep-jobs2"] == caches["sweep"]
         capsys.readouterr()

@@ -89,6 +89,48 @@ class TestSweepStructure:
         )
 
 
+class TestProfileOnce:
+    def test_serial_sweep_profiles_each_circuit_once(self, monkeypatch):
+        import sys
+        from collections import Counter
+
+        import repro.design.engine as design_engine
+        from repro.benchmarks import get_benchmark
+        from repro.evaluation import parallel
+
+        calls = Counter()
+        original = design_engine.profile_circuit
+
+        def counting_profile(circuit):
+            calls[circuit.name] += 1
+            return original(circuit)
+
+        received = []
+        evaluate_point = parallel.evaluate_point
+
+        def recording_evaluate_point(circuit, profile, *args, **kwargs):
+            received.append((circuit.name, profile))
+            return evaluate_point(circuit, profile, *args, **kwargs)
+
+        # Every module that imported the profiler counts, not only the
+        # design engine, so a second profiling path shows up as a call.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "profile_circuit", None) is original):
+                monkeypatch.setattr(module, "profile_circuit", counting_profile)
+        monkeypatch.setattr(parallel, "evaluate_point", recording_evaluate_point)
+        parallel.reset_worker_state()
+        benchmarks = ["sym6_145", "UCCSD_ansatz_8"]
+        results = run_sweep(benchmarks, jobs=1, settings=FAST_SETTINGS, configs=FAST_CONFIGS)
+
+        assert dict(calls) == {name: 1 for name in benchmarks}
+        assert len(received) == sum(len(results[name].points) for name in benchmarks)
+        engine = session_for(FAST_SETTINGS).design_engine
+        for name, profile in received:
+            assert profile is engine.profile(get_benchmark(name))
+        parallel.reset_worker_state()
+
+
 class TestRoutingCachePersistence:
     def test_in_process_sweep_persists_and_reuses_routing_results(self, tmp_path):
         path = tmp_path / "routing_cache.json"

@@ -244,3 +244,21 @@ class TestEstimateBatch:
         batch = 5.17 + rng.normal(0.0, 0.05, size=(5, 4))
         sequential = [simulator.estimate_from_arrays(row, pairs, triples) for row in batch]
         assert simulator.estimate_batch(batch, pairs, triples) == sequential
+
+
+class TestSurvivorCompaction:
+    def test_qft_16_two_bus_design_matches_dense_count(self):
+        from repro.benchmarks.library import get_benchmark
+        from repro.design.engine import DesignEngine
+
+        arch = DesignEngine().design(get_benchmark("qft_16"), 2)
+        simulator = YieldSimulator(trials=10_000, seed=7)
+        index_of = {q: i for i, q in enumerate(arch.qubits)}
+        frequencies = np.array([arch.frequencies[q] for q in arch.qubits])
+        pairs = [(index_of[a], index_of[b]) for a, b in arch.collision_pairs()]
+        triples = [
+            (index_of[j], index_of[i], index_of[k]) for j, i, k in arch.collision_triples()
+        ]
+        noise = np.random.default_rng(7).normal(0.0, simulator.sigma_ghz, (10_000, arch.num_qubits))
+        dense = simulator.collision_mask(frequencies + noise, pairs, triples)
+        assert simulator.estimate(arch).successes == 10_000 - int(dense.sum())
