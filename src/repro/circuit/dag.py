@@ -5,14 +5,15 @@ order: a gate becomes executable only once all earlier gates acting on any
 of its qubits have been executed.  :class:`CircuitDAG` captures exactly
 that partial order, exposing a mutable *front layer* interface in the
 style of the SABRE algorithm (Li et al., ASPLOS 2019 — reference [18] of
-the paper).
+the paper).  :class:`PackedDAG` flattens it into the integer lists the
+router's hot loop runs on.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind, TWO_QUBIT_GATES
@@ -58,16 +59,11 @@ class CircuitDAG:
         self._circuit = circuit
         self._nodes: Dict[int, DAGNode] = {}
         self._build()
-        # Flat, index-addressed traversal tables (node indices are original
-        # circuit positions, so a list indexed by position beats a dict of
-        # dataclasses in the router's hot BFS loops; gaps left by removed
-        # barrier nodes simply hold empty entries).
-        size = len(circuit.gates)
-        self._succ_sorted: List[List[int]] = [[] for _ in range(size)]
-        self._two_qubit_flags = bytearray(size)
+        # Presorted successor lists indexed by circuit position (gaps left
+        # by removed barrier nodes simply hold empty entries).
+        self._succ_sorted: List[List[int]] = [[] for _ in range(len(circuit.gates))]
         for index, node in self._nodes.items():
             self._succ_sorted[index] = sorted(node.successors)
-            self._two_qubit_flags[index] = node.two_qubit
 
     def _build(self) -> None:
         last_on_qubit: Dict[int, int] = {}
@@ -147,9 +143,9 @@ class CircuitDAG:
 class ExecutionFrontier:
     """Mutable traversal state over a :class:`CircuitDAG`.
 
-    The router repeatedly asks for the current *front layer* (gates whose
-    dependencies are satisfied), executes some of them, and advances.  This
-    class owns the bookkeeping so the routing algorithm stays readable.
+    :func:`~repro.mapping.router.verify_routing` replays a routed circuit
+    against it: it asks for the current *front layer* (gates whose
+    dependencies are satisfied), executes some of them, and advances.
     """
 
     def __init__(self, dag: CircuitDAG) -> None:
@@ -200,37 +196,90 @@ class ExecutionFrontier:
                 unblocked.append(nodes[succ])
         return unblocked
 
-    def lookahead_nodes(self, depth: int) -> List[DAGNode]:
-        """Up to ``depth`` not-yet-executable two-qubit gates beyond the front layer.
 
-        Used by the SABRE-style extended-set heuristic: SWAP decisions
-        consider gates that will become executable soon, not just the
-        immediately blocked ones.
+@dataclass(frozen=True, eq=False)
+class PackedDAG:
+    """A :class:`CircuitDAG` flattened into integer lists for the router.
+
+    Every list is indexed by circuit position; positions that hold no node
+    (removed barriers) have ``num_preds == -1`` and no successors.  The
+    pack keeps no :class:`Gate` or :class:`DAGNode` objects, so one pack
+    per circuit and direction stays small enough to cache.
+
+    Attributes:
+        num_qubits: Register size of the packed circuit.
+        qa, qb: Operand logicals of each two-qubit node (``-1`` otherwise).
+        two_qubit: 1 for two-qubit nodes, 0 otherwise.
+        successors: Presorted successor positions of each node.
+        num_preds: Initial predecessor count of each node.
+        front: Sorted positions of the nodes without predecessors.
+        num_nodes: Number of nodes (barriers excluded).
+        num_two_qubit: Number of two-qubit nodes.
+    """
+
+    num_qubits: int
+    qa: List[int]
+    qb: List[int]
+    two_qubit: bytearray
+    successors: List[List[int]]
+    num_preds: List[int]
+    front: List[int]
+    num_nodes: int
+    num_two_qubit: int
+
+    @classmethod
+    def from_circuit(cls, circuit: QuantumCircuit, reverse: bool = False) -> "PackedDAG":
+        """Pack ``circuit`` (or, with ``reverse``, its gates in reverse order)."""
+        if reverse:
+            circuit = QuantumCircuit(circuit.num_qubits).extend(reversed(circuit.gates))
+        dag = CircuitDAG(circuit)
+        size = len(circuit.gates)
+        qa = [-1] * size
+        qb = [-1] * size
+        two_qubit = bytearray(size)
+        num_preds = [-1] * size
+        for index, node in dag._nodes.items():
+            num_preds[index] = len(node.predecessors)
+            if node.two_qubit:
+                qa[index], qb[index] = node.gate.qubits
+                two_qubit[index] = 1
+        return cls(
+            num_qubits=circuit.num_qubits,
+            qa=qa,
+            qb=qb,
+            two_qubit=two_qubit,
+            successors=dag._succ_sorted,
+            num_preds=num_preds,
+            front=[index for index, count in enumerate(num_preds) if count == 0],
+            num_nodes=dag.num_nodes,
+            num_two_qubit=sum(two_qubit),
+        )
+
+    def lookahead(self, front: Sequence[int], depth: int) -> List[int]:
+        """Up to ``depth`` two-qubit nodes beyond ``front``, in BFS order.
+
+        The SABRE extended set: SWAP decisions consider gates that will
+        become executable soon, not just the blocked ones.  The walk seeds
+        from the successors of ``front`` (the sorted front layer) and
+        visits each node once; every node it reaches is a strict
+        descendant of the front, so none is executed or in the front.
         """
-        result: List[DAGNode] = []
+        result: List[int] = []
         if depth <= 0:
             return result
-        # Every node reachable from a front node's successors is a strict
-        # descendant of the front, so it can be neither executed nor in the
-        # front itself — visited-tracking alone suffices.  Nodes are
-        # deduplicated at enqueue time (first enqueue claims the BFS slot,
-        # same order as dedup-at-pop) so each node enters the queue once.
-        # The walk runs on the DAG's flat index tables (byte flags and
-        # presorted successor lists) — this is the router's hottest loop.
-        successors = self._dag._succ_sorted
-        two_qubit = self._dag._two_qubit_flags
+        successors = self.successors
+        two_qubit = self.two_qubit
         visited = bytearray(len(successors))
         queue: deque = deque()
-        for index in sorted(self._front):
+        for index in front:
             for successor in successors[index]:
                 if not visited[successor]:
                     visited[successor] = 1
                     queue.append(successor)
-        dag_node = self._dag.node
         while queue:
             index = queue.popleft()
             if two_qubit[index]:
-                result.append(dag_node(index))
+                result.append(index)
                 if len(result) >= depth:
                     break
             for successor in successors[index]:

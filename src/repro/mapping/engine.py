@@ -8,7 +8,9 @@ of reuse make that cheap:
 * **Router reuse** — a :class:`RoutingEngine` keeps one
   :class:`~repro.mapping.sabre.SabreRouter` (and therefore one BFS
   distance matrix and one candidate-edge table) per distinct architecture,
-  instead of rebuilding them on every :func:`route_circuit` call.
+  instead of rebuilding them on every :func:`route_circuit` call, and one
+  forward and one reverse :class:`~repro.circuit.dag.PackedDAG` per
+  circuit, since a circuit routes onto many candidate architectures.
 * **Result memoization** — a :class:`RoutingCache` memoizes completed
   :class:`~repro.mapping.router.MappingResult` objects under a
   ``(circuit, architecture, parameters)`` key.
@@ -31,6 +33,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro import persistence
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.dag import PackedDAG
 from repro.hardware.architecture import Architecture
 from repro.mapping.distance import DistanceMatrix
 from repro.mapping.initial import initial_mapping
@@ -325,10 +328,13 @@ class RoutingEngine:
         # sibling tables so a worker sweeping many candidate architectures
         # cannot grow distance matrices and edge tables without limit.
         self._routers: "OrderedDict[Tuple, SabreRouter]" = OrderedDict()
-        # Dependency DAGs keyed by circuit identity: one circuit routes onto
-        # many candidate architectures per evaluation, and the DAG (plus its
-        # use inside verify_routing) is the same for all of them.
-        self._dags: "OrderedDict[Tuple, object]" = OrderedDict()
+        # Packed DAGs keyed by circuit identity: one circuit routes onto
+        # many candidate architectures per evaluation, and its forward and
+        # reverse packs are the same for all of them.  Each entry is
+        # (gate tuple, forward pack, reverse pack or None).
+        self._packs: "OrderedDict[Tuple, Tuple[Tuple, PackedDAG, Optional[PackedDAG]]]" = (
+            OrderedDict()
+        )
 
     def router_for(self, architecture: Architecture) -> SabreRouter:
         """The shared router (and distance matrix) for an architecture (bounded LRU)."""
@@ -346,26 +352,30 @@ class RoutingEngine:
         """The shared distance matrix for an architecture."""
         return self.router_for(architecture).distances
 
-    def _dag_for(self, circuit: QuantumCircuit, circuit_key: Tuple):
-        """The shared dependency DAG for a circuit (bounded LRU).
+    def _packs_for(
+        self, circuit: QuantumCircuit, circuit_key: Tuple
+    ) -> Tuple[PackedDAG, Optional[PackedDAG]]:
+        """The shared forward and reverse packs of a circuit (bounded LRU).
 
-        Like the result cache, a stored DAG is only served after its
-        circuit's gate tuple is confirmed against the requesting circuit's
-        (identity first, full comparison on mismatch) — a content-hash
-        collision in ``circuit_key`` rebuilds instead of verifying the
-        routing against the wrong circuit's DAG.
+        The reverse pack exists only when the engine routes bidirectional
+        passes.  Like the result cache, a stored entry is only served after
+        its gate tuple is confirmed against the requesting circuit's
+        (identity first, full comparison on mismatch): a content-hash
+        collision in ``circuit_key`` rebuilds instead of routing and
+        verifying against the wrong circuit's DAG.
         """
-        from repro.circuit.dag import CircuitDAG
-
         gates = circuit.gates
-        dag = self._dags.get(circuit_key)
-        if dag is None or (dag.circuit.gates is not gates and dag.circuit.gates != gates):
-            dag = CircuitDAG(circuit)
-            self._dags[circuit_key] = dag
-        self._dags.move_to_end(circuit_key)
-        while len(self._dags) > 32:
-            self._dags.popitem(last=False)
-        return dag
+        entry = self._packs.get(circuit_key)
+        if entry is None or (entry[0] is not gates and entry[0] != gates):
+            reverse = None
+            if self.parameters.passes > 1:
+                reverse = PackedDAG.from_circuit(circuit, reverse=True)
+            entry = (gates, PackedDAG.from_circuit(circuit), reverse)
+            self._packs[circuit_key] = entry
+        self._packs.move_to_end(circuit_key)
+        while len(self._packs) > 32:
+            self._packs.popitem(last=False)
+        return entry[1], entry[2]
 
     def route(
         self,
@@ -434,23 +444,25 @@ class RoutingEngine:
             )
         profile = profile or profile_circuit(circuit)
         mapping = initial_mapping(profile, architecture, router.distances)
-        dag = self._dag_for(circuit, circuit_key)
-        routed, num_swaps, final_mapping, used_initial = router.route_best(
-            circuit, mapping, dag=dag
-        )
-        verify_routing(circuit, routed, architecture, used_initial, dag=dag)
+        forward, reverse = self._packs_for(circuit, circuit_key)
+        log = router.route_packed(forward, reverse, mapping)
+        verify_routing(circuit, log, architecture, log.initial_mapping)
+        routed = None
+        if keep_routed_circuit:
+            routed = router.materialize(circuit, log)
+            verify_routing(circuit, routed, architecture, log.initial_mapping)
         _metrics.observe("routing/route", time.perf_counter() - compute_start)
         _metrics.increment("routing/routes")
-        _metrics.increment("routing/swaps", num_swaps)
+        _metrics.increment("routing/swaps", log.num_swaps)
         result = MappingResult(
             circuit_name=circuit.name,
             architecture_name=architecture.name,
             original_gates=len(circuit),
-            original_two_qubit_gates=circuit.num_two_qubit_gates,
-            num_swaps=num_swaps,
-            initial_mapping=dict(used_initial),
-            final_mapping=dict(final_mapping),
-            routed_circuit=routed if keep_routed_circuit else None,
+            original_two_qubit_gates=forward.num_two_qubit,
+            num_swaps=log.num_swaps,
+            initial_mapping=dict(log.initial_mapping),
+            final_mapping=dict(log.final_mapping),
+            routed_circuit=routed,
         )
         self.cache.put(key, _CacheEntry(gates=gates, result=result))
         return _result_copy(result, keep_routed_circuit)

@@ -9,15 +9,14 @@ each inserted SWAP costs three CNOTs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.hardware.architecture import Architecture
-from repro.mapping.sabre import SabreParameters
+from repro.mapping.sabre import RoutingLog, SabreParameters, swap_mapping
 from repro.profiling.profiler import CircuitProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.circuit.dag import CircuitDAG
     from repro.mapping.engine import RoutingEngine
 
 #: Number of CNOT gates required to implement one SWAP on hardware.
@@ -127,44 +126,46 @@ def route_circuit(
 
 def verify_routing(
     logical: QuantumCircuit,
-    routed: QuantumCircuit,
+    routed: Union[QuantumCircuit, RoutingLog],
     architecture: Architecture,
     initial_mapping: Dict[int, int],
-    dag: Optional["CircuitDAG"] = None,
 ) -> None:
-    """Check that a routed circuit is a faithful execution of the logical circuit.
+    """Check that a routing is a faithful execution of the logical circuit.
 
-    Verifications:
+    ``routed`` is either the routed physical circuit or the router's event
+    log of it (:class:`~repro.mapping.sabre.RoutingLog`).  Replaying it
+    from ``initial_mapping`` while tracking swaps must:
 
-    * every two-qubit gate (including inserted swaps) acts on a coupled
+    * put every two-qubit gate (including inserted swaps) on a coupled
       physical pair;
-    * replaying the routed circuit while tracking swaps executes every
-      logical gate exactly once, on the correct logical operands, and never
-      violates the logical circuit's dependency order.
+    * execute every logical gate exactly once, on the correct logical
+      operands, and never violate the logical circuit's dependency order;
+    * for a log, insert exactly ``routed.num_swaps`` swaps.
 
     The router may execute gates on disjoint qubits in a different order
     than the source circuit, so the replay checks against the dependency
     DAG rather than the literal gate sequence.
 
-    The replay indexes the executable front by (gate name, logical
-    operands, params), so each routed gate is matched in O(1) instead of
-    rescanning the whole front layer — the full check is linear in the
-    routed gate count.  Pass a prebuilt ``dag`` of the logical circuit to
-    skip rebuilding it (the replay never mutates the DAG).
+    The circuit replay indexes the executable front by (gate name,
+    logical operands, params), so each routed gate is matched in O(1)
+    instead of rescanning the whole front layer — the full check is
+    linear in the routed gate count.
 
     Raises:
         AssertionError: When any check fails (this guards the evaluation
             pipeline against router bugs rather than user input errors).
     """
-    from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
-
-    coupled = set()
+    coupled: Set[Tuple[int, int]] = set()
     for a, b in architecture.coupling_edges():
         coupled.add((a, b))
         coupled.add((b, a))
+    if isinstance(routed, RoutingLog):
+        _verify_log(logical, routed, architecture, initial_mapping, coupled)
+        return
+    from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
 
     physical_to_logical = {p: l for l, p in initial_mapping.items()}
-    frontier = ExecutionFrontier(dag if dag is not None else CircuitDAG(logical))
+    frontier = ExecutionFrontier(CircuitDAG(logical))
     # Two front gates can never share (name, operands, params): identical
     # operands imply a dependency chain, so each bucket holds at most one
     # live node and popping the sole entry matches the gate deterministically.
@@ -228,3 +229,61 @@ def verify_routing(
         raise AssertionError(
             f"routed circuit left {frontier.remaining} logical gates unexecuted"
         )
+
+
+def _verify_log(
+    logical: QuantumCircuit,
+    log: RoutingLog,
+    architecture: Architecture,
+    initial_mapping: Dict[int, int],
+    coupled: Set[Tuple[int, int]],
+) -> None:
+    """Replay a router event log with its own mapping state (see :func:`verify_routing`)."""
+    dag = log.dag
+    size = len(dag.num_preds)
+    if size != len(logical) or dag.num_qubits != logical.num_qubits:
+        raise AssertionError(f"routing log does not describe circuit {logical.name!r}")
+    logical_to_physical = dict(initial_mapping)
+    physical_to_logical = {p: l for l, p in logical_to_physical.items()}
+    qa = dag.qa
+    qb = dag.qb
+    successors = dag.successors
+    # remaining[k] counts k's unexecuted predecessors; -1 marks a position
+    # that holds no node or a node that already ran.
+    remaining = list(dag.num_preds)
+    executed = 0
+    swaps = 0
+    events = iter(log.events)
+    for event in events:
+        if event < 0:
+            second = next(events, 0)
+            if second >= 0:
+                raise AssertionError("routing log ends inside a swap")
+            phys_a, phys_b = ~event, ~second
+            if (phys_a, phys_b) not in coupled:
+                raise AssertionError(
+                    f"logged swap ({phys_a}, {phys_b}) acts on uncoupled physical qubits "
+                    f"on architecture {architecture.name!r}"
+                )
+            swap_mapping(logical_to_physical, physical_to_logical, phys_a, phys_b)
+            swaps += 1
+            continue
+        if event >= size or remaining[event] < 0:
+            raise AssertionError(f"logged gate {event} is not a pending node of the circuit")
+        if remaining[event]:
+            raise AssertionError(f"logged gate {event} runs before its predecessors")
+        if qa[event] >= 0 and (
+            logical_to_physical[qa[event]], logical_to_physical[qb[event]]
+        ) not in coupled:
+            raise AssertionError(
+                f"logged gate {event} acts on uncoupled physical qubits "
+                f"on architecture {architecture.name!r}"
+            )
+        remaining[event] = -1
+        executed += 1
+        for successor in successors[event]:
+            remaining[successor] -= 1
+    if executed != dag.num_nodes:
+        raise AssertionError(f"routing log left {dag.num_nodes - executed} gates unexecuted")
+    if swaps != log.num_swaps:
+        raise AssertionError(f"routing log holds {swaps} swaps, not {log.num_swaps}")

@@ -1,4 +1,4 @@
-"""SABRE-style look-ahead SWAP routing.
+"""SABRE-style look-ahead SWAP routing on packed integer arrays.
 
 This reimplements the heuristic search of Li, Ding, Xie (ASPLOS 2019),
 the mapper the paper uses as its performance oracle.  Starting from an
@@ -13,19 +13,33 @@ initial logical-to-physical mapping, the router repeatedly:
    of upcoming two-qubit gates, damped by a decay factor that discourages
    ping-ponging on the same qubits.
 
-Candidate SWAPs are scored **incrementally**.  The pre-refactor router
-copied the full logical-to-physical dict per candidate and re-walked the
-whole front layer; here, the front and extended-set gates become *slot
-tables* (current distance-matrix endpoint indices per gate, plus base
-cost sums and a reverse index from physical position to slots), rebuilt
-only when gates execute.  A candidate swap then only rescores the few
-slots its two endpoints touch — O(affected gates) per candidate instead
-of O(front + extended) — and the applied swap updates the tables in
-place.  The arithmetic reproduces the full recomputation bit-for-bit
-(coupling distances are small integers, so the cost sums are exact).
+**Packed arrays.**  A pass runs on a :class:`~repro.circuit.dag.PackedDAG`
+(operand logicals, presorted successors and predecessor counts as flat
+integer lists) and keeps the mapping as two lists: the distance-matrix
+index of each logical (``pos``) and the logical at each index
+(``occupant``).  It builds no ``Gate`` or ``DAGNode`` objects.  Candidate
+swaps are scored incrementally on *slot tables* (endpoint indices per
+pending gate plus base cost sums), so a candidate only rescores the few
+gates its endpoints touch; distances are small integers, so the sums are
+exact.
+
+**Event log.**  A forward pass records node positions as they execute
+and each SWAP of physical qubits ``a``, ``b`` as the pair ``~a, ~b``.
+:func:`~repro.mapping.router.verify_routing` replays the log, and
+:meth:`SabreRouter.materialize` builds the routed circuit from it only
+when a caller asks for one.
+
+**Why swap counts are identical with or without a circuit.**  The
+circuit is built after the search, so asking for one cannot change a
+decision, and each decision is the one a gate-by-gate router makes: the
+front is scanned in circuit order, the extended set is the same
+breadth-first walk from the sorted front with the same depth cap, ties
+break on the sorted coupling edges, and the livelock escape steps to the
+lowest-numbered closer neighbour.  ``tests/golden/contracts.json`` pins
+the per-point counts.
 
 Two refinements from the original SABRE work sit behind
-:class:`SabreParameters` knobs (:meth:`SabreRouter.route_best`):
+:class:`SabreParameters` knobs (:meth:`SabreRouter.route_packed`):
 
 * **bidirectional passes** — route forward, then route the reversed
   circuit starting from the final mapping, then forward again; each pass
@@ -42,10 +56,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
+from repro.circuit.dag import PackedDAG
 from repro.circuit.gates import Gate
 from repro.hardware.architecture import Architecture
 from repro.mapping.distance import DistanceMatrix
@@ -66,12 +80,12 @@ class SabreParameters:
         max_swaps_per_gate: Safety valve: abort if the router inserts more
             than this many swaps per two-qubit gate (indicates a
             disconnected architecture or a heuristic livelock).
-        passes: Number of routing passes in :meth:`SabreRouter.route_best`.
+        passes: Number of routing passes in :meth:`SabreRouter.route_packed`.
             Must be odd: passes alternate forward / reverse / forward ...,
             and only forward passes produce a usable routed circuit.
             ``1`` is the classic single forward pass; ``3`` is the
             forward-backward-forward refinement of the SABRE paper.
-        restarts: Best-of-k restarts in :meth:`SabreRouter.route_best`.
+        restarts: Best-of-k restarts in :meth:`SabreRouter.route_packed`.
             Restart 0 uses the caller's initial mapping verbatim; restarts
             1..k-1 apply seeded random transpositions to it.  The result
             with the fewest swaps (earliest restart on ties) wins.
@@ -103,6 +117,43 @@ class SabreParameters:
             raise ValueError(f"stall_threshold must be >= 0, got {self.stall_threshold}")
 
 
+@dataclass
+class RoutingLog:
+    """The winning forward pass of a routing, as a compact event log.
+
+    Attributes:
+        dag: Packed DAG of the routed circuit.
+        events: Node positions in execution order; a SWAP of physical
+            qubits ``a`` and ``b`` is the pair ``~a, ~b``.
+        num_swaps: SWAPs the pass inserted.
+        initial_mapping: logical -> physical mapping the pass started from.
+        final_mapping: The mapping after the last event.
+    """
+
+    dag: PackedDAG
+    events: List[int]
+    num_swaps: int
+    initial_mapping: Dict[int, int]
+    final_mapping: Dict[int, int]
+
+
+def swap_mapping(
+    logical_to_physical: Dict[int, int],
+    physical_to_logical: Dict[int, int],
+    phys_a: int,
+    phys_b: int,
+) -> None:
+    """Apply a SWAP of two physical qubits to a mapping and its inverse, in place."""
+    logical_a = physical_to_logical.pop(phys_a, None)
+    logical_b = physical_to_logical.pop(phys_b, None)
+    if logical_a is not None:
+        logical_to_physical[logical_a] = phys_b
+        physical_to_logical[phys_b] = logical_a
+    if logical_b is not None:
+        logical_to_physical[logical_b] = phys_a
+        physical_to_logical[phys_a] = logical_b
+
+
 class SabreRouter:
     """Routes a circuit onto an architecture, inserting SWAPs as needed.
 
@@ -128,10 +179,8 @@ class SabreRouter:
         # handful of scalar entries per candidate, where list indexing beats
         # numpy scalar indexing by a wide margin.
         self._dist_rows: List[List[float]] = self.distances.array.tolist()
-        self._coupled: set = set()
-        for a, b in architecture.coupling_edges():
-            self._coupled.add((a, b))
-            self._coupled.add((b, a))
+        # Physical qubit of each distance-matrix index.
+        self._physical: List[int] = self.distances.qubits
         # Candidate-edge tables, in distance-matrix index space.
         # coupling_edges() is sorted (a, b) with a < b, which fixes the
         # deterministic tie-break order of equal-score candidates.
@@ -143,6 +192,11 @@ class SabreRouter:
         for edge_index in range(len(self._edges)):
             self._edges_at[self._edge_a[edge_index]].append(edge_index)
             self._edges_at[self._edge_b[edge_index]].append(edge_index)
+        # Neighbour indices per index, in ascending physical id (the
+        # livelock escape's deterministic step order).
+        self._neighbors: List[List[int]] = [
+            [index_of(n) for n in architecture.neighbors(q)] for q in self._physical
+        ]
 
     # -- public API ------------------------------------------------------------
 
@@ -150,7 +204,6 @@ class SabreRouter:
         self,
         circuit: QuantumCircuit,
         initial_mapping: Dict[int, int],
-        dag: Optional[CircuitDAG] = None,
     ) -> Tuple[QuantumCircuit, int, Dict[int, int]]:
         """Route ``circuit`` starting from ``initial_mapping`` (one forward pass).
 
@@ -158,154 +211,25 @@ class SabreRouter:
             circuit: Logical circuit (CNOT + single-qubit basis).
             initial_mapping: logical qubit -> physical qubit; must be injective
                 and cover every logical qubit of the circuit.
-            dag: Optional prebuilt dependency DAG of ``circuit`` (routing
-                never mutates it, so one DAG serves any number of passes).
 
         Returns:
             ``(physical_circuit, num_swaps, final_mapping)`` where
             ``physical_circuit`` contains the original gates rewritten onto
             physical qubit indices with explicit ``swap`` gates inserted.
         """
-        self._validate_mapping(circuit, initial_mapping)
-        frontier = ExecutionFrontier(dag if dag is not None else CircuitDAG(circuit))
-        logical_to_physical = dict(initial_mapping)
-        physical_to_logical = {p: l for l, p in logical_to_physical.items()}
-        index_of = self.distances.index_of
-        # positions[l] = distance-matrix index of the physical qubit hosting
-        # logical l; kept in lockstep with logical_to_physical.  The mapping
-        # may carry extra logical keys beyond the circuit's register (they
-        # pin physical qubits but never appear in a gate), so only circuit
-        # logicals are tracked.
-        positions: List[int] = [0] * circuit.num_qubits
-        for logical, physical in logical_to_physical.items():
-            if logical < circuit.num_qubits:
-                positions[logical] = index_of(physical)
-
-        max_physical = max(self.architecture.qubits) + 1
-        routed = QuantumCircuit(max_physical, name=f"{circuit.name}@{self.architecture.name}")
-        num_swaps = 0
-        swap_budget = self.parameters.max_swaps_per_gate * max(1, circuit.num_two_qubit_gates)
-        num_positions = len(self._dist_rows)
-        decay: List[float] = [1.0] * num_positions
-        decay_factor = self.parameters.decay_factor
-        swaps_since_reset = 0
-        swaps_since_progress = 0
-        stall_threshold = self.parameters.stall_threshold
-        if stall_threshold is None:
-            stall_threshold = int(3 * self.distances.diameter()) + 8
-
-        # Execute everything executable up front; from here on, gates only
-        # become executable as a consequence of swaps.
-        self._execute_ready_gates(frontier, logical_to_physical, routed)
-
-        dist_rows = self._dist_rows
-        while not frontier.done:
-            # The blocked front and the extended look-ahead set only change
-            # when gates execute, not when swaps are applied, so the slot
-            # tables are rebuilt once per execution event rather than per
-            # swap decision.
-            blocked = [node for node in frontier.front_nodes() if node.two_qubit]
-            if not blocked:
-                # Only non-two-qubit gates remain but none executed: impossible,
-                # since those are always executable.
-                raise RuntimeError("router stalled with no blocked two-qubit gates")
-            extended = frontier.lookahead_nodes(self.parameters.extended_set_size)
-
-            # Slot tables: per pending gate (front first, then extended), the
-            # distance-matrix indices its operands currently occupy, the base
-            # front/extended cost sums, and a reverse index position -> slots.
-            num_front = len(blocked)
-            slot_a: List[int] = []
-            slot_b: List[int] = []
-            for node in blocked:
-                qubit_a, qubit_b = node.gate.qubits
-                slot_a.append(positions[qubit_a])
-                slot_b.append(positions[qubit_b])
-            for node in extended:
-                qubit_a, qubit_b = node.gate.qubits
-                slot_a.append(positions[qubit_a])
-                slot_b.append(positions[qubit_b])
-            base_front = 0.0
-            for slot in range(num_front):
-                base_front += dist_rows[slot_a[slot]][slot_b[slot]]
-            base_extended = 0.0
-            for slot in range(num_front, len(slot_a)):
-                base_extended += dist_rows[slot_a[slot]][slot_b[slot]]
-            slots_of: Dict[int, List[int]] = {}
-            for slot in range(len(slot_a)):
-                slots_of.setdefault(slot_a[slot], []).append(slot)
-                slots_of.setdefault(slot_b[slot], []).append(slot)
-
-            blocked_on: Dict[int, List[DAGNode]] = {}
-            for node in blocked:
-                for logical in node.gate.qubits:
-                    blocked_on.setdefault(logical, []).append(node)
-
-            while True:
-                if swaps_since_progress >= stall_threshold:
-                    # The heuristic is livelocking; force progress by walking
-                    # the first blocked gate's operands together along a
-                    # shortest path (making that gate executable).
-                    num_swaps += self._force_route(
-                        blocked[0], logical_to_physical, physical_to_logical, routed, positions
-                    )
-                    swaps_since_progress = 0
-                    break
-
-                chosen = self._choose_swap(
-                    num_front, slot_a, slot_b, slots_of, base_front, base_extended, decay
-                )
-                if chosen is None:
-                    raise RuntimeError(
-                        f"no useful SWAP found; architecture {self.architecture.name!r} "
-                        "may have a disconnected coupling graph"
-                    )
-                swap, swapped_a, swapped_b = chosen
-                base_front, base_extended = self._shift_slots(
-                    swapped_a, swapped_b, num_front, slot_a, slot_b, slots_of,
-                    base_front, base_extended,
-                )
-                self._apply_swap(swap, logical_to_physical, physical_to_logical, routed, positions)
-                num_swaps += 1
-                swaps_since_reset += 1
-                swaps_since_progress += 1
-                decay[swapped_a] += decay_factor
-                decay[swapped_b] += decay_factor
-                if swaps_since_reset >= self.parameters.decay_reset_interval:
-                    decay = [1.0] * num_positions
-                    swaps_since_reset = 0
-                if num_swaps > swap_budget:
-                    raise RuntimeError(
-                        f"router exceeded swap budget ({swap_budget}); "
-                        "the architecture is likely not routable"
-                    )
-                # Only blocked gates holding a logical qubit the swap moved can
-                # have become executable; checking those few gates avoids a
-                # full front rescan per swap.
-                if self._swap_unblocked(swap, blocked_on, logical_to_physical,
-                                        physical_to_logical):
-                    swaps_since_progress = 0
-                    break
-
-            self._execute_ready_gates(frontier, logical_to_physical, routed)
-
-        return routed, num_swaps, logical_to_physical
+        self._validate_mapping(circuit.num_qubits, initial_mapping)
+        dag = PackedDAG.from_circuit(circuit)
+        events: List[int] = []
+        num_swaps, final_mapping = self._pass(dag, initial_mapping, events)
+        log = RoutingLog(dag, events, num_swaps, dict(initial_mapping), final_mapping)
+        return self.materialize(circuit, log), num_swaps, final_mapping
 
     def route_best(
         self,
         circuit: QuantumCircuit,
         initial_mapping: Dict[int, int],
-        dag: Optional[CircuitDAG] = None,
     ) -> Tuple[QuantumCircuit, int, Dict[int, int], Dict[int, int]]:
-        """Best routing over bidirectional passes and seeded restarts.
-
-        Runs ``parameters.restarts`` restart chains; each chain routes
-        ``parameters.passes`` alternating forward / reverse passes, feeding
-        every pass's final mapping into the next pass as its initial
-        mapping.  Every *forward* pass yields a candidate result for the
-        original circuit; the candidate with the fewest swaps wins, with
-        ties resolved toward the earliest (restart, pass) so that the
-        default ``passes=1, restarts=1`` reproduces :meth:`route` exactly.
+        """:meth:`route_packed` on ``circuit``, with the winner materialized.
 
         Returns:
             ``(physical_circuit, num_swaps, final_mapping, used_initial_mapping)``
@@ -313,18 +237,41 @@ class SabreRouter:
             winning forward pass (replaying the routed circuit from it
             reproduces the logical circuit).
         """
-        self._validate_mapping(circuit, initial_mapping)
-        params = self.parameters
-        if dag is None:
-            dag = CircuitDAG(circuit)
-        reversed_circuit: Optional[QuantumCircuit] = None
-        reversed_dag: Optional[CircuitDAG] = None
-        if params.passes > 1:
-            reversed_circuit = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}~reversed")
-            reversed_circuit.extend(reversed(circuit.gates))
-            reversed_dag = CircuitDAG(reversed_circuit)
+        reverse = None
+        if self.parameters.passes > 1:
+            reverse = PackedDAG.from_circuit(circuit, reverse=True)
+        log = self.route_packed(PackedDAG.from_circuit(circuit), reverse, initial_mapping)
+        return (self.materialize(circuit, log), log.num_swaps,
+                dict(log.final_mapping), dict(log.initial_mapping))
 
-        best: Optional[Tuple[QuantumCircuit, int, Dict[int, int], Dict[int, int]]] = None
+    def route_packed(
+        self,
+        forward: PackedDAG,
+        reverse: Optional[PackedDAG],
+        initial_mapping: Dict[int, int],
+    ) -> RoutingLog:
+        """Best count-only routing over bidirectional passes and seeded restarts.
+
+        Runs ``parameters.restarts`` restart chains; each chain routes
+        ``parameters.passes`` alternating forward / reverse passes, feeding
+        every pass's final mapping into the next pass as its initial
+        mapping.  Every *forward* pass yields a candidate; the one with
+        the fewest swaps wins, with ties resolved toward the earliest
+        (restart, pass) so that ``passes=1, restarts=1`` is exactly
+        :meth:`route`.  Only forward passes record an event log; reverse
+        passes only move the mapping.
+
+        Args:
+            forward: Packed DAG of the circuit.
+            reverse: Packed DAG of the circuit's reversed gate sequence
+                (required when ``parameters.passes > 1``).
+            initial_mapping: As for :meth:`route`.
+        """
+        self._validate_mapping(forward.num_qubits, initial_mapping)
+        params = self.parameters
+        if params.passes > 1 and reverse is None:
+            raise ValueError("bidirectional passes need the reversed circuit's packed DAG")
+        best: Optional[RoutingLog] = None
         for restart in range(params.restarts):
             mapping = (
                 dict(initial_mapping)
@@ -332,16 +279,37 @@ class SabreRouter:
                 else self._perturbed_mapping(initial_mapping, restart)
             )
             for pass_index in range(params.passes):
-                forward = pass_index % 2 == 0
-                source = circuit if forward else reversed_circuit
-                routed, num_swaps, final_mapping = self.route(
-                    source, mapping, dag=dag if forward else reversed_dag
-                )
-                if forward and (best is None or num_swaps < best[1]):
-                    best = (routed, num_swaps, dict(final_mapping), dict(mapping))
+                if pass_index % 2:
+                    assert reverse is not None
+                    _, mapping = self._pass(reverse, mapping, None)
+                    continue
+                events: List[int] = []
+                num_swaps, final_mapping = self._pass(forward, mapping, events)
+                if best is None or num_swaps < best.num_swaps:
+                    best = RoutingLog(forward, events, num_swaps, mapping, dict(final_mapping))
                 mapping = final_mapping
         assert best is not None  # params.passes >= 1 guarantees a forward pass
         return best
+
+    def materialize(self, circuit: QuantumCircuit, log: RoutingLog) -> QuantumCircuit:
+        """The routed physical circuit that ``log`` (a forward pass of ``circuit``) describes."""
+        architecture = self.architecture
+        routed = QuantumCircuit(
+            max(architecture.qubits) + 1, name=f"{circuit.name}@{architecture.name}"
+        )
+        append = routed.append_unchecked
+        gates = circuit.gates
+        logical_to_physical = dict(log.initial_mapping)
+        physical_to_logical = {p: l for l, p in logical_to_physical.items()}
+        events = iter(log.events)
+        for event in events:
+            if event >= 0:
+                append(gates[event].remap(logical_to_physical))
+                continue
+            phys_a, phys_b = ~event, ~next(events)
+            append(Gate("swap", (phys_a, phys_b)))
+            swap_mapping(logical_to_physical, physical_to_logical, phys_a, phys_b)
+        return routed
 
     def _perturbed_mapping(self, initial_mapping: Dict[int, int], restart: int) -> Dict[int, int]:
         """A deterministic perturbation of ``initial_mapping`` for restart > 0.
@@ -359,60 +327,223 @@ class SabreRouter:
         physical_to_logical = {p: l for l, p in mapping.items()}
         for _ in range(1 + restart):
             phys_a, phys_b = (int(qubits[i]) for i in rng.choice(len(qubits), 2, replace=False))
-            logical_a = physical_to_logical.get(phys_a)
-            logical_b = physical_to_logical.get(phys_b)
-            if logical_a is not None:
-                mapping[logical_a] = phys_b
-                physical_to_logical[phys_b] = logical_a
-            else:
-                physical_to_logical.pop(phys_b, None)
-            if logical_b is not None:
-                mapping[logical_b] = phys_a
-                physical_to_logical[phys_a] = logical_b
-            else:
-                physical_to_logical.pop(phys_a, None)
+            swap_mapping(mapping, physical_to_logical, phys_a, phys_b)
         return mapping
+
+    # -- the routing pass ----------------------------------------------------------
+
+    def _pass(
+        self,
+        dag: PackedDAG,
+        mapping: Dict[int, int],
+        events: Optional[List[int]],
+    ) -> Tuple[int, Dict[int, int]]:
+        """One routing pass over ``dag`` from ``mapping``.
+
+        Appends the pass's events to ``events`` unless it is None.
+        Returns ``(num_swaps, final_mapping)``; the final mapping keeps
+        the key order of ``mapping``.
+        """
+        params = self.parameters
+        dist_rows = self._dist_rows
+        index_of = self.distances.index_of
+        num_qubits = dag.num_qubits
+        num_positions = len(dist_rows)
+        # pos[l] is the index hosting circuit logical l, occupant[i] the
+        # logical at index i (None when free).  The mapping may carry extra
+        # logical keys beyond the register: they pin physical qubits and
+        # move with swaps, but never appear in a gate, so only occupant
+        # tracks them.
+        pos = [0] * num_qubits
+        occupant: List[Optional[int]] = [None] * num_positions
+        for logical, physical in mapping.items():
+            index = index_of(physical)
+            occupant[index] = logical
+            if logical < num_qubits:
+                pos[logical] = index
+        qa = dag.qa
+        qb = dag.qb
+        successors = dag.successors
+        remaining = list(dag.num_preds)
+        front = set(dag.front)
+        pending = dag.num_nodes
+        record = events.append if events is not None else None
+
+        num_swaps = 0
+        swap_budget = params.max_swaps_per_gate * max(1, dag.num_two_qubit)
+        decay: List[float] = [1.0] * num_positions
+        decay_factor = params.decay_factor
+        swaps_since_reset = 0
+        swaps_since_progress = 0
+        stall_threshold = params.stall_threshold
+        if stall_threshold is None:
+            stall_threshold = int(3 * self.distances.diameter()) + 8
+
+        while True:
+            # Execute everything executable.  Executing never moves the
+            # mapping, so one walk over the sorted front plus the nodes it
+            # unblocks reaches closure; afterwards the front holds only
+            # blocked two-qubit gates.
+            queue = deque(sorted(front))
+            while queue:
+                node = queue.popleft()
+                logical_a = qa[node]
+                if logical_a >= 0 and dist_rows[pos[logical_a]][pos[qb[node]]] != 1:
+                    continue
+                if record is not None:
+                    record(node)
+                front.discard(node)
+                pending -= 1
+                for successor in successors[node]:
+                    remaining[successor] -= 1
+                    if not remaining[successor]:
+                        front.add(successor)
+                        queue.append(successor)
+            if not pending:
+                break
+
+            # The blocked front and the extended look-ahead set only change
+            # when gates execute, not when swaps are applied, so the slot
+            # tables are rebuilt once per execution event rather than per
+            # swap decision.
+            blocked = sorted(front)
+            extended = dag.lookahead(blocked, params.extended_set_size)
+            num_front = len(blocked)
+            pending_gates = blocked + extended
+            slot_a = [pos[qa[node]] for node in pending_gates]
+            slot_b = [pos[qb[node]] for node in pending_gates]
+            base_front = 0.0
+            for slot in range(num_front):
+                base_front += dist_rows[slot_a[slot]][slot_b[slot]]
+            base_extended = 0.0
+            for slot in range(num_front, len(slot_a)):
+                base_extended += dist_rows[slot_a[slot]][slot_b[slot]]
+            slots_of: Dict[int, List[int]] = {}
+            for slot in range(len(slot_a)):
+                slots_of.setdefault(slot_a[slot], []).append(slot)
+                slots_of.setdefault(slot_b[slot], []).append(slot)
+            blocked_on: Dict[int, List[int]] = {}
+            for node in blocked:
+                blocked_on.setdefault(qa[node], []).append(node)
+                blocked_on.setdefault(qb[node], []).append(node)
+
+            while True:
+                if swaps_since_progress >= stall_threshold:
+                    # The heuristic is livelocking; force progress by walking
+                    # the first blocked gate's operands together along a
+                    # shortest path (making that gate executable).
+                    num_swaps += self._force_route(
+                        qa[blocked[0]], qb[blocked[0]], pos, occupant, record
+                    )
+                    swaps_since_progress = 0
+                    break
+
+                chosen = self._choose_swap(
+                    num_front, slot_a, slot_b, slots_of, base_front, base_extended, decay
+                )
+                if chosen is None:
+                    raise RuntimeError(
+                        f"no useful SWAP found; architecture {self.architecture.name!r} "
+                        "may have a disconnected coupling graph"
+                    )
+                _, swapped_a, swapped_b = chosen
+                base_front, base_extended = self._shift_slots(
+                    swapped_a, swapped_b, num_front, slot_a, slot_b, slots_of,
+                    base_front, base_extended,
+                )
+                self._swap(swapped_a, swapped_b, pos, occupant, record)
+                num_swaps += 1
+                swaps_since_reset += 1
+                swaps_since_progress += 1
+                decay[swapped_a] += decay_factor
+                decay[swapped_b] += decay_factor
+                if swaps_since_reset >= params.decay_reset_interval:
+                    decay = [1.0] * num_positions
+                    swaps_since_reset = 0
+                if num_swaps > swap_budget:
+                    raise RuntimeError(
+                        f"router exceeded swap budget ({swap_budget}); "
+                        "the architecture is likely not routable"
+                    )
+                # Only blocked gates holding a logical the swap moved can have
+                # become executable; checking those few gates avoids a full
+                # front rescan per swap.
+                if any(
+                    dist_rows[pos[qa[node]]][pos[qb[node]]] == 1
+                    for logical in (occupant[swapped_a], occupant[swapped_b])
+                    if logical is not None
+                    for node in blocked_on.get(logical, ())
+                ):
+                    swaps_since_progress = 0
+                    break
+
+        physical = self._physical
+        index_of_logical = {
+            logical: index for index, logical in enumerate(occupant) if logical is not None
+        }
+        final_mapping = {logical: physical[index_of_logical[logical]] for logical in mapping}
+        return num_swaps, final_mapping
+
+    def _swap(
+        self,
+        index_a: int,
+        index_b: int,
+        pos: List[int],
+        occupant: List[Optional[int]],
+        record: Optional[Callable[[int], None]],
+    ) -> None:
+        """Exchange the logicals at two indices and record the SWAP."""
+        logical_a = occupant[index_a]
+        logical_b = occupant[index_b]
+        occupant[index_a] = logical_b
+        occupant[index_b] = logical_a
+        if logical_a is not None and logical_a < len(pos):
+            pos[logical_a] = index_b
+        if logical_b is not None and logical_b < len(pos):
+            pos[logical_b] = index_a
+        if record is not None:
+            record(~self._physical[index_a])
+            record(~self._physical[index_b])
 
     def _force_route(
         self,
-        node: DAGNode,
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-        routed: QuantumCircuit,
-        positions: Optional[List[int]] = None,
+        logical_a: int,
+        logical_b: int,
+        pos: List[int],
+        occupant: List[Optional[int]],
+        record: Optional[Callable[[int], None]],
     ) -> int:
-        """Move the operands of ``node`` adjacent via greedy shortest-path swaps.
+        """Walk two logicals adjacent via greedy shortest-path swaps.
 
-        Used only as a livelock escape hatch; returns the number of swaps applied.
+        Used only as a livelock escape hatch: each step swaps ``logical_a``
+        to its lowest-numbered neighbour closer to ``logical_b``.  Returns
+        the number of swaps applied.
         """
-        logical_a, logical_b = node.gate.qubits
+        dist_rows = self._dist_rows
         applied = 0
         while True:
-            phys_a = logical_to_physical[logical_a]
-            phys_b = logical_to_physical[logical_b]
-            current = self.distances.distance(phys_a, phys_b)
+            index_a = pos[logical_a]
+            index_b = pos[logical_b]
+            current = dist_rows[index_a][index_b]
             if current <= 1:
                 return applied
-            step = min(
-                (n for n in self.architecture.neighbors(phys_a)
-                 if self.distances.distance(n, phys_b) < current),
-                default=None,
+            step = next(
+                (n for n in self._neighbors[index_a] if dist_rows[n][index_b] < current),
+                None,
             )
             if step is None:
                 raise RuntimeError(
                     "cannot route gate: coupling graph is disconnected between "
-                    f"physical qubits {phys_a} and {phys_b}"
+                    f"physical qubits {self._physical[index_a]} and {self._physical[index_b]}"
                 )
-            self._apply_swap(
-                (phys_a, step), logical_to_physical, physical_to_logical, routed, positions
-            )
+            self._swap(index_a, step, pos, occupant, record)
             applied += 1
 
     # -- internals ----------------------------------------------------------------
 
-    def _validate_mapping(self, circuit: QuantumCircuit, mapping: Dict[int, int]) -> None:
+    def _validate_mapping(self, num_qubits: int, mapping: Dict[int, int]) -> None:
         physical = set(self.architecture.qubits)
-        for logical in range(circuit.num_qubits):
+        for logical in range(num_qubits):
             if logical not in mapping:
                 raise ValueError(f"initial mapping misses logical qubit {logical}")
         # Injectivity and target validity must hold across the WHOLE mapping,
@@ -427,52 +558,6 @@ class SabreRouter:
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ValueError("initial mapping maps two logical qubits to the same physical qubit")
-
-    def _execute_ready_gates(
-        self,
-        frontier: ExecutionFrontier,
-        logical_to_physical: Dict[int, int],
-        routed: QuantumCircuit,
-    ) -> bool:
-        """Execute every currently executable gate; return True if any executed.
-
-        Executing a gate never changes the mapping, so one pass over the
-        front plus the transitively unblocked nodes reaches closure — no
-        rescan of already-rejected front gates is needed.
-        """
-        executed_any = False
-        queue = deque(frontier.front_nodes())
-        append = routed.append_unchecked
-        while queue:
-            node = queue.popleft()
-            if self._is_executable(node, logical_to_physical):
-                append(node.gate.remap(logical_to_physical))
-                queue.extend(frontier.execute(node.index))
-                executed_any = True
-        return executed_any
-
-    def _is_executable(self, node: DAGNode, logical_to_physical: Dict[int, int]) -> bool:
-        if not node.two_qubit:
-            return True
-        a, b = node.gate.qubits
-        return (logical_to_physical[a], logical_to_physical[b]) in self._coupled
-
-    def _swap_unblocked(
-        self,
-        swap: Tuple[int, int],
-        blocked_on: Dict[int, List[DAGNode]],
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-    ) -> bool:
-        """True when the just-applied ``swap`` made any blocked gate executable."""
-        for physical in swap:
-            logical = physical_to_logical.get(physical)
-            if logical is None:
-                continue
-            for node in blocked_on.get(logical, ()):
-                if self._is_executable(node, logical_to_physical):
-                    return True
-        return False
 
     def _choose_swap(
         self,
@@ -606,32 +691,3 @@ class SabreRouter:
         if bucket_a is not None:
             slots_of[index_b] = bucket_a
         return base_front, base_extended
-
-    def _apply_swap(
-        self,
-        swap: Tuple[int, int],
-        logical_to_physical: Dict[int, int],
-        physical_to_logical: Dict[int, int],
-        routed: QuantumCircuit,
-        positions: Optional[List[int]] = None,
-    ) -> None:
-        phys_a, phys_b = swap
-        logical_a = physical_to_logical.get(phys_a)
-        logical_b = physical_to_logical.get(phys_b)
-        routed.append_unchecked(Gate("swap", (phys_a, phys_b)))
-        if logical_a is not None:
-            logical_to_physical[logical_a] = phys_b
-            if positions is not None and logical_a < len(positions):
-                positions[logical_a] = self.distances.index_of(phys_b)
-        if logical_b is not None:
-            logical_to_physical[logical_b] = phys_a
-            if positions is not None and logical_b < len(positions):
-                positions[logical_b] = self.distances.index_of(phys_a)
-        if logical_a is not None:
-            physical_to_logical[phys_b] = logical_a
-        else:
-            physical_to_logical.pop(phys_b, None)
-        if logical_b is not None:
-            physical_to_logical[phys_a] = logical_b
-        else:
-            physical_to_logical.pop(phys_a, None)

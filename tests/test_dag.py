@@ -1,9 +1,9 @@
-"""Unit tests for the circuit dependency DAG and execution frontier."""
+"""Unit tests for the circuit dependency DAG, execution frontier and packed DAG."""
 
 import pytest
 
 from repro.circuit import QuantumCircuit, barrier, cx, h, measure
-from repro.circuit.dag import CircuitDAG, ExecutionFrontier
+from repro.circuit.dag import CircuitDAG, ExecutionFrontier, PackedDAG
 
 
 def build(num_qubits, gates):
@@ -87,24 +87,6 @@ class TestExecutionFrontier:
         frontier = ExecutionFrontier(CircuitDAG(build(3, [h(2), h(0), h(1)])))
         assert [node.index for node in frontier.front_nodes()] == [0, 1, 2]
 
-    def test_lookahead_returns_two_qubit_gates_beyond_front(self):
-        circuit = build(3, [cx(0, 1), h(2), cx(1, 2), cx(0, 1)])
-        frontier = ExecutionFrontier(CircuitDAG(circuit))
-        lookahead = frontier.lookahead_nodes(depth=5)
-        names = [(node.index, node.gate.name) for node in lookahead]
-        assert (2, "cx") in names
-        assert all(node.gate.is_two_qubit for node in lookahead)
-
-    def test_lookahead_respects_depth_limit(self):
-        gates = [cx(0, 1)] + [cx(0, 1) for _ in range(10)]
-        frontier = ExecutionFrontier(CircuitDAG(build(2, gates)))
-        assert len(frontier.lookahead_nodes(depth=3)) == 3
-
-    def test_lookahead_zero_depth_is_empty(self):
-        gates = [cx(0, 1), cx(0, 1)]
-        frontier = ExecutionFrontier(CircuitDAG(build(2, gates)))
-        assert frontier.lookahead_nodes(depth=0) == []
-
     def test_remaining_counts_down(self):
         frontier = ExecutionFrontier(CircuitDAG(build(2, [h(0), h(1), cx(0, 1)])))
         assert frontier.remaining == 3
@@ -114,3 +96,50 @@ class TestExecutionFrontier:
         frontier.execute(2)
         assert frontier.remaining == 0
         assert frontier.done
+
+
+class TestPackedDAG:
+    def test_lookahead_returns_two_qubit_gates_beyond_front(self):
+        circuit = build(3, [cx(0, 1), h(2), cx(1, 2), cx(0, 1)])
+        packed = PackedDAG.from_circuit(circuit)
+        assert packed.front == [0, 1]
+        # Breadth-first from the front's successors, in successor order.
+        assert packed.lookahead(packed.front, depth=5) == [2, 3]
+
+    def test_lookahead_respects_depth_limit(self):
+        gates = [cx(0, 1)] + [cx(0, 1) for _ in range(10)]
+        packed = PackedDAG.from_circuit(build(2, gates))
+        assert packed.lookahead(packed.front, depth=3) == [1, 2, 3]
+
+    def test_lookahead_zero_depth_is_empty(self):
+        gates = [cx(0, 1), cx(0, 1)]
+        packed = PackedDAG.from_circuit(build(2, gates))
+        assert packed.lookahead(packed.front, depth=0) == []
+
+    def test_lookahead_skips_single_qubit_gates(self):
+        circuit = build(2, [cx(0, 1), h(0), measure(1), cx(0, 1)])
+        packed = PackedDAG.from_circuit(circuit)
+        assert packed.lookahead(packed.front, depth=5) == [3]
+
+    def test_tables_match_the_dag(self):
+        circuit = build(3, [h(0), cx(0, 1), barrier(0, 1), cx(1, 2), measure(2)])
+        dag = CircuitDAG(circuit)
+        packed = PackedDAG.from_circuit(circuit)
+        assert packed.num_qubits == 3
+        assert packed.num_nodes == dag.num_nodes == 4
+        assert packed.num_two_qubit == circuit.num_two_qubit_gates == 2
+        assert packed.qa == [-1, 0, -1, 1, -1]
+        assert packed.qb == [-1, 1, -1, 2, -1]
+        assert list(packed.two_qubit) == [0, 1, 0, 1, 0]
+        # The removed barrier's position holds no node.
+        assert packed.num_preds == [0, 1, -1, 1, 1]
+        assert packed.successors == [[1], [3], [], [4], []]
+        assert packed.front == [node.index for node in dag.front_layer()]
+
+    def test_reverse_pack_walks_the_gates_backwards(self):
+        circuit = build(3, [cx(0, 1), cx(1, 2), h(0)])
+        packed = PackedDAG.from_circuit(circuit, reverse=True)
+        assert packed.qa == [-1, 1, 0]
+        assert packed.qb == [-1, 2, 1]
+        assert packed.front == [0, 1]
+        assert packed.successors == [[2], [2], []]

@@ -1,6 +1,6 @@
 """Golden contracts: the design flow's outputs, committed.
 
-``tests/golden/contracts.json`` pins four things every refactor must keep:
+``tests/golden/contracts.json`` pins five things every refactor must keep:
 
 * ``sweep_sha256`` — the SHA-256 of ``sweep sym6_145 --trials 200
   --local-trials 100 --output`` for each Algorithm 3 strategy, at
@@ -12,6 +12,9 @@
 * ``routing_swaps`` — SABRE swap counts per point of a 20-point routing
   grid, for the single forward pass (``SabreParameters()``) and for the
   evaluation default (``DEFAULT_EVALUATION_ROUTING``);
+* ``perfbench_grid_swaps`` — the evaluation-default swap count of every
+  point of perfbench's grid (five benchmarks x the five configurations,
+  145 points, total 24,073), keyed ``benchmark/config/index``;
 * ``design_fingerprints`` — the SHA-256 of every generated
   architecture's name, 4-qubit-bus origins, coupling edges and
   frequencies, per (benchmark, ``eff-*`` configuration).
@@ -70,6 +73,8 @@ DESIGN_CONFIGS = (
 )
 DESIGN_SEEDS = (1, 2, 3)
 DESIGN_LOCAL_TRIALS = 800
+#: perfbench's grid (``perfbench/run.py``'s ``GRID``).
+PERFBENCH_GRID = ("sym6_145", "qft_16", "ising_model_16", "rd84_142", "UCCSD_ansatz_8")
 
 
 def sweep_digest(tmp_path: Path, strategy: str, jobs: int) -> str:
@@ -123,6 +128,32 @@ def routing_swaps() -> dict:
                 "evaluation_default": default.route(circuit, architecture,
                                                     keep_routed_circuit=False).num_swaps,
             }
+    return swaps
+
+
+def perfbench_grid_swaps() -> dict:
+    """Evaluation-default swap counts per ``benchmark/config/index`` of perfbench's grid.
+
+    The points are the ones a default ``sweep`` routes.  Algorithm 3 runs
+    with a single local trial: it only picks frequencies, which routing
+    ignores, so the coupling graphs and swap counts are the sweep's.
+    """
+    reset_shared_caches()
+    design = DesignEngine()
+    routing = RoutingEngine(DEFAULT_EVALUATION_ROUTING)
+    swaps = {}
+    for name in PERFBENCH_GRID:
+        circuit = get_benchmark(name)
+        profile = design.profile(circuit)
+        for config in ExperimentConfig:
+            architectures = architectures_for_config(
+                circuit, config, frequency_local_trials=1, engine=design
+            )
+            for index, architecture in enumerate(architectures):
+                if architecture.num_qubits >= circuit.num_qubits:
+                    swaps[f"{name}/{config.value}/{index}"] = routing.route(
+                        circuit, architecture, profile=profile, keep_routed_circuit=False
+                    ).num_swaps
     return swaps
 
 
@@ -185,6 +216,12 @@ def test_routing_swaps_match_golden():
     )
 
 
+def test_perfbench_grid_swaps_match_golden():
+    live = perfbench_grid_swaps()
+    assert live == load_golden()["perfbench_grid_swaps"]
+    assert (len(live), sum(live.values())) == (145, 24_073)
+
+
 def test_design_fingerprints_match_golden():
     assert design_fingerprints() == load_golden()["design_fingerprints"]
 
@@ -202,6 +239,7 @@ def regenerate() -> None:
             digests[strategy] = serial
     golden = {
         "design_fingerprints": design_fingerprints(),
+        "perfbench_grid_swaps": perfbench_grid_swaps(),
         "routing_swaps": routing_swaps(),
         "sweep_argv": SWEEP_ARGV,
         "sweep_sha256": digests,

@@ -1,8 +1,11 @@
 """Tests for the SABRE-style SWAP router."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuit import QuantumCircuit, cx, h, measure
+from repro.circuit.dag import PackedDAG
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8
 from repro.mapping import SabreRouter, SabreParameters, route_circuit
 from repro.mapping.router import verify_routing
@@ -127,6 +130,70 @@ class TestRoutingVerification:
             verify_routing(line_circuit, corrupted, arch, result.initial_mapping)
 
 
+class TestRoutingLogVerification:
+    """verify_routing replays the router's event log; tampering must fail it."""
+
+    @pytest.fixture
+    def routed_log(self):
+        arch = chain_architecture(4)
+        circuit = QuantumCircuit(4, name="tamper").extend([cx(0, 3), h(0), cx(0, 1), cx(1, 2)])
+        log = SabreRouter(arch).route_packed(
+            PackedDAG.from_circuit(circuit), None, {q: q for q in range(4)}
+        )
+        # swap(0,1) swap(1,2) node0 node1 swap(0,1) node2 node3
+        assert log.events == [~0, ~1, ~1, ~2, 0, 1, ~0, ~1, 2, 3]
+        assert log.num_swaps == 3
+        verify_routing(circuit, log, arch, log.initial_mapping)
+        return circuit, arch, log
+
+    @staticmethod
+    def assert_rejected(routed_log, **changes):
+        circuit, arch, log = routed_log
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, replace(log, **changes), arch, log.initial_mapping)
+
+    def test_dropped_swap_rejected(self, routed_log):
+        events = routed_log[2].events
+        self.assert_rejected(routed_log, events=events[2:])
+        # Also with the swap count adjusted: the gate replay itself fails.
+        self.assert_rejected(routed_log, events=events[2:], num_swaps=2)
+
+    def test_swap_on_uncoupled_pair_rejected(self, routed_log):
+        events = routed_log[2].events
+        self.assert_rejected(routed_log, events=events + [~0, ~3], num_swaps=4)
+
+    def test_dependent_gates_out_of_order_rejected(self, routed_log):
+        events = routed_log[2].events
+        self.assert_rejected(routed_log, events=events[:-2] + [3, 2])
+
+    def test_gate_run_twice_rejected(self, routed_log):
+        events = routed_log[2].events
+        self.assert_rejected(routed_log, events=events + [3])
+
+    def test_truncated_log_rejected(self, routed_log):
+        events = routed_log[2].events
+        self.assert_rejected(routed_log, events=events[:-1])
+        # Cut inside a swap's endpoint pair.
+        self.assert_rejected(routed_log, events=events[:7], num_swaps=3)
+
+    def test_swap_count_disagreeing_with_log_rejected(self, routed_log):
+        self.assert_rejected(routed_log, num_swaps=routed_log[2].num_swaps + 1)
+        self.assert_rejected(routed_log, num_swaps=routed_log[2].num_swaps - 1)
+
+    def test_log_of_another_circuit_rejected(self, routed_log):
+        _circuit, arch, log = routed_log
+        other = QuantumCircuit(4, name="other").extend([cx(0, 3), h(0), cx(0, 1)])
+        with pytest.raises(AssertionError):
+            verify_routing(other, log, arch, log.initial_mapping)
+
+    def test_materialized_log_matches_route(self, routed_log):
+        circuit, arch, log = routed_log
+        router = SabreRouter(arch)
+        routed, num_swaps, final = router.route(circuit, dict(log.initial_mapping))
+        assert list(router.materialize(circuit, log).gates) == list(routed.gates)
+        assert num_swaps == log.num_swaps and final == log.final_mapping
+
+
 class TestEscapeHatches:
     def test_force_route_path_still_verifies(self):
         """stall_threshold=0 funnels every blocked gate through _force_route."""
@@ -184,6 +251,12 @@ class TestBidirectionalAndRestarts:
         assert used == mapping
         assert best_final == final
         assert list(best_routed.gates) == list(routed.gates)
+
+    def test_bidirectional_passes_need_the_reverse_pack(self, line_circuit):
+        router = SabreRouter(ibm_16q_2x8(), SabreParameters(passes=3))
+        mapping = {q: q for q in range(line_circuit.num_qubits)}
+        with pytest.raises(ValueError, match="reversed"):
+            router.route_packed(PackedDAG.from_circuit(line_circuit), None, mapping)
 
     @pytest.mark.parametrize("benchmark_name", ["sym6_145", "qft_16"])
     def test_bidirectional_never_worse(self, benchmark_name):
