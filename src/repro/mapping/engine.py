@@ -1,19 +1,24 @@
-"""The routing engine: per-architecture router reuse plus result memoization.
+"""The routing engine: per-topology router reuse plus result memoization.
 
 Every evaluation point of the paper's Figure 10 grid routes a benchmark
-onto a candidate architecture, and sweeps revisit the same architectures
-(and often the same (circuit, architecture) pairs) many times.  Two layers
-of reuse make that cheap:
+onto a candidate architecture, and sweeps revisit the same chips (and
+often the same (circuit, chip) pairs) many times.  Chips that differ only
+in name or frequencies — for example a design's 5-frequency and optimized
+frequency variants, and its layout-only sibling — pose the same routing
+problem.  Two layers of reuse make that cheap:
 
 * **Router reuse** — a :class:`RoutingEngine` keeps one
   :class:`~repro.mapping.sabre.SabreRouter` (and therefore one BFS
-  distance matrix and one candidate-edge table) per distinct architecture,
-  instead of rebuilding them on every :func:`route_circuit` call, and one
-  forward and one reverse :class:`~repro.circuit.dag.PackedDAG` per
-  circuit, since a circuit routes onto many candidate architectures.
+  distance matrix and one candidate-edge table) per distinct routing
+  topology, instead of rebuilding them on every :func:`route_circuit`
+  call, and one forward and one reverse
+  :class:`~repro.circuit.dag.PackedDAG` per circuit, since a circuit
+  routes onto many candidate architectures.
 * **Result memoization** — a :class:`RoutingCache` memoizes completed
   :class:`~repro.mapping.router.MappingResult` objects under a
-  ``(circuit, architecture, parameters)`` key.
+  ``(circuit, topology, parameters, profile)`` key
+  (:meth:`RoutingEngine.cache_key`).  Each returned copy carries the
+  requesting chip's name.
 
 Both layers are *transparent*: routing is a pure deterministic function of
 the key, so cache hits return exactly what a fresh computation would, and
@@ -26,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -35,7 +40,6 @@ from repro import persistence
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import PackedDAG
 from repro.hardware.architecture import Architecture
-from repro.mapping.distance import DistanceMatrix
 from repro.mapping.initial import initial_mapping
 from repro.mapping.sabre import SabreParameters, SabreRouter
 from repro.profiling.profiler import CircuitProfile, profile_circuit
@@ -108,14 +112,14 @@ def profile_cache_key(profile: Optional[CircuitProfile]) -> Optional[int]:
 def architecture_cache_key(architecture: Architecture) -> Tuple:
     """Value identity of an architecture as far as routing is concerned.
 
-    Routing depends on the physical qubit set, the coupling graph, the
-    recorded pseudo-mapping (it seeds the initial placement), and the name
-    (recorded in results).  Frequencies are irrelevant to routing and are
-    deliberately excluded so that architectures differing only in their
-    frequency plan share routers and cached results.
+    Routing reads only the physical qubit set, the coupling graph and the
+    recorded pseudo-mapping (it seeds the initial placement).  The name
+    and the frequencies are deliberately excluded, so chips that differ
+    only in them share routers and cached results;
+    :meth:`RoutingEngine.route` stamps the requesting chip's name on each
+    result it returns.
     """
     return (
-        architecture.name,
         tuple(architecture.qubits),
         tuple(architecture.coupling_edges()),
         tuple(sorted(architecture.logical_to_physical.items())),
@@ -125,8 +129,8 @@ def architecture_cache_key(architecture: Architecture) -> Tuple:
 class RoutingCache:
     """A bounded, deterministic LRU memo of completed routing results.
 
-    Keys are ``(circuit key, architecture key, SabreParameters)`` tuples;
-    values are the engine's cache entries (exact gate tuple + a
+    Keys are :meth:`RoutingEngine.cache_key` tuples; values are the
+    engine's cache entries (exact gate tuple + a
     :class:`~repro.mapping.router.MappingResult` whose ``routed_circuit``
     is present only if the producing call requested it).  Eviction is
     least-recently-used with a fixed bound, so long sweeps cannot grow
@@ -216,8 +220,8 @@ class RoutingCache:
             result = entry.result
             entries.append({
                 "circuit_key": list(circuit_key),
-                "architecture_key": _listify(arch_key),
-                "parameters": _parameters_to_dict(parameters),
+                "architecture_key": persistence.listify(arch_key),
+                "parameters": asdict(parameters),
                 "profile_key": profile_key,
                 "result": {
                     "circuit_name": result.circuit_name,
@@ -236,7 +240,7 @@ class RoutingCache:
         """A serialized record's identity (file-level merge key)."""
         return (
             persistence.tuplify(record["circuit_key"]),
-            persistence.tuplify(record["architecture_key"]),
+            _topology_key(record["architecture_key"]),
             tuple(sorted(record["parameters"].items())),
             record["profile_key"],
         )
@@ -267,8 +271,8 @@ class RoutingCache:
         def decode(record: dict) -> Tuple:
             key = (
                 tuple(record["circuit_key"]),
-                _tuplify(record["architecture_key"]),
-                _parameters_from_dict(record["parameters"]),
+                _topology_key(record["architecture_key"]),
+                SabreParameters(**record["parameters"]),
                 record["profile_key"],
             )
             data = record["result"]
@@ -303,13 +307,15 @@ class RoutingCache:
 
 
 class RoutingEngine:
-    """Routes circuits onto architectures with per-architecture state reuse.
+    """Routes circuits onto architectures with per-topology state reuse.
 
     One engine holds one :class:`SabreParameters` configuration.  Use
     :meth:`route` exactly like :func:`~repro.mapping.router.route_circuit`;
-    repeated calls against the same architecture share the router (distance
-    matrix, candidate-edge tables), and repeated calls with the same
-    circuit *and* architecture return memoized results.
+    repeated calls against the same topology (qubits, coupling edges and
+    recorded pseudo-mapping; see :func:`architecture_cache_key`) share the
+    router (distance matrix, candidate-edge tables), and repeated calls
+    with the same circuit *and* topology return memoized results under
+    the requesting chip's name.
 
     Args:
         parameters: Router tuning parameters shared by every route call.
@@ -324,7 +330,7 @@ class RoutingEngine:
     ) -> None:
         self.parameters = parameters or SabreParameters()
         self.cache = cache if cache is not None else RoutingCache()
-        # Routers keyed by architecture identity, LRU-bounded like the
+        # Routers keyed by topology, LRU-bounded like the
         # sibling tables so a worker sweeping many candidate architectures
         # cannot grow distance matrices and edge tables without limit.
         self._routers: "OrderedDict[Tuple, SabreRouter]" = OrderedDict()
@@ -337,7 +343,12 @@ class RoutingEngine:
         )
 
     def router_for(self, architecture: Architecture) -> SabreRouter:
-        """The shared router (and distance matrix) for an architecture (bounded LRU)."""
+        """The shared router (and distance matrix) for an architecture's topology (bounded LRU).
+
+        The router is built for the first chip of its topology to be
+        requested, so callers take names from their own architecture, not
+        from ``router.architecture``.
+        """
         key = architecture_cache_key(architecture)
         router = self._routers.get(key)
         if router is None:
@@ -347,10 +358,6 @@ class RoutingEngine:
         while len(self._routers) > 128:
             self._routers.popitem(last=False)
         return router
-
-    def distances_for(self, architecture: Architecture) -> DistanceMatrix:
-        """The shared distance matrix for an architecture."""
-        return self.router_for(architecture).distances
 
     def _packs_for(
         self, circuit: QuantumCircuit, circuit_key: Tuple
@@ -377,6 +384,24 @@ class RoutingEngine:
             self._packs.popitem(last=False)
         return entry[1], entry[2]
 
+    def cache_key(
+        self,
+        circuit: QuantumCircuit,
+        architecture: Architecture,
+        profile: Optional[CircuitProfile] = None,
+    ) -> Tuple:
+        """The result-cache key of routing ``circuit`` onto ``architecture``.
+
+        ``(circuit key, topology key, parameters, profile key)``; the only
+        place the key is built.
+        """
+        return (
+            circuit_cache_key(circuit),
+            architecture_cache_key(architecture),
+            self.parameters,
+            profile_cache_key(profile),
+        )
+
     def route(
         self,
         circuit: QuantumCircuit,
@@ -400,6 +425,10 @@ class RoutingEngine:
                 circuit, so sweep-scale memoization stays light.  A later
                 call with True on a counts-only entry recomputes (and
                 upgrades the entry).
+
+        The result (and the routed circuit's ``"<circuit>@<chip>"`` name)
+        names ``architecture`` even when the route was computed for, or
+        loaded under, another chip of the same topology.
         """
         from repro.mapping.router import MappingResult, verify_routing
 
@@ -414,13 +443,7 @@ class RoutingEngine:
                 f"profile {profile.circuit_name!r} does not describe circuit "
                 f"{circuit.name!r}; pass the circuit's own profile (or None)"
             )
-        circuit_key = circuit_cache_key(circuit)
-        key = (
-            circuit_key,
-            architecture_cache_key(architecture),
-            self.parameters,
-            profile_cache_key(profile),
-        )
+        key = self.cache_key(circuit, architecture, profile)
         gates = circuit.gates
 
         def sufficient(entry) -> bool:
@@ -433,7 +456,7 @@ class RoutingEngine:
 
         cached = self.cache.lookup(key, sufficient)
         if cached is not None:
-            return _result_copy(cached.result, keep_routed_circuit)
+            return _result_copy(cached.result, architecture.name, keep_routed_circuit)
 
         compute_start = time.perf_counter()
         router = self.router_for(architecture)
@@ -444,12 +467,12 @@ class RoutingEngine:
             )
         profile = profile or profile_circuit(circuit)
         mapping = initial_mapping(profile, architecture, router.distances)
-        forward, reverse = self._packs_for(circuit, circuit_key)
+        forward, reverse = self._packs_for(circuit, key[0])
         log = router.route_packed(forward, reverse, mapping)
         verify_routing(circuit, log, architecture, log.initial_mapping)
         routed = None
         if keep_routed_circuit:
-            routed = router.materialize(circuit, log)
+            routed = router.materialize(circuit, log, architecture.name)
             verify_routing(circuit, routed, architecture, log.initial_mapping)
         _metrics.observe("routing/route", time.perf_counter() - compute_start)
         _metrics.increment("routing/routes")
@@ -465,35 +488,31 @@ class RoutingEngine:
             routed_circuit=routed,
         )
         self.cache.put(key, _CacheEntry(gates=gates, result=result))
-        return _result_copy(result, keep_routed_circuit)
+        return _result_copy(result, architecture.name, keep_routed_circuit)
 
 
-# JSON key codecs, shared with every persisted cache.
-_listify = persistence.listify
-_tuplify = persistence.tuplify
+def _topology_key(encoded: list) -> Tuple:
+    """A persisted ``architecture_key`` as an :func:`architecture_cache_key`.
+
+    Records written while the key still began with the chip's name carry
+    four elements; dropping the name keeps those stores warm.
+    """
+    key = persistence.tuplify(encoded)
+    return key[1:] if isinstance(key[0], str) else key
 
 
-def _parameters_to_dict(parameters: SabreParameters) -> Dict:
-    from dataclasses import asdict
+def _result_copy(result, architecture_name: str, keep_routed_circuit: bool):
+    """A caller-owned copy of a cached result, named for the requesting chip.
 
-    return asdict(parameters)
-
-
-def _parameters_from_dict(data: Dict) -> SabreParameters:
-    return SabreParameters(**data)
-
-
-def _result_copy(result, keep_routed_circuit: bool):
-    """A caller-owned copy of a cached result (mappings and circuit detached)."""
-    from repro.mapping.router import MappingResult
-
-    return MappingResult(
-        circuit_name=result.circuit_name,
-        architecture_name=result.architecture_name,
-        original_gates=result.original_gates,
-        original_two_qubit_gates=result.original_two_qubit_gates,
-        num_swaps=result.num_swaps,
+    Mappings and the routed circuit are detached from the cache entry.
+    """
+    routed = None
+    if keep_routed_circuit:
+        routed = result.routed_circuit.copy(name=f"{result.circuit_name}@{architecture_name}")
+    return replace(
+        result,
+        architecture_name=architecture_name,
         initial_mapping=dict(result.initial_mapping),
         final_mapping=dict(result.final_mapping),
-        routed_circuit=result.routed_circuit.copy() if keep_routed_circuit else None,
+        routed_circuit=routed,
     )

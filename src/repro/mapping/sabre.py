@@ -18,10 +18,13 @@ initial logical-to-physical mapping, the router repeatedly:
 integer lists) and keeps the mapping as two lists: the distance-matrix
 index of each logical (``pos``) and the logical at each index
 (``occupant``).  It builds no ``Gate`` or ``DAGNode`` objects.  Candidate
-swaps are scored incrementally on *slot tables* (endpoint indices per
-pending gate plus base cost sums), so a candidate only rescores the few
-gates its endpoints touch; distances are small integers, so the sums are
-exact.
+swaps are scored incrementally from *partner lists*: for each logical in
+the blocked front and in the extended set, the other operand of each of
+its pending gates.  A swap moves positions but never changes which
+logicals a pending gate joins, so the lists are built once per execution
+event and read through ``pos``; a candidate only rescores the gates of
+the two logicals it moves, and distances are small integers, so the base
+sums plus deltas are exact.
 
 **Event log.**  A forward pass records node positions as they execute
 and each SWAP of physical qubits ``a``, ``b`` as the pair ``~a, ~b``.
@@ -160,7 +163,9 @@ class SabreRouter:
     Construction builds the distance matrix and candidate-edge tables, so
     a router is worth reusing across circuits — the
     :class:`~repro.mapping.engine.RoutingEngine` keeps one per distinct
-    architecture.
+    topology and shares it between chips that differ only in name or
+    frequencies, so nothing but :meth:`route` and :meth:`route_best`
+    reads ``architecture.name``.
 
     Args:
         architecture: Target hardware architecture.
@@ -185,11 +190,11 @@ class SabreRouter:
         # coupling_edges() is sorted (a, b) with a < b, which fixes the
         # deterministic tie-break order of equal-score candidates.
         index_of = self.distances.index_of
-        self._edges: List[Tuple[int, int]] = architecture.coupling_edges()
-        self._edge_a: List[int] = [index_of(a) for a, _ in self._edges]
-        self._edge_b: List[int] = [index_of(b) for _, b in self._edges]
+        edges = architecture.coupling_edges()
+        self._edge_a: List[int] = [index_of(a) for a, _ in edges]
+        self._edge_b: List[int] = [index_of(b) for _, b in edges]
         self._edges_at: Dict[int, List[int]] = {index_of(q): [] for q in architecture.qubits}
-        for edge_index in range(len(self._edges)):
+        for edge_index in range(len(edges)):
             self._edges_at[self._edge_a[edge_index]].append(edge_index)
             self._edges_at[self._edge_b[edge_index]].append(edge_index)
         # Neighbour indices per index, in ascending physical id (the
@@ -222,7 +227,7 @@ class SabreRouter:
         events: List[int] = []
         num_swaps, final_mapping = self._pass(dag, initial_mapping, events)
         log = RoutingLog(dag, events, num_swaps, dict(initial_mapping), final_mapping)
-        return self.materialize(circuit, log), num_swaps, final_mapping
+        return self.materialize(circuit, log, self.architecture.name), num_swaps, final_mapping
 
     def route_best(
         self,
@@ -241,7 +246,7 @@ class SabreRouter:
         if self.parameters.passes > 1:
             reverse = PackedDAG.from_circuit(circuit, reverse=True)
         log = self.route_packed(PackedDAG.from_circuit(circuit), reverse, initial_mapping)
-        return (self.materialize(circuit, log), log.num_swaps,
+        return (self.materialize(circuit, log, self.architecture.name), log.num_swaps,
                 dict(log.final_mapping), dict(log.initial_mapping))
 
     def route_packed(
@@ -291,11 +296,16 @@ class SabreRouter:
         assert best is not None  # params.passes >= 1 guarantees a forward pass
         return best
 
-    def materialize(self, circuit: QuantumCircuit, log: RoutingLog) -> QuantumCircuit:
-        """The routed physical circuit that ``log`` (a forward pass of ``circuit``) describes."""
-        architecture = self.architecture
+    def materialize(
+        self, circuit: QuantumCircuit, log: RoutingLog, architecture_name: str
+    ) -> QuantumCircuit:
+        """The routed physical circuit that ``log`` (a forward pass of ``circuit``) describes.
+
+        The circuit is named ``"<circuit>@<architecture_name>"``: a router
+        serves every chip of its topology, so the caller names the chip.
+        """
         routed = QuantumCircuit(
-            max(architecture.qubits) + 1, name=f"{circuit.name}@{architecture.name}"
+            max(self.architecture.qubits) + 1, name=f"{circuit.name}@{architecture_name}"
         )
         append = routed.append_unchecked
         gates = circuit.gates
@@ -403,29 +413,15 @@ class SabreRouter:
                 break
 
             # The blocked front and the extended look-ahead set only change
-            # when gates execute, not when swaps are applied, so the slot
-            # tables are rebuilt once per execution event rather than per
-            # swap decision.
+            # when gates execute, not when swaps are applied, so their
+            # partner lists and base cost sums are built once per execution
+            # event rather than per swap decision.
             blocked = sorted(front)
             extended = dag.lookahead(blocked, params.extended_set_size)
-            num_front = len(blocked)
-            pending_gates = blocked + extended
-            slot_a = [pos[qa[node]] for node in pending_gates]
-            slot_b = [pos[qb[node]] for node in pending_gates]
-            base_front = 0.0
-            for slot in range(num_front):
-                base_front += dist_rows[slot_a[slot]][slot_b[slot]]
-            base_extended = 0.0
-            for slot in range(num_front, len(slot_a)):
-                base_extended += dist_rows[slot_a[slot]][slot_b[slot]]
-            slots_of: Dict[int, List[int]] = {}
-            for slot in range(len(slot_a)):
-                slots_of.setdefault(slot_a[slot], []).append(slot)
-                slots_of.setdefault(slot_b[slot], []).append(slot)
-            blocked_on: Dict[int, List[int]] = {}
-            for node in blocked:
-                blocked_on.setdefault(qa[node], []).append(node)
-                blocked_on.setdefault(qb[node], []).append(node)
+            front_partners = _partners(blocked, qa, qb)
+            extended_partners = _partners(extended, qa, qb)
+            base_front = sum(dist_rows[pos[qa[node]]][pos[qb[node]]] for node in blocked)
+            base_extended = sum(dist_rows[pos[qa[node]]][pos[qb[node]]] for node in extended)
 
             while True:
                 if swaps_since_progress >= stall_threshold:
@@ -439,18 +435,16 @@ class SabreRouter:
                     break
 
                 chosen = self._choose_swap(
-                    num_front, slot_a, slot_b, slots_of, base_front, base_extended, decay
+                    pos, occupant, front_partners, extended_partners,
+                    len(blocked), len(extended), base_front, base_extended, decay,
                 )
                 if chosen is None:
                     raise RuntimeError(
-                        f"no useful SWAP found; architecture {self.architecture.name!r} "
-                        "may have a disconnected coupling graph"
+                        "no useful SWAP found; the coupling graph may be disconnected"
                     )
-                _, swapped_a, swapped_b = chosen
-                base_front, base_extended = self._shift_slots(
-                    swapped_a, swapped_b, num_front, slot_a, slot_b, slots_of,
-                    base_front, base_extended,
-                )
+                swapped_a, swapped_b, delta_front, delta_extended = chosen
+                base_front += delta_front
+                base_extended += delta_extended
                 self._swap(swapped_a, swapped_b, pos, occupant, record)
                 num_swaps += 1
                 swaps_since_reset += 1
@@ -469,10 +463,9 @@ class SabreRouter:
                 # become executable; checking those few gates avoids a full
                 # front rescan per swap.
                 if any(
-                    dist_rows[pos[qa[node]]][pos[qb[node]]] == 1
+                    dist_rows[pos[logical]][pos[partner]] == 1
                     for logical in (occupant[swapped_a], occupant[swapped_b])
-                    if logical is not None
-                    for node in blocked_on.get(logical, ())
+                    for partner in front_partners.get(logical, ())
                 ):
                     swaps_since_progress = 0
                     break
@@ -561,77 +554,71 @@ class SabreRouter:
 
     def _choose_swap(
         self,
+        pos: List[int],
+        occupant: List[Optional[int]],
+        front_partners: Dict[Optional[int], List[int]],
+        extended_partners: Dict[Optional[int], List[int]],
         num_front: int,
-        slot_a: List[int],
-        slot_b: List[int],
-        slots_of: Dict[int, List[int]],
+        num_extended: int,
         base_front: float,
         base_extended: float,
         decay: List[float],
-    ) -> Optional[Tuple[Tuple[int, int], int, int]]:
+    ) -> Optional[Tuple[int, int, float, float]]:
         """The candidate SWAP minimizing the look-ahead distance cost.
 
-        Incremental delta scoring: a candidate swap of positions (ia, ib)
-        changes the cost of exactly the slots listed under ia or ib in
-        ``slots_of``, so each candidate accumulates distance deltas over
-        those few slots against the base sums instead of rescoring the
-        whole front and extended set.  Distances are small integers, so
-        ``base + delta`` equals the full recomputation bit-for-bit and the
-        deterministic (score, swap-pair) tie-break is preserved.
+        Incremental delta scoring: swapping indices ``ia`` and ``ib`` moves
+        only the logicals ``la`` and ``lb`` they hold, so a gate of ``la``
+        with partner ``p`` changes from ``d(ia, pos[p])`` to
+        ``d(ib, pos[p])`` (and likewise for ``lb``), while a gate joining
+        ``la`` and ``lb`` keeps its distance.  Distances are small
+        integers, so ``base + delta`` equals a full rescoring bit for bit.
+        Candidates are scanned in ascending edge order and replaced only
+        on a strictly lower score, which is the deterministic
+        ``(score, edge)`` tie-break.
 
-        Returns ``(swap pair, index of a, index of b)``, or None when no
-        coupling edge touches the front layer.
+        Returns ``(ia, ib, front delta, extended delta)`` of the chosen
+        swap, or None when no coupling edge touches the front layer.
         """
-        involved = set(slot_a[:num_front])
-        involved.update(slot_b[:num_front])
         edges_at = self._edges_at
-        candidate_ids = sorted({e for q in involved for e in edges_at[q]})
+        candidate_ids = sorted({e for logical in front_partners for e in edges_at[pos[logical]]})
         if not candidate_ids:
             return None
 
         dist_rows = self._dist_rows
         edge_a = self._edge_a
         edge_b = self._edge_b
-        edges = self._edges
         weight = self.parameters.extended_set_weight
         front_div = max(1, num_front)
-        num_extended = len(slot_a) - num_front
 
-        best_key = None
+        best_score = 0.0
         best = None
-        best_improving_key = None
+        best_improving_score = 0.0
         best_improving = None
         for edge_index in candidate_ids:
             index_a = edge_a[edge_index]
             index_b = edge_b[edge_index]
+            row_a = dist_rows[index_a]
+            row_b = dist_rows[index_b]
+            logical_a = occupant[index_a]
+            logical_b = occupant[index_b]
             delta_front = 0.0
+            for partner in front_partners.get(logical_a, ()):
+                if partner != logical_b:
+                    at = pos[partner]
+                    delta_front += row_b[at] - row_a[at]
+            for partner in front_partners.get(logical_b, ()):
+                if partner != logical_a:
+                    at = pos[partner]
+                    delta_front += row_a[at] - row_b[at]
             delta_extended = 0.0
-            slots_at_a = slots_of.get(index_a)
-            slots_at_b = slots_of.get(index_b)
-            if slots_at_a:
-                for slot in slots_at_a:
-                    pos_a = slot_a[slot]
-                    pos_b = slot_b[slot]
-                    new_a = index_b if pos_a == index_a else (index_a if pos_a == index_b else pos_a)
-                    new_b = index_b if pos_b == index_a else (index_a if pos_b == index_b else pos_b)
-                    delta = dist_rows[new_a][new_b] - dist_rows[pos_a][pos_b]
-                    if slot < num_front:
-                        delta_front += delta
-                    else:
-                        delta_extended += delta
-            if slots_at_b:
-                for slot in slots_at_b:
-                    pos_a = slot_a[slot]
-                    pos_b = slot_b[slot]
-                    if pos_a == index_a or pos_b == index_a:
-                        continue  # gate spans both endpoints; counted above
-                    new_a = index_a if pos_a == index_b else pos_a
-                    new_b = index_a if pos_b == index_b else pos_b
-                    delta = dist_rows[new_a][new_b] - dist_rows[pos_a][pos_b]
-                    if slot < num_front:
-                        delta_front += delta
-                    else:
-                        delta_extended += delta
+            for partner in extended_partners.get(logical_a, ()):
+                if partner != logical_b:
+                    at = pos[partner]
+                    delta_extended += row_b[at] - row_a[at]
+            for partner in extended_partners.get(logical_b, ()):
+                if partner != logical_a:
+                    at = pos[partner]
+                    delta_extended += row_a[at] - row_b[at]
 
             score = (base_front + delta_front) / front_div
             if num_extended:
@@ -640,54 +627,29 @@ class SabreRouter:
             decay_b = decay[index_b]
             score *= decay_a if decay_a >= decay_b else decay_b
 
-            key = (score, edges[edge_index])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (edges[edge_index], index_a, index_b)
-            if delta_front < 0.0 and (best_improving_key is None or key < best_improving_key):
-                best_improving_key = key
-                best_improving = (edges[edge_index], index_a, index_b)
+            if best is None or score < best_score:
+                best_score = score
+                best = (index_a, index_b, delta_front, delta_extended)
+            if delta_front < 0.0 and (best_improving is None or score < best_improving_score):
+                best_improving_score = score
+                best_improving = (index_a, index_b, delta_front, delta_extended)
 
         # Swaps that do not reduce the front-layer cost at all only stay in
         # the running when no candidate reduces it (they can still win on
         # the extended set, but must not displace genuine progress).
         return best_improving if best_improving is not None else best
 
-    def _shift_slots(
-        self,
-        index_a: int,
-        index_b: int,
-        num_front: int,
-        slot_a: List[int],
-        slot_b: List[int],
-        slots_of: Dict[int, List[int]],
-        base_front: float,
-        base_extended: float,
-    ) -> Tuple[float, float]:
-        """Apply a position swap (ia, ib) to the slot tables in place.
 
-        Rewrites the affected slots' endpoint indices, exchanges the two
-        reverse-index buckets, and returns the updated base cost sums.
-        """
-        dist_rows = self._dist_rows
-        affected = set(slots_of.get(index_a, ()))
-        affected.update(slots_of.get(index_b, ()))
-        for slot in affected:
-            pos_a = slot_a[slot]
-            pos_b = slot_b[slot]
-            new_a = index_b if pos_a == index_a else (index_a if pos_a == index_b else pos_a)
-            new_b = index_b if pos_b == index_a else (index_a if pos_b == index_b else pos_b)
-            delta = dist_rows[new_a][new_b] - dist_rows[pos_a][pos_b]
-            slot_a[slot] = new_a
-            slot_b[slot] = new_b
-            if slot < num_front:
-                base_front += delta
-            else:
-                base_extended += delta
-        bucket_a = slots_of.pop(index_a, None)
-        bucket_b = slots_of.pop(index_b, None)
-        if bucket_b is not None:
-            slots_of[index_a] = bucket_b
-        if bucket_a is not None:
-            slots_of[index_b] = bucket_a
-        return base_front, base_extended
+def _partners(nodes: List[int], qa: List[int], qb: List[int]) -> Dict[Optional[int], List[int]]:
+    """The other operand of each two-qubit gate in ``nodes``, keyed by logical.
+
+    Keys are typed optional because lookups pass ``occupant`` entries,
+    which are None at free positions (and never match).
+    """
+    partners: Dict[Optional[int], List[int]] = {}
+    for node in nodes:
+        logical_a = qa[node]
+        logical_b = qb[node]
+        partners.setdefault(logical_a, []).append(logical_b)
+        partners.setdefault(logical_b, []).append(logical_a)
+    return partners

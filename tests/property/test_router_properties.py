@@ -14,7 +14,10 @@ Invariants covered (ISSUE satellite list):
 * against an exact oracle (breadth-first search over mappings, ≤ 5
   physical qubits and ≤ 12 two-qubit gates) the router never reports
   fewer swaps than the optimum, and routing count-only or with a
-  materialized circuit gives the same answer.
+  materialized circuit gives the same answer;
+* each SWAP decision (``SabreRouter._choose_swap`` on partner lists) is
+  the one a brute-force reference makes by rescoring the whole front and
+  extended set on a copied mapping per candidate.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ from __future__ import annotations
 import pytest
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.dag import PackedDAG
 from repro.circuit.gates import cx, h, measure, swap
 from repro.hardware import Architecture, Lattice
 from repro.mapping import RoutingEngine, SabreParameters, verify_routing
+from repro.mapping.sabre import SabreRouter, _partners
 from strategies import examples
 
 pytestmark = pytest.mark.property
@@ -131,6 +136,40 @@ class TestRoutedCircuitsAreFaithful:
         )
 
 
+def gate_predecessors(gates: List) -> List[Set[int]]:
+    """Each gate's predecessors: the previous gate on each of its qubits."""
+    predecessors: List[Set[int]] = []
+    last_on_qubit: Dict[int, int] = {}
+    for index, gate in enumerate(gates):
+        predecessors.append({last_on_qubit[q] for q in gate.qubits if q in last_on_qubit})
+        for qubit in gate.qubits:
+            last_on_qubit[qubit] = index
+    return predecessors
+
+
+def coupled_pairs(architecture: Architecture) -> Set[Tuple[int, int]]:
+    edges = architecture.coupling_edges()
+    return set(edges) | {(b, a) for a, b in edges}
+
+
+def execution_closure(gates, predecessors, coupled, positions, done) -> FrozenSet[int]:
+    """``done`` plus every gate that becomes executable at ``positions``."""
+    executed = set(done)
+    progressed = True
+    while progressed:
+        progressed = False
+        for index, gate in enumerate(gates):
+            if index in executed or not predecessors[index] <= executed:
+                continue
+            if gate.is_two_qubit:
+                a, b = gate.qubits
+                if (positions[a], positions[b]) not in coupled:
+                    continue
+            executed.add(index)
+            progressed = True
+    return frozenset(executed)
+
+
 def optimal_swaps(
     circuit: QuantumCircuit, architecture: Architecture, mapping: Dict[int, int]
 ) -> int:
@@ -143,30 +182,12 @@ def optimal_swaps(
     (each gate waits for the previous gate on each of its qubits).
     """
     gates = list(circuit)
-    predecessors: List[Set[int]] = []
-    last_on_qubit: Dict[int, int] = {}
-    for index, gate in enumerate(gates):
-        predecessors.append({last_on_qubit[q] for q in gate.qubits if q in last_on_qubit})
-        for qubit in gate.qubits:
-            last_on_qubit[qubit] = index
+    predecessors = gate_predecessors(gates)
     edges = architecture.coupling_edges()
-    coupled = set(edges) | {(b, a) for a, b in edges}
+    coupled = coupled_pairs(architecture)
 
     def closure(positions: Tuple[int, ...], done: FrozenSet[int]) -> FrozenSet[int]:
-        executed = set(done)
-        progressed = True
-        while progressed:
-            progressed = False
-            for index, gate in enumerate(gates):
-                if index in executed or not predecessors[index] <= executed:
-                    continue
-                if gate.is_two_qubit:
-                    a, b = gate.qubits
-                    if (positions[a], positions[b]) not in coupled:
-                        continue
-                executed.add(index)
-                progressed = True
-        return frozenset(executed)
+        return execution_closure(gates, predecessors, coupled, positions, done)
 
     start_positions = tuple(mapping[q] for q in range(circuit.num_qubits))
     start = (start_positions, closure(start_positions, frozenset()))
@@ -231,3 +252,114 @@ class TestExactOptimumOracle:
         program_swaps = sum(1 for gate in circuit if gate.name == "swap")
         routed_swaps = sum(1 for gate in routed if gate.name == "swap")
         assert routed_swaps - program_swaps == full.num_swaps
+
+
+def blocked_front(circuit: QuantumCircuit, architecture: Architecture,
+                  mapping: Dict[int, int]) -> List[int]:
+    """The sorted blocked two-qubit gates once every executable gate has run."""
+    gates = list(circuit)
+    predecessors = gate_predecessors(gates)
+    executed = execution_closure(gates, predecessors, coupled_pairs(architecture), mapping, ())
+    return [index for index in range(len(gates))
+            if index not in executed and predecessors[index] <= executed]
+
+
+def reference_choice(architecture, parameters, circuit, front, extended, mapping, decay):
+    """The SWAP a full rescoring picks: ``(edge, front cost, extended cost)``.
+
+    Every coupling edge touching a front operand is applied to a copy of
+    ``mapping`` and both sets are rescored in full.  Candidates that lower
+    the front cost win over those that do not; among them the lowest
+    ``(score, edge)`` wins.
+    """
+    from repro.mapping.distance import DistanceMatrix
+
+    distances = DistanceMatrix(architecture)
+    gates = list(circuit)
+
+    def cost(positions, nodes):
+        return sum(distances.distance(positions[gates[n].qubits[0]],
+                                      positions[gates[n].qubits[1]]) for n in nodes)
+
+    front_positions = {mapping[q] for node in front for q in gates[node].qubits}
+    before = cost(mapping, front)
+    scored = []
+    for a, b in architecture.coupling_edges():
+        if a not in front_positions and b not in front_positions:
+            continue
+        moved = {q: b if p == a else a if p == b else p for q, p in mapping.items()}
+        front_cost, extended_cost = cost(moved, front), cost(moved, extended)
+        score = front_cost / max(1, len(front))
+        if extended:
+            score += parameters.extended_set_weight * extended_cost / len(extended)
+        score *= max(decay[a], decay[b])
+        scored.append((front_cost < before, score, (a, b), front_cost, extended_cost))
+    improving = [entry for entry in scored if entry[0]]
+    _, _, edge, front_cost, extended_cost = min(
+        improving or scored, key=lambda entry: (entry[1], entry[2])
+    )
+    return edge, front_cost, extended_cost
+
+
+@st.composite
+def decision_cases(draw):
+    """A chip, a circuit on part of it, a random placement and decay state."""
+    architecture = draw(rectangle_architectures())
+    num_qubits = draw(st.integers(2, architecture.num_qubits))
+    circuit = draw(random_circuits(num_qubits))
+    physical = draw(st.permutations(architecture.qubits))
+    # Extra logical keys beyond the register pin physical qubits but never
+    # appear in a gate.
+    placed = draw(st.integers(num_qubits, architecture.num_qubits))
+    mapping = {logical: physical[logical] for logical in range(placed)}
+    decay = {q: 1.0 + 0.001 * draw(st.integers(0, 4)) for q in architecture.qubits}
+    return architecture, circuit, mapping, decay
+
+
+class TestSwapChoiceMatchesFullRescoring:
+    @given(case=decision_cases(), extended_set_size=st.sampled_from([0, 3, 20]),
+           data=st.data())
+    @settings(max_examples=examples(150))
+    def test_choose_swap_matches_brute_force(self, case, extended_set_size, data):
+        """Decisions on real states (the blocked front and its look-ahead)
+        and on arbitrary gate sets, where adjacent or overlapping gates
+        leave no improving candidate and the fallback decides."""
+        architecture, circuit, mapping, decay = case
+        parameters = SabreParameters(extended_set_size=extended_set_size)
+        router = SabreRouter(architecture, parameters)
+        dag = PackedDAG.from_circuit(circuit)
+        two_qubit = [index for index, gate in enumerate(circuit) if gate.is_two_qubit]
+        assume(two_qubit)
+        if data.draw(st.booleans(), label="arbitrary gate sets"):
+            front = sorted(data.draw(st.lists(st.sampled_from(two_qubit), min_size=1,
+                                              unique=True), label="front"))
+            extended = data.draw(st.lists(st.sampled_from(two_qubit), unique=True,
+                                          max_size=extended_set_size), label="extended")
+        else:
+            front = blocked_front(circuit, architecture, mapping)
+            assume(front)
+            extended = dag.lookahead(front, extended_set_size)
+
+        index_of = router.distances.index_of
+        occupant = [None] * len(router.distances.qubits)
+        for logical, physical in mapping.items():
+            occupant[index_of(physical)] = logical
+        pos = [index_of(mapping[logical]) for logical in range(circuit.num_qubits)]
+        decay_by_index = [decay[q] for q in router.distances.qubits]
+
+        def base(nodes):
+            return sum(router.distances.distance(mapping[dag.qa[n]], mapping[dag.qb[n]])
+                       for n in nodes)
+
+        chosen = router._choose_swap(
+            pos, occupant, _partners(front, dag.qa, dag.qb), _partners(extended, dag.qa, dag.qb),
+            len(front), len(extended), base(front), base(extended), decay_by_index,
+        )
+        edge, front_cost, extended_cost = reference_choice(
+            architecture, parameters, circuit, front, extended, mapping, decay
+        )
+        index_a, index_b, delta_front, delta_extended = chosen
+        physical = router.distances.qubits
+        assert (physical[index_a], physical[index_b]) == edge
+        assert base(front) + delta_front == front_cost
+        assert base(extended) + delta_extended == extended_cost

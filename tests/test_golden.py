@@ -1,6 +1,6 @@
 """Golden contracts: the design flow's outputs, committed.
 
-``tests/golden/contracts.json`` pins five things every refactor must keep:
+``tests/golden/contracts.json`` pins six things every refactor must keep:
 
 * ``sweep_sha256`` — the SHA-256 of ``sweep sym6_145 --trials 200
   --local-trials 100 --output`` for each Algorithm 3 strategy, at
@@ -12,6 +12,10 @@
 * ``routing_swaps`` — SABRE swap counts per point of a 20-point routing
   grid, for the single forward pass (``SabreParameters()``) and for the
   evaluation default (``DEFAULT_EVALUATION_ROUTING``);
+* ``routing_event_logs`` — the SHA-256 of the winning forward pass's
+  event log (:attr:`~repro.mapping.sabre.RoutingLog.events`) per point of
+  the same grid and parameter sets, so two routers that make different
+  decisions with equal swap totals still disagree;
 * ``perfbench_grid_swaps`` — the evaluation-default swap count of every
   point of perfbench's grid (five benchmarks x the five configurations,
   145 points, total 24,073), keyed ``benchmark/config/index``;
@@ -32,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarks import get_benchmark
+from repro.circuit.dag import PackedDAG
 from repro.cli import main
 from repro.design import (
     ALLOCATION_STRATEGIES,
@@ -44,7 +49,9 @@ from repro.evaluation import ExperimentConfig, architectures_for_config, paralle
 from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import RoutingEngine
+from repro.mapping.initial import initial_mapping
 from repro.mapping.sabre import SabreParameters
+from repro.profiling import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "contracts.json"
@@ -109,10 +116,8 @@ def task_keys() -> dict:
     return keys
 
 
-def routing_swaps() -> dict:
-    """Swap counts per ``benchmark/architecture`` point, single pass vs default."""
-    single, default = RoutingEngine(SabreParameters()), RoutingEngine(DEFAULT_EVALUATION_ROUTING)
-    swaps = {}
+def routing_grid():
+    """The 20 ``(point label, circuit, architecture)`` points of the routing goldens."""
     for name in ROUTING_BENCHMARKS:
         circuit = get_benchmark(name)
         targets = {
@@ -122,13 +127,48 @@ def routing_swaps() -> dict:
             "eff_0_buses": DesignFlow(circuit, DesignOptions(local_trials=200)).design(0),
         }
         for label, architecture in targets.items():
-            swaps[f"{name}/{label}"] = {
-                "single_pass": single.route(circuit, architecture,
-                                            keep_routed_circuit=False).num_swaps,
-                "evaluation_default": default.route(circuit, architecture,
-                                                    keep_routed_circuit=False).num_swaps,
-            }
+            yield f"{name}/{label}", circuit, architecture
+
+
+def routing_swaps() -> dict:
+    """Swap counts per ``benchmark/architecture`` point, single pass vs default."""
+    single, default = RoutingEngine(SabreParameters()), RoutingEngine(DEFAULT_EVALUATION_ROUTING)
+    swaps = {}
+    for point, circuit, architecture in routing_grid():
+        swaps[point] = {
+            "single_pass": single.route(circuit, architecture,
+                                        keep_routed_circuit=False).num_swaps,
+            "evaluation_default": default.route(circuit, architecture,
+                                                keep_routed_circuit=False).num_swaps,
+        }
     return swaps
+
+
+def routing_event_logs() -> dict:
+    """SHA-256 of the winning event log per routing-grid point and parameter set.
+
+    Each log is routed the way :meth:`RoutingEngine.route` routes a miss:
+    the engine's router, the profile-driven initial placement, and the
+    circuit's forward (and, for bidirectional passes, reverse) pack.
+    """
+    engines = {
+        "single_pass": RoutingEngine(SabreParameters()),
+        "evaluation_default": RoutingEngine(DEFAULT_EVALUATION_ROUTING),
+    }
+    digests = {}
+    for point, circuit, architecture in routing_grid():
+        profile = profile_circuit(circuit)
+        digests[point] = {}
+        for kind, engine in engines.items():
+            router = engine.router_for(architecture)
+            mapping = initial_mapping(profile, architecture, router.distances)
+            reverse = None
+            if engine.parameters.passes > 1:
+                reverse = PackedDAG.from_circuit(circuit, reverse=True)
+            log = router.route_packed(PackedDAG.from_circuit(circuit), reverse, mapping)
+            encoded = json.dumps(log.events).encode()
+            digests[point][kind] = hashlib.sha256(encoded).hexdigest()
+    return digests
 
 
 def perfbench_grid_swaps() -> dict:
@@ -216,6 +256,10 @@ def test_routing_swaps_match_golden():
     )
 
 
+def test_routing_event_logs_match_golden():
+    assert routing_event_logs() == load_golden()["routing_event_logs"]
+
+
 def test_perfbench_grid_swaps_match_golden():
     live = perfbench_grid_swaps()
     assert live == load_golden()["perfbench_grid_swaps"]
@@ -240,6 +284,7 @@ def regenerate() -> None:
     golden = {
         "design_fingerprints": design_fingerprints(),
         "perfbench_grid_swaps": perfbench_grid_swaps(),
+        "routing_event_logs": routing_event_logs(),
         "routing_swaps": routing_swaps(),
         "sweep_argv": SWEEP_ARGV,
         "sweep_sha256": digests,

@@ -1,5 +1,7 @@
 """Tests for the routing engine: per-architecture reuse and memoization."""
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.circuit import QuantumCircuit, cx, h, measure
@@ -75,6 +77,13 @@ class TestCacheKeys:
         with_freqs = arch.with_frequencies({q: 5.1 for q in arch.qubits})
         assert architecture_cache_key(arch) == architecture_cache_key(with_freqs)
 
+    def test_architecture_key_ignores_name(self):
+        arch = ibm_16q_2x8()
+        renamed = arch.with_frequencies(arch.frequencies, name="renamed")
+        assert renamed.name != arch.name
+        assert architecture_cache_key(arch) == architecture_cache_key(renamed)
+        assert arch.name not in architecture_cache_key(arch)
+
     def test_architecture_key_distinguishes_coupling(self):
         sparse = ibm_16q_2x8(use_four_qubit_buses=False)
         dense = ibm_16q_2x8(use_four_qubit_buses=True)
@@ -131,7 +140,6 @@ class TestRoutingEngine:
         engine = RoutingEngine()
         arch = ibm_16q_2x8()
         assert engine.router_for(arch) is engine.router_for(ibm_16q_2x8())
-        assert engine.distances_for(arch) is engine.router_for(arch).distances
 
     def test_parameters_partition_the_cache(self):
         cache = RoutingCache()
@@ -184,11 +192,16 @@ class TestRoutingEngine:
         circuit = small_circuit()
         arch = ibm_16q_2x8()
         real = engine.route(circuit, arch)
-        key = (circuit_cache_key(circuit), architecture_cache_key(arch), engine.parameters)
+        key = engine.cache_key(circuit, arch)
+        assert key in engine.cache._entries
         engine.cache.put(key, _CacheEntry(gates=(h(0),), result="poisoned"))
+        misses = engine.cache.misses
         again = engine.route(circuit, arch)
+        assert engine.cache.misses == misses + 1
         assert again.num_swaps == real.num_swaps
-        assert again.routed_circuit is not None
+        assert again.initial_mapping == real.initial_mapping
+        assert list(again.routed_circuit.gates) == list(real.routed_circuit.gates)
+        assert engine.cache._entries[key].result != "poisoned"
 
     def test_mismatched_profile_rejected(self, line_circuit):
         """The cache keys by circuit only, so a foreign profile must be
@@ -209,6 +222,85 @@ class TestRoutingEngine:
         circuit = QuantumCircuit(2).extend([cx(0, 1)])
         with pytest.raises(ValueError):
             RoutingEngine().route(circuit, disconnected)
+
+
+class TestSharingByTopology:
+    """Chips that differ only in name or frequencies share one routing."""
+
+    @staticmethod
+    def twin(architecture, name):
+        return architecture.with_frequencies(
+            {q: 5.0 + 0.01 * q for q in architecture.qubits}, name=name
+        )
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_twin_chip_is_a_hit_under_its_own_name(self, keep):
+        engine = RoutingEngine()
+        circuit = small_circuit()
+        arch = ibm_16q_2x8()
+        twin = self.twin(arch, "twin")
+        first = engine.route(circuit, arch, keep_routed_circuit=keep)
+        second = engine.route(circuit, twin, keep_routed_circuit=keep)
+        assert engine.cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert (first.architecture_name, second.architecture_name) == (arch.name, "twin")
+        assert replace(second, architecture_name=arch.name, routed_circuit=None) == replace(
+            first, routed_circuit=None
+        )
+        if keep:
+            assert first.routed_circuit.name == f"{circuit.name}@{arch.name}"
+            assert second.routed_circuit.name == f"{circuit.name}@twin"
+            assert list(first.routed_circuit.gates) == list(second.routed_circuit.gates)
+        # The first requester's name is not served back to it afterwards.
+        again = engine.route(circuit, arch, keep_routed_circuit=keep)
+        assert again.architecture_name == arch.name
+
+    def test_different_coupling_is_not_shared(self):
+        engine = RoutingEngine()
+        circuit = small_circuit()
+        engine.route(circuit, ibm_16q_2x8(use_four_qubit_buses=False))
+        engine.route(circuit, ibm_16q_2x8(use_four_qubit_buses=True))
+        assert engine.cache.stats() == {"entries": 2, "hits": 0, "misses": 2}
+
+    def test_different_pseudo_mapping_is_not_shared(self):
+        from repro.benchmarks import get_benchmark
+        from repro.design import DesignFlow, DesignOptions
+
+        circuit = get_benchmark("sym6_145")
+        arch = DesignFlow(circuit, DesignOptions(local_trials=20)).design(0)
+        placed = dict(arch.logical_to_physical)
+        moved = dict(placed)
+        first, second = sorted(moved)[:2]
+        moved[first], moved[second] = placed[second], placed[first]
+        other = Architecture(
+            name=arch.name, lattice=arch.lattice, buses=arch.buses,
+            frequencies=arch.frequencies, logical_to_physical=moved,
+        )
+        assert architecture_cache_key(other) != architecture_cache_key(arch)
+        engine = RoutingEngine()
+        engine.route(circuit, arch, keep_routed_circuit=False)
+        engine.route(circuit, other, keep_routed_circuit=False)
+        assert engine.cache.stats() == {"entries": 2, "hits": 0, "misses": 2}
+        assert engine.router_for(arch) is not engine.router_for(other)
+
+    def test_sweep_routes_each_topology_once(self, tmp_path, capsys):
+        """eff-5-freq's chips are eff-full's with another frequency plan:
+        the sweep computes three routes and serves three hits."""
+        import json
+
+        from repro.cli import main
+        from repro.design import reset_shared_caches
+        from repro.evaluation import parallel
+
+        parallel.reset_worker_state()
+        reset_shared_caches()
+        path = tmp_path / "m.json"
+        assert main(["sweep", "sym6_145", "--trials", "200", "--local-trials", "60",
+                     "--configs", "eff-full", "eff-5-freq", "--jobs", "1",
+                     "--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["routing/routes"] == 3
+        assert counters["routing/cache/hits"] == 3
 
 
 class TestCachePersistence:
@@ -290,6 +382,50 @@ class TestCachePersistence:
         tuned_engine.cache.load(path)
         tuned_engine.route(circuit, arch, keep_routed_circuit=False)
         assert tuned_engine.cache.stats()["hits"] == 1
+
+    def test_pre_topology_record_is_served_under_requesters_name(self, tmp_path):
+        """Records written while the architecture key began with the chip's
+        name still hit, and the result names the requesting chip."""
+        import json
+
+        circuit = small_circuit()
+        arch = ibm_16q_2x8()
+        fresh = RoutingEngine().route(circuit, arch, keep_routed_circuit=False)
+        legacy_key = [
+            "ibm_old_name",
+            list(arch.qubits),
+            [list(edge) for edge in arch.coupling_edges()],
+            [list(item) for item in sorted(arch.logical_to_physical.items())],
+        ]
+        record = {
+            "circuit_key": list(circuit_cache_key(circuit)),
+            "architecture_key": legacy_key,
+            "parameters": asdict(SabreParameters()),
+            "profile_key": None,
+            "result": {
+                "circuit_name": circuit.name,
+                "architecture_name": "ibm_old_name",
+                "original_gates": fresh.original_gates,
+                "original_two_qubit_gates": fresh.original_two_qubit_gates,
+                "num_swaps": fresh.num_swaps,
+                "initial_mapping": {str(k): v for k, v in fresh.initial_mapping.items()},
+                "final_mapping": {str(k): v for k, v in fresh.final_mapping.items()},
+            },
+        }
+        path = tmp_path / "routing_cache.json"
+        path.write_text(json.dumps(
+            {"format": RoutingCache.FORMAT, "version": 1, "entries": [record]}
+        ))
+        assert RoutingCache.VERSION == 1
+        assert RoutingCache._record_key(record) == RoutingCache._record_key(
+            {**record, "architecture_key": legacy_key[1:]}
+        )
+        engine = RoutingEngine()
+        assert engine.cache.load(path) == 1
+        served = engine.route(circuit, arch, keep_routed_circuit=False)
+        assert engine.cache.stats() == {"entries": 1, "hits": 1, "misses": 0}
+        assert served == fresh
+        assert served.architecture_name == arch.name
 
     def test_content_digest_is_process_stable(self):
         """Persisted keys embed the circuit digest, so it must not depend on

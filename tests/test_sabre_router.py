@@ -190,8 +190,50 @@ class TestRoutingLogVerification:
         circuit, arch, log = routed_log
         router = SabreRouter(arch)
         routed, num_swaps, final = router.route(circuit, dict(log.initial_mapping))
-        assert list(router.materialize(circuit, log).gates) == list(routed.gates)
+        assert list(router.materialize(circuit, log, arch.name).gates) == list(routed.gates)
         assert num_swaps == log.num_swaps and final == log.final_mapping
+
+
+class TestChooseSwapRules:
+    """Decision rules of ``_choose_swap`` on hand-picked gate sets.
+
+    The front and extended lists here need not be reachable states (the
+    adjacent front gates would have executed); the scorer must apply its
+    rules to any gate sets.  Chain 0-1-2-3-4-5, logical q on physical q.
+    """
+
+    @staticmethod
+    def choose(front_pairs, extended_pairs):
+        from repro.mapping.sabre import _partners
+
+        arch = chain_architecture(6)
+        router = SabreRouter(arch)
+        pairs = list(front_pairs) + list(extended_pairs)
+        qa = [a for a, _ in pairs]
+        qb = [b for _, b in pairs]
+        front = list(range(len(front_pairs)))
+        extended = list(range(len(front_pairs), len(pairs)))
+        pos = list(range(6))
+
+        def base(nodes):
+            return float(sum(abs(qa[n] - qb[n]) for n in nodes))
+
+        chosen = router._choose_swap(
+            pos, list(range(6)), _partners(front, qa, qb), _partners(extended, qa, qb),
+            len(front), len(extended), base(front), base(extended), [1.0] * 6,
+        )
+        return chosen[:2], chosen[2:]
+
+    def test_front_improving_swap_beats_lower_scoring_one(self):
+        # (0, 1) scores 2.0 without shortening the front; (3, 4) also
+        # scores 2.0 and shortens gate (2, 4), so it wins (and so would
+        # any front-improving swap with a higher score).
+        assert self.choose([(0, 1), (2, 4)], [(0, 2)]) == ((3, 4), (-1.0, 0.0))
+
+    def test_tie_without_improving_swap_goes_to_lowest_edge(self):
+        # Both front gates are adjacent, so no swap shortens the front:
+        # swapping either gate's own pair keeps every distance, scoring 1.0.
+        assert self.choose([(0, 1), (2, 3)], []) == ((0, 1), (0.0, 0.0))
 
 
 class TestEscapeHatches:
