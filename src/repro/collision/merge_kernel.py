@@ -35,11 +35,12 @@ Three backends implement the identical contract and are selected with
 ``native`` when a C toolchain is available, ``numpy`` otherwise):
 
 * ``numpy`` — the vectorized formulation above; the portable fast path.
-* ``native`` — a small C kernel compiled once with the system ``cc``
+* ``native`` — a small C library compiled once with the system ``cc``
   into a module-local build directory and loaded through ``ctypes``;
-  it fuses sort, sweep, and counting into one pass per row.  When no
-  toolchain (or no uniform candidate grid) is available it silently
-  degrades to ``numpy`` — no third-party dependency is ever required.
+  its merge kernel fuses sort, sweep, and counting into one pass per
+  row.  When no toolchain (or no uniform candidate grid) is available it
+  silently degrades to ``numpy`` — no third-party dependency is ever
+  required.
 * ``python`` — a scalar reference implementation (same float32 merge
   arithmetic, same float64 binning) used by the property suite to pin
   the other backends; orders of magnitude slower.
@@ -47,6 +48,14 @@ Three backends implement the identical contract and are selected with
 Every backend returns bit-identical ``(lower, upper)`` counts; the
 correctness argument (why the two-threshold merge bounds the joint
 kernel's counts) lives in :mod:`repro.collision.screening`.
+
+The native library holds a second kernel, the SABRE routing pass
+(``sabre_pass``, reached through :func:`native_sabre_pass`).  One
+loader builds both under one source digest, and the same switch selects
+both: :class:`~repro.mapping.sabre.SabreRouter` routes in C while
+``native`` is the active backend and on its Python pass otherwise, so
+``REPRO_SCREENING_BACKEND`` and the supervisor's crash demotion to
+``numpy`` govern routing too.
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ _ENV_VAR = "REPRO_SCREENING_BACKEND"
 _BACKENDS = ("python", "numpy", "native")
 
 _active_backend: Optional[str] = None
-_native_kernel: Optional[Callable] = None
+_native_lib: Optional[ctypes.CDLL] = None
 _native_failed = False
 
 
@@ -469,7 +478,7 @@ def _python_union_bounds(
 # The native backend: one C pass per row, compiled on demand behind cc.
 # ---------------------------------------------------------------------------
 
-_NATIVE_SOURCE = r"""
+_MERGE_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -678,9 +687,351 @@ int fused_union_bounds(
 }
 """
 
+#: One SABRE routing pass, an exact transliteration of
+#: ``repro.mapping.sabre.SabreRouter._python_pass`` (see that module for
+#: the algorithm and ``SabreRouter._native_pass`` for the array layout).
+#: Distances are small integers held in doubles, so every cost sum is
+#: exact; the score keeps the Python expression order, and
+#: ``-ffp-contract=off`` keeps it from being fused, so equal scores tie
+#: exactly as they do in Python.
+_SABRE_SOURCE = r"""
+enum { SABRE_OK = 0, SABRE_OVERFLOW = 1, SABRE_FAILED = 2 };
 
-def _build_native() -> Optional[Callable]:
-    """Compile and load the C kernel; None when no toolchain cooperates.
+static void sort_small(int32_t *values, int64_t count) {
+    for (int64_t i = 1; i < count; i++) {
+        int32_t value = values[i];
+        int64_t j = i - 1;
+        while (j >= 0 && values[j] > value) {
+            values[j + 1] = values[j];
+            j--;
+        }
+        values[j + 1] = value;
+    }
+}
+
+/* Partner lists (the other operand of each gate in nodes) as CSR keyed
+   by logical, in node order like repro.mapping.sabre._partners. */
+static void build_partners(
+    const int32_t *nodes, int64_t count, const int32_t *qa, const int32_t *qb,
+    int64_t num_qubits, int32_t *start, int32_t *cursor, int32_t *items
+) {
+    memset(start, 0, (size_t)(num_qubits + 1) * sizeof(int32_t));
+    for (int64_t i = 0; i < count; i++) {
+        start[qa[nodes[i]] + 1]++;
+        start[qb[nodes[i]] + 1]++;
+    }
+    for (int64_t l = 0; l < num_qubits; l++) start[l + 1] += start[l];
+    memcpy(cursor, start, (size_t)num_qubits * sizeof(int32_t));
+    for (int64_t i = 0; i < count; i++) {
+        int32_t a = qa[nodes[i]], b = qb[nodes[i]];
+        items[cursor[a]++] = b;
+        items[cursor[b]++] = a;
+    }
+}
+
+typedef struct {
+    const int64_t *physical;
+    const int32_t *key_logical;
+    int32_t *pos, *occupant;
+    int64_t *events;
+    int64_t capacity, length;
+    int record;
+} sabre_state;
+
+/* The logical at an index when it is a circuit logical, else -1. */
+static inline int32_t logical_at(const sabre_state *s, int32_t index) {
+    int32_t key = s->occupant[index];
+    return key < 0 ? -1 : s->key_logical[key];
+}
+
+static inline void record_event(sabre_state *s, int64_t event) {
+    if (s->length < s->capacity) s->events[s->length] = event;
+    s->length++;
+}
+
+static void apply_swap(sabre_state *s, int32_t index_a, int32_t index_b) {
+    int32_t key_a = s->occupant[index_a], key_b = s->occupant[index_b];
+    s->occupant[index_a] = key_b;
+    s->occupant[index_b] = key_a;
+    if (key_a >= 0 && s->key_logical[key_a] >= 0) s->pos[s->key_logical[key_a]] = index_b;
+    if (key_b >= 0 && s->key_logical[key_b] >= 0) s->pos[s->key_logical[key_b]] = index_a;
+    if (s->record) {
+        record_event(s, ~s->physical[index_a]);
+        record_event(s, ~s->physical[index_b]);
+    }
+}
+
+int sabre_pass(
+    /* router: distances, coupling edges, CSR edges per index, CSR
+       ascending-id neighbours per index, physical id per index */
+    int64_t positions, const double *dist,
+    int64_t num_edges, const int32_t *edge_a, const int32_t *edge_b,
+    const int32_t *edges_at_start, const int32_t *edges_at,
+    const int32_t *neighbor_start, const int32_t *neighbors,
+    const int64_t *physical,
+    /* pack: operands (-1 unless two-qubit), CSR successors, predecessor
+       counts, sorted initial front */
+    int64_t size, int64_t num_qubits, int64_t num_nodes,
+    const int32_t *qa, const int32_t *qb,
+    const int32_t *succ_start, const int32_t *succ, const int32_t *num_preds,
+    const int32_t *front, int64_t front_len,
+    /* parameters */
+    int64_t extended_set_size, double weight, double decay_factor,
+    int64_t decay_reset_interval, int64_t swap_budget, int64_t stall_threshold,
+    /* mapping (in/out): index of each circuit logical, mapping-key index
+       at each position (-1 when free), circuit logical of each key (-1
+       for extra keys) */
+    int32_t *pos, int32_t *occupant, const int32_t *key_logical,
+    /* event log; record == 0 skips it */
+    int record, int64_t *events, int64_t capacity,
+    int64_t *out   /* [num_swaps, event count] */
+) {
+    int64_t depth = extended_set_size > 0 ? extended_set_size : 0;
+    if (depth > size) depth = size;
+    /* Each node enters the execute queue and the BFS queue at most once
+       per walk, so every node-indexed buffer holds size entries. */
+    size_t words = (size_t)(7 * size + 3 * depth + 3 * num_qubits + 2 + num_edges);
+    int32_t *block = (int32_t *)calloc(words, sizeof(int32_t));
+    double *decay = (double *)malloc((size_t)(positions + 1) * sizeof(double));
+    if (!block || !decay) { free(block); free(decay); return SABRE_FAILED; }
+    int32_t *remaining = block;
+    int32_t *queue = remaining + size;
+    int32_t *blocked = queue + size;
+    int32_t *visited = blocked + size;       /* BFS stamps */
+    int32_t *bfs = visited + size;
+    int32_t *extended = bfs + size;
+    int32_t *front_start = extended + depth;
+    int32_t *ext_start = front_start + (num_qubits + 1);
+    int32_t *cursor = ext_start + (num_qubits + 1);
+    int32_t *front_items = cursor + num_qubits;
+    int32_t *ext_items = front_items + 2 * size;
+    int32_t *edge_mark = ext_items + 2 * depth;
+
+    sabre_state s = {physical, key_logical, pos, occupant,
+                     events, record ? capacity : 0, 0, record};
+    for (int64_t i = 0; i < size; i++) remaining[i] = num_preds[i];
+    for (int64_t i = 0; i < positions; i++) decay[i] = 1.0;
+    int64_t blocked_len = front_len;
+    memcpy(blocked, front, (size_t)front_len * sizeof(int32_t));
+    int64_t pending = num_nodes;
+    int64_t num_swaps = 0, since_reset = 0, since_progress = 0;
+    int32_t stamp = 0, edge_stamp = 0;
+    int status = SABRE_OK;
+
+    for (;;) {
+        /* Execute everything executable, walking the sorted front and
+           the nodes it unblocks; what stays blocked is the next front. */
+        int64_t head = 0, tail = blocked_len;
+        memcpy(queue, blocked, (size_t)blocked_len * sizeof(int32_t));
+        blocked_len = 0;
+        while (head < tail) {
+            int32_t node = queue[head++];
+            int32_t a = qa[node];
+            if (a >= 0 && dist[(int64_t)pos[a] * positions + pos[qb[node]]] != 1.0) {
+                blocked[blocked_len++] = node;
+                continue;
+            }
+            if (record) record_event(&s, node);
+            pending--;
+            for (int32_t k = succ_start[node]; k < succ_start[node + 1]; k++) {
+                int32_t next = succ[k];
+                if (!--remaining[next]) queue[tail++] = next;
+            }
+        }
+        if (!pending) break;
+        sort_small(blocked, blocked_len);
+
+        /* The extended set: BFS from the sorted front's successors, cut
+           after depth two-qubit nodes. */
+        int64_t ext_len = 0;
+        if (depth > 0) {
+            stamp++;
+            int64_t bhead = 0, btail = 0;
+            for (int64_t i = 0; i < blocked_len; i++) {
+                int32_t node = blocked[i];
+                for (int32_t k = succ_start[node]; k < succ_start[node + 1]; k++) {
+                    int32_t next = succ[k];
+                    if (visited[next] != stamp) { visited[next] = stamp; bfs[btail++] = next; }
+                }
+            }
+            while (bhead < btail) {
+                int32_t node = bfs[bhead++];
+                if (qa[node] >= 0) {
+                    extended[ext_len++] = node;
+                    if (ext_len >= depth) break;
+                }
+                for (int32_t k = succ_start[node]; k < succ_start[node + 1]; k++) {
+                    int32_t next = succ[k];
+                    if (visited[next] != stamp) { visited[next] = stamp; bfs[btail++] = next; }
+                }
+            }
+        }
+        build_partners(blocked, blocked_len, qa, qb, num_qubits,
+                       front_start, cursor, front_items);
+        build_partners(extended, ext_len, qa, qb, num_qubits,
+                       ext_start, cursor, ext_items);
+        double base_front = 0.0, base_extended = 0.0;
+        for (int64_t i = 0; i < blocked_len; i++) {
+            int32_t node = blocked[i];
+            base_front += dist[(int64_t)pos[qa[node]] * positions + pos[qb[node]]];
+        }
+        for (int64_t i = 0; i < ext_len; i++) {
+            int32_t node = extended[i];
+            base_extended += dist[(int64_t)pos[qa[node]] * positions + pos[qb[node]]];
+        }
+        int64_t front_div = blocked_len > 1 ? blocked_len : 1;
+
+        for (;;) {
+            if (since_progress >= stall_threshold) {
+                /* Livelock escape: walk the first blocked gate's operands
+                   together, stepping to the lowest-id closer neighbour. */
+                int32_t la = qa[blocked[0]], lb = qb[blocked[0]];
+                for (;;) {
+                    int32_t ia = pos[la], ib = pos[lb];
+                    double current = dist[(int64_t)ia * positions + ib];
+                    if (current <= 1.0) break;
+                    int32_t step = -1;
+                    for (int32_t k = neighbor_start[ia]; k < neighbor_start[ia + 1]; k++) {
+                        if (dist[(int64_t)neighbors[k] * positions + ib] < current) {
+                            step = neighbors[k];
+                            break;
+                        }
+                    }
+                    if (step < 0) { status = SABRE_FAILED; goto done; }
+                    apply_swap(&s, ia, step);
+                    num_swaps++;
+                }
+                since_progress = 0;
+                break;
+            }
+
+            /* Candidates: every edge at a front logical, ascending id. */
+            edge_stamp++;
+            for (int64_t l = 0; l < num_qubits; l++) {
+                if (front_start[l] == front_start[l + 1]) continue;
+                int32_t at = pos[l];
+                for (int32_t k = edges_at_start[at]; k < edges_at_start[at + 1]; k++) {
+                    edge_mark[edges_at[k]] = edge_stamp;
+                }
+            }
+            int found = 0, found_improving = 0;
+            double best_score = 0.0, best_improving_score = 0.0;
+            int32_t best_a = 0, best_b = 0, improving_a = 0, improving_b = 0;
+            double best_df = 0.0, best_de = 0.0, improving_df = 0.0, improving_de = 0.0;
+            for (int64_t e = 0; e < num_edges; e++) {
+                if (edge_mark[e] != edge_stamp) continue;
+                int32_t ia = edge_a[e], ib = edge_b[e];
+                const double *row_a = dist + (int64_t)ia * positions;
+                const double *row_b = dist + (int64_t)ib * positions;
+                int32_t la = logical_at(&s, ia), lb = logical_at(&s, ib);
+                double df = 0.0, de = 0.0;
+                if (la >= 0) {
+                    for (int32_t k = front_start[la]; k < front_start[la + 1]; k++) {
+                        int32_t partner = front_items[k];
+                        if (partner != lb) { int32_t at = pos[partner]; df += row_b[at] - row_a[at]; }
+                    }
+                }
+                if (lb >= 0) {
+                    for (int32_t k = front_start[lb]; k < front_start[lb + 1]; k++) {
+                        int32_t partner = front_items[k];
+                        if (partner != la) { int32_t at = pos[partner]; df += row_a[at] - row_b[at]; }
+                    }
+                }
+                if (la >= 0) {
+                    for (int32_t k = ext_start[la]; k < ext_start[la + 1]; k++) {
+                        int32_t partner = ext_items[k];
+                        if (partner != lb) { int32_t at = pos[partner]; de += row_b[at] - row_a[at]; }
+                    }
+                }
+                if (lb >= 0) {
+                    for (int32_t k = ext_start[lb]; k < ext_start[lb + 1]; k++) {
+                        int32_t partner = ext_items[k];
+                        if (partner != la) { int32_t at = pos[partner]; de += row_a[at] - row_b[at]; }
+                    }
+                }
+                double score = (base_front + df) / (double)front_div;
+                if (ext_len) score += weight * (base_extended + de) / (double)ext_len;
+                double decay_a = decay[ia], decay_b = decay[ib];
+                score *= decay_a >= decay_b ? decay_a : decay_b;
+                if (!found || score < best_score) {
+                    found = 1; best_score = score;
+                    best_a = ia; best_b = ib; best_df = df; best_de = de;
+                }
+                if (df < 0.0 && (!found_improving || score < best_improving_score)) {
+                    found_improving = 1; best_improving_score = score;
+                    improving_a = ia; improving_b = ib; improving_df = df; improving_de = de;
+                }
+            }
+            if (!found) { status = SABRE_FAILED; goto done; }
+            if (found_improving) {
+                best_a = improving_a; best_b = improving_b;
+                best_df = improving_df; best_de = improving_de;
+            }
+            base_front += best_df;
+            base_extended += best_de;
+            apply_swap(&s, best_a, best_b);
+            num_swaps++;
+            since_reset++;
+            since_progress++;
+            decay[best_a] += decay_factor;
+            decay[best_b] += decay_factor;
+            if (since_reset >= decay_reset_interval) {
+                for (int64_t i = 0; i < positions; i++) decay[i] = 1.0;
+                since_reset = 0;
+            }
+            if (num_swaps > swap_budget) { status = SABRE_FAILED; goto done; }
+            /* Progress: a blocked gate of a moved logical became adjacent. */
+            int progressed = 0;
+            int32_t moved[2] = {logical_at(&s, best_a), logical_at(&s, best_b)};
+            for (int m = 0; m < 2 && !progressed; m++) {
+                int32_t logical = moved[m];
+                if (logical < 0) continue;
+                for (int32_t k = front_start[logical]; k < front_start[logical + 1]; k++) {
+                    int32_t partner = front_items[k];
+                    if (dist[(int64_t)pos[logical] * positions + pos[partner]] == 1.0) {
+                        progressed = 1;
+                        break;
+                    }
+                }
+            }
+            if (progressed) { since_progress = 0; break; }
+        }
+    }
+    if (s.length > s.capacity) status = SABRE_OVERFLOW;
+done:
+    out[0] = num_swaps;
+    out[1] = s.length;
+    free(block);
+    free(decay);
+    return status;
+}
+"""
+
+
+#: Both kernels live in one shared object, compiled and cached under one
+#: source digest.
+_NATIVE_SOURCE = _MERGE_SOURCE + _SABRE_SOURCE
+
+_POINTER = ctypes.c_void_p
+_I64 = ctypes.c_int64
+#: ``sabre_pass`` argument types, grouped like its C signature.
+_SABRE_ARGTYPES = [
+    # router tables
+    _I64, _POINTER, _I64, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,
+    _POINTER,
+    # pack
+    _I64, _I64, _I64, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _I64,
+    # parameters
+    _I64, ctypes.c_double, ctypes.c_double, _I64, _I64, _I64,
+    # mapping
+    _POINTER, _POINTER, _POINTER,
+    # event log and results
+    ctypes.c_int, _POINTER, _I64, _POINTER,
+]
+
+
+def _build_native() -> Optional[ctypes.CDLL]:
+    """Compile and load the C library; None when no toolchain cooperates.
 
     The shared object is cached in a module-local ``_native`` directory
     keyed by source digest, so each machine compiles at most once per
@@ -693,21 +1044,22 @@ def _build_native() -> Optional[Callable]:
     try:
         digest = hashlib.sha256(_NATIVE_SOURCE.encode()).hexdigest()[:16]
         build_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native")
-        library = os.path.join(build_dir, f"fused_merge_{digest}.so")
+        library = os.path.join(build_dir, f"repro_native_{digest}.so")
         if not os.path.exists(library):
             os.makedirs(build_dir, exist_ok=True)
-            source = os.path.join(build_dir, f"fused_merge_{digest}.c")
+            source = os.path.join(build_dir, f"repro_native_{digest}.c")
             with open(source, "w", encoding="utf-8") as handle:
                 handle.write(_NATIVE_SOURCE)
             # -ffp-contract=off: the binning arithmetic must round every
-            # intermediate exactly like numpy's — FMA contraction (the
-            # gcc default at -O3 on FMA-baseline targets) could shift a
-            # floor() result and break cross-backend identity.  Tuned
+            # intermediate exactly like numpy's, and the routing score
+            # exactly like Python's — FMA contraction (the gcc default at
+            # -O3 on FMA-baseline targets) could shift a floor() result
+            # or a score tie and break cross-backend identity.  Tuned
             # -march=native first; plain -O3 for compilers without it.
             flag_sets = (
                 ["-O3", "-march=native", "-ffp-contract=off"],
                 # No bare -O3 fallback: a compiler that cannot disable FP
-                # contraction must not produce this kernel at all (the
+                # contraction must not produce this library at all (the
                 # numpy backend takes over instead).
                 ["-O3", "-ffp-contract=off"],
             )
@@ -732,7 +1084,9 @@ def _build_native() -> Optional[Callable]:
             ctypes.c_double,
             ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64),
         ]
-        return kernel
+        lib.sabre_pass.restype = ctypes.c_int
+        lib.sabre_pass.argtypes = _SABRE_ARGTYPES
+        return lib
     except Exception:
         _native_failed = True
         return None
@@ -746,14 +1100,14 @@ def _native_union_bounds(
     bins: CandidateBins,
     epsilon: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    global _native_kernel
+    global _native_lib
     if not bins.uniform:
         # Non-uniform grids take the searchsorted path; only the numpy
         # backend implements it (results are identical by contract).
         return _numpy_union_bounds(lows, highs, slots, num_slots, bins, epsilon)
-    if _native_kernel is None:
-        _native_kernel = _build_native()
-        if _native_kernel is None:
+    if _native_lib is None:
+        _native_lib = _build_native()
+        if _native_lib is None:
             _count_fallback("screening/native_fallbacks")
             return _numpy_union_bounds(lows, highs, slots, num_slots, bins, epsilon)
     rows, cols = lows.shape
@@ -762,7 +1116,7 @@ def _native_union_bounds(
     slots64 = np.ascontiguousarray(slots, dtype=np.int64)
     lower = np.zeros((num_slots, bins.num), dtype=np.int64)
     upper = np.zeros((num_slots, bins.num), dtype=np.int64)
-    status = _native_kernel(
+    status = _native_lib.fused_union_bounds(
         lows32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
         highs32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
         rows, cols,
@@ -792,12 +1146,25 @@ _IMPLEMENTATIONS: Dict[str, Callable] = {
 def available_backends() -> Tuple[str, ...]:
     """Backends that can run here (``native`` only with a C toolchain)."""
     names = ["python", "numpy"]
-    global _native_kernel
-    if _native_kernel is None and not _native_failed:
-        _native_kernel = _build_native()
-    if _native_kernel is not None:
+    global _native_lib
+    if _native_lib is None and not _native_failed:
+        _native_lib = _build_native()
+    if _native_lib is not None:
         names.append("native")
     return tuple(names)
+
+
+def native_sabre_pass() -> Optional[Callable[..., int]]:
+    """The C routing pass while ``native`` is the active backend, else None.
+
+    :class:`~repro.mapping.sabre.SabreRouter` routes on it; the backend
+    switch and the supervisor's demotion to ``numpy`` therefore govern
+    routing exactly as they govern screening.
+    """
+    if active_backend() != "native" or _native_lib is None:
+        return None
+    kernel: Callable[..., int] = _native_lib.sabre_pass
+    return kernel
 
 
 def _resolve_default() -> str:

@@ -81,19 +81,28 @@ class Architecture:
     def two_qubit_buses(self) -> List[Bus]:
         return [bus for bus in self.buses if bus.bus_type is BusType.TWO_QUBIT]
 
+    def adjacency(self) -> Dict[int, List[int]]:
+        """Every qubit's coupled qubits, ascending, from one edge pass.
+
+        Keys follow :attr:`qubits`; a qubit that only a bus names (not
+        placed on the lattice) gets an entry after them.
+        """
+        adjacency: Dict[int, List[int]] = {q: [] for q in self.qubits}
+        # coupling_edges() is sorted, so each list fills in ascending order:
+        # a qubit's smaller neighbours come from its edges (n, q), which
+        # sort before its edges (q, n).
+        for a, b in self.coupling_edges():
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        return adjacency
+
     def degree(self, qubit: int) -> int:
         """Number of physical qubits directly coupled to ``qubit``."""
-        return sum(1 for a, b in self.coupling_edges() if qubit in (a, b))
+        return len(self.neighbors(qubit))
 
     def neighbors(self, qubit: int) -> List[int]:
-        """Physical qubits directly coupled to ``qubit``."""
-        found = set()
-        for a, b in self.coupling_edges():
-            if a == qubit:
-                found.add(b)
-            elif b == qubit:
-                found.add(a)
-        return sorted(found)
+        """Physical qubits directly coupled to ``qubit``, ascending."""
+        return self.adjacency().get(qubit, [])
 
     # -- validation -----------------------------------------------------------
 
@@ -216,9 +225,10 @@ class Architecture:
         These are the geometries checked against collision conditions 5-7
         (paper Figure 3, right).
         """
-        adjacency: Dict[int, List[int]] = {q: self.neighbors(q) for q in self.qubits}
+        adjacency = self.adjacency()
         triples: List[Tuple[int, int, int]] = []
-        for j, neighbors in adjacency.items():
+        for j in self.qubits:
+            neighbors = adjacency[j]
             for idx_a in range(len(neighbors)):
                 for idx_b in range(idx_a + 1, len(neighbors)):
                     triples.append((j, neighbors[idx_a], neighbors[idx_b]))

@@ -24,7 +24,7 @@ class DistanceMatrix:
         self._qubits: List[int] = architecture.qubits
         self._index_of: Dict[int, int] = {q: i for i, q in enumerate(self._qubits)}
         n = len(self._qubits)
-        adjacency: Dict[int, List[int]] = {q: architecture.neighbors(q) for q in self._qubits}
+        adjacency = architecture.adjacency()
         matrix = np.full((n, n), np.inf)
         for source in self._qubits:
             src = self._index_of[source]

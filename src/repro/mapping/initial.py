@@ -72,7 +72,8 @@ def _greedy_mapping(
     distances: DistanceMatrix,
 ) -> Dict[int, int]:
     """Coupling-driven greedy placement onto the physical coupling graph."""
-    physical_degree = {q: architecture.degree(q) for q in architecture.qubits}
+    adjacency = architecture.adjacency()
+    physical_degree = {q: len(adjacency[q]) for q in architecture.qubits}
     mapping: Dict[int, int] = {}
     used: Set[int] = set()
 

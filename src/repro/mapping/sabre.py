@@ -26,6 +26,15 @@ event and read through ``pos``; a candidate only rescores the gates of
 the two logicals it moves, and distances are small integers, so the base
 sums plus deltas are exact.
 
+The pass exists twice.  :meth:`SabreRouter._python_pass` is the
+reference; ``sabre_pass`` in the native library of
+:mod:`repro.collision.merge_kernel` (the one that holds the screening
+kernel) transliterates it over the same arrays in C: the router tables
+(flat distance matrix, edges per index, neighbours per index) once per
+router, the pack (CSR successors) once per :class:`PackedDAG`.  The
+C pass runs while ``REPRO_SCREENING_BACKEND`` resolves to ``native``;
+every other backend, and every C error status, runs the Python pass.
+
 **Event log.**  A forward pass records node positions as they execute
 and each SWAP of physical qubits ``a``, ``b`` as the pair ``~a, ~b``.
 :func:`~repro.mapping.router.verify_routing` replays the log, and
@@ -57,13 +66,18 @@ metric (total post-mapping gate count) charges three CNOTs per SWAP.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import PackedDAG
 from repro.circuit.gates import Gate
+from repro.collision import merge_kernel
 from repro.hardware.architecture import Architecture
 from repro.mapping.distance import DistanceMatrix
 from repro.utils.rng import deterministic_rng
@@ -199,9 +213,25 @@ class SabreRouter:
             self._edges_at[self._edge_b[edge_index]].append(edge_index)
         # Neighbour indices per index, in ascending physical id (the
         # livelock escape's deterministic step order).
+        adjacency = architecture.adjacency()
         self._neighbors: List[List[int]] = [
-            [index_of(n) for n in architecture.neighbors(q)] for q in self._physical
+            [index_of(n) for n in adjacency[q]] for q in self._physical
         ]
+        # The same tables as flat arrays for the C pass; None on a
+        # disconnected chip, whose infinite distances only the Python pass
+        # handles (the routing engine refuses such chips anyway).
+        self._c_router: Optional[_CFields] = None
+        if self.distances.is_connected():
+            self._c_router = (
+                len(self._physical),
+                np.ascontiguousarray(self.distances.array, dtype=np.float64),
+                len(edges),
+                np.array(self._edge_a, dtype=np.int32),
+                np.array(self._edge_b, dtype=np.int32),
+                *_csr([self._edges_at[index] for index in range(len(self._physical))]),
+                *_csr(self._neighbors),
+                np.array(self._physical, dtype=np.int64),
+            )
 
     # -- public API ------------------------------------------------------------
 
@@ -343,6 +373,102 @@ class SabreRouter:
     # -- the routing pass ----------------------------------------------------------
 
     def _pass(
+        self,
+        dag: PackedDAG,
+        mapping: Dict[int, int],
+        events: Optional[List[int]],
+    ) -> Tuple[int, Dict[int, int]]:
+        """One routing pass over ``dag`` from ``mapping``.
+
+        While ``native`` is the active backend the pass runs in C
+        (:meth:`_native_pass`); otherwise, and whenever the C pass stops
+        on an error, :meth:`_python_pass` runs it, so every exception and
+        message is the reference's.  Both give the same events, swap
+        count and final mapping.
+        """
+        kernel = merge_kernel.native_sabre_pass()
+        if kernel is not None:
+            result = self._native_pass(kernel, dag, mapping, events)
+            if result is not None:
+                return result
+        return self._python_pass(dag, mapping, events)
+
+    def _native_pass(
+        self,
+        kernel: Callable[..., int],
+        dag: PackedDAG,
+        mapping: Dict[int, int],
+        events: Optional[List[int]],
+    ) -> Optional[Tuple[int, Dict[int, int]]]:
+        """:meth:`_python_pass` as one call of the C ``sabre_pass``.
+
+        The mapping crosses as ``pos`` (index of each circuit logical) and
+        ``occupant`` (the position of the mapping key at each index, -1
+        when free), so extra logical keys ride along like in Python.
+        Returns None when the Python pass must decide: a negative logical
+        key, a non-integer count parameter, a disconnected chip, or an
+        error status.
+        """
+        if self._c_router is None or any(logical < 0 for logical in mapping):
+            return None
+        params = self.parameters
+        index_of = self.distances.index_of
+        num_qubits = dag.num_qubits
+        pos = [0] * num_qubits
+        occupant = [-1] * len(self._physical)
+        key_logical: List[int] = []
+        for key, (logical, physical) in enumerate(mapping.items()):
+            index = index_of(physical)
+            occupant[index] = key
+            if logical < num_qubits:
+                pos[logical] = index
+                key_logical.append(logical)
+            else:
+                key_logical.append(-1)
+        key_array = np.array(key_logical, dtype=np.int32)
+        stall_threshold = params.stall_threshold
+        if stall_threshold is None:
+            stall_threshold = int(3 * self.distances.diameter()) + 8
+        swap_budget = params.max_swaps_per_gate * max(1, dag.num_two_qubit)
+        counts = (params.extended_set_size, params.decay_reset_interval, swap_budget,
+                  stall_threshold)
+        if not all(isinstance(count, int) for count in counts):
+            return None
+        record = events is not None
+        # Room for every node and about two swaps per two-qubit gate; a
+        # longer log reports its length and the pass reruns once.
+        capacity = dag.num_nodes + 4 * dag.num_two_qubit + 64 if record else 0
+        out = np.zeros(2, dtype=np.int64)
+        while True:
+            pos_array = np.array(pos, dtype=np.int32)
+            occupant_array = np.array(occupant, dtype=np.int32)
+            buffer = np.empty(capacity, dtype=np.int64)
+            status = kernel(
+                *_c_args(self._c_router), *_c_args(_pack_fields(dag)),
+                params.extended_set_size, float(params.extended_set_weight),
+                float(params.decay_factor), params.decay_reset_interval,
+                swap_budget, stall_threshold,
+                pos_array.ctypes.data, occupant_array.ctypes.data, key_array.ctypes.data,
+                int(record), buffer.ctypes.data, capacity, out.ctypes.data,
+            )
+            if status != _SABRE_OVERFLOW:
+                break
+            capacity = int(out[1])
+        if status != _SABRE_OK:
+            return None
+        index_of_key = [0] * len(key_logical)
+        for index, key in enumerate(occupant_array.tolist()):
+            if key >= 0:
+                index_of_key[key] = index
+        physical_of = self._physical
+        final_mapping = {
+            logical: physical_of[index_of_key[key]] for key, logical in enumerate(mapping)
+        }
+        if events is not None:
+            events.extend(buffer[: int(out[1])].tolist())
+        return int(out[0]), final_mapping
+
+    def _python_pass(
         self,
         dag: PackedDAG,
         mapping: Dict[int, int],
@@ -638,6 +764,52 @@ class SabreRouter:
         # the running when no candidate reduces it (they can still win on
         # the extended set, but must not displace genuine progress).
         return best_improving if best_improving is not None else best
+
+
+#: ``sabre_pass`` status codes (see ``merge_kernel._SABRE_SOURCE``).
+_SABRE_OK = 0
+_SABRE_OVERFLOW = 1
+
+
+#: Leading arguments of a C call: counts, and arrays passed by address.
+_CFields = Tuple[Union[int, np.ndarray], ...]
+
+
+def _c_args(fields: _CFields) -> List[int]:
+    """``fields`` with each array replaced by its data address.
+
+    Addresses are taken per call, never stored, so the arrays may be
+    copied or moved (a pickled router) without leaving a stale pointer.
+    """
+    return [field.ctypes.data if isinstance(field, np.ndarray) else field for field in fields]
+
+
+def _csr(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(start, items)`` int32 arrays: row ``i`` is ``items[start[i]:start[i + 1]]``."""
+    start = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([len(row) for row in rows], out=start[1:])
+    items = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(start[-1]))
+    return start, items
+
+
+#: Flat C arrays per packed DAG, built on a pack's first native pass and
+#: dropped with the pack.
+_PACK_FIELDS: "weakref.WeakKeyDictionary[PackedDAG, _CFields]" = weakref.WeakKeyDictionary()
+
+
+def _pack_fields(dag: PackedDAG) -> _CFields:
+    """The pack arguments of ``sabre_pass`` for ``dag`` (memoized per pack)."""
+    found = _PACK_FIELDS.get(dag)
+    if found is None:
+        found = (
+            len(dag.qa), dag.num_qubits, dag.num_nodes,
+            np.array(dag.qa, dtype=np.int32), np.array(dag.qb, dtype=np.int32),
+            *_csr(dag.successors),
+            np.array(dag.num_preds, dtype=np.int32),
+            np.array(dag.front, dtype=np.int32), len(dag.front),
+        )
+        _PACK_FIELDS[dag] = found
+    return found
 
 
 def _partners(nodes: List[int], qa: List[int], qb: List[int]) -> Dict[Optional[int], List[int]]:

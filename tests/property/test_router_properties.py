@@ -17,7 +17,10 @@ Invariants covered (ISSUE satellite list):
   materialized circuit gives the same answer;
 * each SWAP decision (``SabreRouter._choose_swap`` on partner lists) is
   the one a brute-force reference makes by rescoring the whole front and
-  extended set on a copied mapping per candidate.
+  extended set on a copied mapping per candidate;
+* the C routing pass of the native library and the Python pass, its
+  reference, give the same event log, swap count and final mapping (key
+  order included), or the same exception and message.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from hypothesis import strategies as st
 from repro.circuit import QuantumCircuit
 from repro.circuit.dag import PackedDAG
 from repro.circuit.gates import cx, h, measure, swap
-from repro.hardware import Architecture, Lattice
+from repro.collision import merge_kernel
+from repro.hardware import Architecture, Lattice, ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import RoutingEngine, SabreParameters, verify_routing
 from repro.mapping.sabre import SabreRouter, _partners
 from strategies import examples
@@ -363,3 +367,108 @@ class TestSwapChoiceMatchesFullRescoring:
         assert (physical[index_a], physical[index_b]) == edge
         assert base(front) + delta_front == front_cost
         assert base(extended) + delta_extended == extended_cost
+
+
+@st.composite
+def differential_cases(draw):
+    """A chip (4-qubit buses included), a circuit of up to 150 gates on
+    part of it, and a placement whose key order is shuffled and which may
+    pin extra logical keys beyond the register."""
+    architecture = draw(st.one_of(
+        rectangle_architectures(),
+        st.sampled_from([ibm_16q_2x8(True), ibm_20q_4x5(True), ibm_20q_4x5(False)]),
+    ))
+    num_qubits = draw(st.integers(2, architecture.num_qubits))
+    operations = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, num_qubits - 1),
+                  st.integers(0, num_qubits - 2)),
+        min_size=1, max_size=150,
+    ))
+    circuit = QuantumCircuit(num_qubits, name="differential")
+    for kind, a, b in operations:
+        b += b >= a
+        circuit.append(h(a) if kind == 0 else swap(a, b) if kind == 1 else cx(a, b))
+    physical = draw(st.permutations(architecture.qubits))
+    placed = draw(st.integers(num_qubits, architecture.num_qubits))
+    order = draw(st.permutations(range(placed)))
+    return architecture, circuit, {logical: physical[logical] for logical in order}
+
+
+differential_parameters = st.builds(
+    SabreParameters,
+    extended_set_size=st.sampled_from([0, 1, 20]),
+    decay_factor=st.sampled_from([0.001, 0.5, 3.0]),
+    decay_reset_interval=st.sampled_from([1, 5, 1000]),
+    stall_threshold=st.sampled_from([None, 0, 2]),
+    # A budget of one swap per gate makes some routings fail.
+    max_swaps_per_gate=st.sampled_from([1, 64]),
+    passes=st.sampled_from([1, 3]),
+    restarts=st.sampled_from([1, 2]),
+)
+
+
+def native_kernel():
+    """The C routing pass, whichever backend is active."""
+    previous = merge_kernel.active_backend()
+    merge_kernel.set_backend("native")
+    try:
+        return merge_kernel.native_sabre_pass()
+    finally:
+        merge_kernel.set_backend(previous)
+
+
+def routing_outcome(router: SabreRouter, circuit: QuantumCircuit, mapping: Dict[int, int]):
+    """Everything a routing decides, or the exception it raises."""
+    reverse = None
+    if router.parameters.passes > 1:
+        reverse = PackedDAG.from_circuit(circuit, reverse=True)
+    try:
+        log = router.route_packed(PackedDAG.from_circuit(circuit), reverse, mapping)
+    except (RuntimeError, ValueError) as error:
+        return type(error), str(error)
+    return (log.events, log.num_swaps, list(log.initial_mapping.items()),
+            list(log.final_mapping.items()))
+
+
+@pytest.mark.skipif("native" not in merge_kernel.available_backends(),
+                    reason="native library unavailable: no C toolchain")
+class TestNativePassMatchesPythonPass:
+    @given(case=differential_cases(), parameters=differential_parameters)
+    @settings(max_examples=examples(150))
+    def test_single_pass_is_identical(self, case, parameters):
+        """One forward pass: the C pass decides exactly what the Python
+        pass decides, and declines (None) exactly where it raises."""
+        architecture, circuit, mapping = case
+        router = SabreRouter(architecture, parameters)
+        dag = PackedDAG.from_circuit(circuit)
+        python_events: List[int] = []
+        try:
+            expected = router._python_pass(dag, mapping, python_events)
+        except RuntimeError:
+            expected = None
+        native_events: List[int] = []
+        native = router._native_pass(native_kernel(), dag, mapping, native_events)
+        if expected is None:
+            assert native is None
+            return
+        assert native is not None
+        assert native_events == python_events
+        assert native[0] == expected[0]
+        assert list(native[1].items()) == list(expected[1].items())
+
+    @given(case=differential_cases(), parameters=differential_parameters)
+    @settings(max_examples=examples(100))
+    def test_routing_is_identical_on_both_backends(self, case, parameters):
+        """Passes, restarts and errors included, the backend never shows."""
+        architecture, circuit, mapping = case
+        previous = merge_kernel.active_backend()
+        try:
+            outcomes = []
+            for backend in ("native", "numpy"):
+                merge_kernel.set_backend(backend)
+                outcomes.append(
+                    routing_outcome(SabreRouter(architecture, parameters), circuit, mapping)
+                )
+        finally:
+            merge_kernel.set_backend(previous)
+        assert outcomes[0] == outcomes[1]

@@ -37,6 +37,7 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.circuit.dag import PackedDAG
+from repro.collision import merge_kernel
 from repro.cli import main
 from repro.design import (
     ALLOCATION_STRATEGIES,
@@ -243,7 +244,23 @@ def test_checkpoint_task_keys_match_golden():
     assert task_keys() == load_golden()["task_keys"]
 
 
-def test_routing_swaps_match_golden():
+@pytest.fixture(params=["native", "numpy"])
+def routing_backend(request):
+    """Route on the C pass (``native``) or on the Python pass (``numpy``).
+
+    The active backend is restored afterwards.
+    """
+    if request.param == "native" and "native" not in merge_kernel.available_backends():
+        pytest.skip("native library unavailable: no C toolchain")
+    previous = merge_kernel.active_backend()
+    merge_kernel.set_backend(request.param)
+    try:
+        yield request.param
+    finally:
+        merge_kernel.set_backend(previous)
+
+
+def test_routing_swaps_match_golden(routing_backend):
     live = routing_swaps()
     assert live == load_golden()["routing_swaps"]
     worse = {point: counts for point, counts in live.items()
@@ -256,7 +273,7 @@ def test_routing_swaps_match_golden():
     )
 
 
-def test_routing_event_logs_match_golden():
+def test_routing_event_logs_match_golden(routing_backend):
     assert routing_event_logs() == load_golden()["routing_event_logs"]
 
 

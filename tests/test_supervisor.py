@@ -222,6 +222,36 @@ def test_run_attempt_reports_exceptions_not_raises(monkeypatch):
     assert status == "done" and payload == 6
 
 
+def test_demoted_attempt_routes_on_the_python_pass(monkeypatch):
+    """A demoted attempt (``numpy`` forced) routes on the Python SABRE pass,
+    with the swap count the default backend gives."""
+    from repro.benchmarks import get_benchmark
+    from repro.evaluation.supervisor import _run_attempt
+    from repro.hardware import ibm_16q_2x8
+    from repro.mapping import RoutingEngine
+    from repro.mapping.sabre import SabreRouter
+
+    circuit, chip = get_benchmark("sym6_145"), ibm_16q_2x8(False)
+
+    def swaps():
+        return RoutingEngine().route(circuit, chip, keep_routed_circuit=False).num_swaps
+
+    python_passes = []
+    reference_pass = SabreRouter._python_pass
+
+    def counted_pass(self, *args):
+        python_passes.append(1)
+        return reference_pass(self, *args)
+
+    default_swaps = swaps()
+    monkeypatch.setattr(SabreRouter, "_python_pass", counted_pass)
+    monkeypatch.setattr(parallel, "_generate_task", lambda task: (swaps(), None))
+    status, payload, _ = _run_attempt("_generate_task", _task(1), _key(1), 0, "numpy")
+    assert status == "done"
+    assert payload == default_swaps
+    assert python_passes
+
+
 def test_traced_task_function_runs_in_workers(monkeypatch, tmp_path):
     """A tracer's rebinding of a task function is what supervised workers run.
 
