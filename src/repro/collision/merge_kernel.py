@@ -49,13 +49,20 @@ Every backend returns bit-identical ``(lower, upper)`` counts; the
 correctness argument (why the two-threshold merge bounds the joint
 kernel's counts) lives in :mod:`repro.collision.screening`.
 
-The native library holds a second kernel, the SABRE routing pass
-(``sabre_pass``, reached through :func:`native_sabre_pass`).  One
-loader builds both under one source digest, and the same switch selects
-both: :class:`~repro.mapping.sabre.SabreRouter` routes in C while
-``native`` is the active backend and on its Python pass otherwise, so
+The native library holds two more kernels: the SABRE routing pass
+(``sabre_pass``, reached through :func:`native_sabre_pass`) and the
+full-chip Monte Carlo survivor count (``chip_survivors``, reached
+through :func:`native_chip_survivors`).  One loader builds all three
+under one source digest, and the same switch selects them:
+:class:`~repro.mapping.sabre.SabreRouter` routes in C and
+:meth:`~repro.collision.yield_simulator.YieldSimulator.estimate_from_arrays`
+counts survivors in C while ``native`` is the active backend, and both
+run their Python/numpy reference otherwise, so
 ``REPRO_SCREENING_BACKEND`` and the supervisor's crash demotion to
-``numpy`` govern routing too.
+``numpy`` govern routing and yield too.  The survivor count is declined
+(the numpy loop counts instead) when a pair or triple index lies outside
+``[0, n)``, where numpy wraps or raises, or an array is not C-contiguous
+float64/int64.
 """
 
 from __future__ import annotations
@@ -1008,9 +1015,59 @@ done:
 """
 
 
-#: Both kernels live in one shared object, compiled and cached under one
-#: source digest.
-_NATIVE_SOURCE = _MERGE_SOURCE + _SABRE_SOURCE
+#: The full-chip Monte Carlo survivor count of
+#: ``repro.collision.yield_simulator.YieldSimulator.estimate_from_arrays``.
+#: Each comparison mirrors ``pair_collision_mask``/``triple_collision_mask``
+#: operation for operation (``f[j] + noise[t, j]`` first, then the same
+#: subtractions, sums and negations in the same order), and
+#: ``-ffp-contract=off`` keeps them unfused, so every comparison sees the
+#: doubles numpy sees; NaN compares false on both sides.
+_SURVIVORS_SOURCE = r"""
+/* Trials of the (trials, n) noise tensor on which no pair triggers
+   conditions 1-4 and no triple (j; i, k) conditions 5-7; each trial
+   stops at its first failing connection.  Every index must lie in
+   [0, n); the caller checks. */
+int64_t chip_survivors(
+    const double *freq, const double *noise, int64_t trials, int64_t n,
+    const int64_t *pairs, int64_t num_pairs,
+    const int64_t *triples, int64_t num_triples,
+    double delta, double t1, double t2, double t3,
+    double t5, double t6, double t7   /* condition 4 has no threshold */
+) {
+    double half = delta / 2.0;
+    int64_t survivors = 0;
+    for (int64_t t = 0; t < trials; t++) {
+        const double *row = noise + t * n;
+        int failed = 0;
+        for (int64_t p = 0; p < num_pairs && !failed; p++) {
+            int64_t j = pairs[2 * p], k = pairs[2 * p + 1];
+            double fj = freq[j] + row[j];
+            double fk = freq[k] + row[k];
+            double diff = fj - fk;
+            failed = fabs(diff) < t1
+                || fabs(diff + half) < t2 || fabs(-diff + half) < t2
+                || fabs(diff + delta) < t3 || fabs(-diff + delta) < t3
+                || fj > fk - delta || fk > fj - delta;
+        }
+        for (int64_t p = 0; p < num_triples && !failed; p++) {
+            int64_t j = triples[3 * p], i = triples[3 * p + 1], k = triples[3 * p + 2];
+            double fj = freq[j] + row[j];
+            double fi = freq[i] + row[i];
+            double fk = freq[k] + row[k];
+            failed = fabs(fi - fk) < t5
+                || fabs(fi - fk + delta) < t6 || fabs(fk - fi + delta) < t6
+                || fabs(2.0 * fj + delta - (fk + fi)) < t7;
+        }
+        survivors += !failed;
+    }
+    return survivors;
+}
+"""
+
+
+#: The three kernels live in one shared object, compiled and cached under
+#: one source digest.
+_NATIVE_SOURCE = _MERGE_SOURCE + _SABRE_SOURCE + _SURVIVORS_SOURCE
 
 _POINTER = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -1027,6 +1084,12 @@ _SABRE_ARGTYPES = [
     _POINTER, _POINTER, _POINTER,
     # event log and results
     ctypes.c_int, _POINTER, _I64, _POINTER,
+]
+#: ``chip_survivors`` argument types: frequencies, noise, trials, qubits,
+#: pairs, triples, then delta and the six thresholds.
+_SURVIVORS_ARGTYPES = [
+    _POINTER, _POINTER, _I64, _I64, _POINTER, _I64, _POINTER, _I64,
+    *[ctypes.c_double] * 7,
 ]
 
 
@@ -1086,6 +1149,8 @@ def _build_native() -> Optional[ctypes.CDLL]:
         ]
         lib.sabre_pass.restype = ctypes.c_int
         lib.sabre_pass.argtypes = _SABRE_ARGTYPES
+        lib.chip_survivors.restype = _I64
+        lib.chip_survivors.argtypes = _SURVIVORS_ARGTYPES
         return lib
     except Exception:
         _native_failed = True
@@ -1164,6 +1229,19 @@ def native_sabre_pass() -> Optional[Callable[..., int]]:
     if active_backend() != "native" or _native_lib is None:
         return None
     kernel: Callable[..., int] = _native_lib.sabre_pass
+    return kernel
+
+
+def native_chip_survivors() -> Optional[Callable[..., int]]:
+    """The C full-chip survivor count while ``native`` is active, else None.
+
+    :meth:`~repro.collision.yield_simulator.YieldSimulator.estimate_from_arrays`
+    counts on it; like :func:`native_sabre_pass`, the backend switch and
+    the supervisor's demotion to ``numpy`` govern it.
+    """
+    if active_backend() != "native" or _native_lib is None:
+        return None
+    kernel: Callable[..., int] = _native_lib.chip_survivors
     return kernel
 
 

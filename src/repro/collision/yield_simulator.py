@@ -16,7 +16,13 @@ trial fails when *any* condition holds on *any* connection, and each
 trial's comparisons read only its own row of the noise draw, so which
 rows share an array and in what order the connections come cannot
 change whether a trial survives.  :meth:`YieldSimulator.collision_mask`
-keeps the dense per-trial form as the reference.
+keeps the dense per-trial form as the reference.  While ``native`` is the
+active screening backend the same count runs as one C call
+(``chip_survivors`` in :mod:`repro.collision.merge_kernel`), which walks
+each trial's pairs, then triples, with the arithmetic of the numpy masks
+and stops at the trial's first failing connection.  It declines, and the
+numpy loop counts, when an array is not C-contiguous float64/int64 or a
+pair or triple index lies outside ``[0, num_qubits)``.
 
 Design-space sweeps score many candidate frequency plans against the
 *same* coupling graph.  :meth:`YieldSimulator.estimate_batch` evaluates a
@@ -31,10 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.collision import merge_kernel
 from repro.collision.conditions import (
     ANHARMONICITY_GHZ,
     CollisionThresholds,
@@ -232,18 +239,41 @@ class YieldSimulator:
     ) -> YieldEstimate:
         """Estimate yield for raw frequency/connectivity arrays.
 
-        The sweep's full-chip estimate (:meth:`estimate`) lands here.  It
-        tests pairs, then triples, :data:`CONNECTION_BLOCK` connections at
-        a time, and after each block drops the rows of the sampled
-        frequencies whose trial failed, stopping once none remain.  The
-        success count equals ``trials - collision_mask(...).sum()``
-        exactly: the noise draw is the same, each surviving row meets the
-        same comparisons as in the dense mask, and a trial that failed on
-        one connection fails whatever the others give.
+        The sweep's full-chip estimate (:meth:`estimate`) lands here.
+        While ``native`` is the active backend the survivors are counted
+        in C (:meth:`_native_survivors`); otherwise, and whenever the C
+        count declines, :meth:`_compacted_survivors` counts them.  That
+        loop tests pairs, then triples, :data:`CONNECTION_BLOCK`
+        connections at a time, and after each block drops the rows of the
+        sampled frequencies whose trial failed, stopping once none remain.
+        Both counts equal ``trials - collision_mask(...).sum()`` exactly:
+        the noise draw is the same, each surviving trial meets the same
+        comparisons as in the dense mask, and a trial that failed on one
+        connection fails whatever the others give.
         """
         frequencies = np.asarray(frequencies, dtype=float)
         pairs_array, triples_array = collision_index_arrays(pairs, triples)
-        sampled = frequencies[None, :] + self._draw_noise(frequencies.shape[0])
+        noise = self._draw_noise(frequencies.shape[0])
+        kernel = merge_kernel.native_chip_survivors()
+        if kernel is not None:
+            survivors = self._native_survivors(
+                kernel, frequencies, noise, pairs_array, triples_array
+            )
+            if survivors is not None:
+                return self._estimate_from_successes(survivors)
+        return self._estimate_from_successes(
+            self._compacted_survivors(frequencies, noise, pairs_array, triples_array)
+        )
+
+    def _compacted_survivors(
+        self,
+        frequencies: np.ndarray,
+        noise: np.ndarray,
+        pairs_array: np.ndarray,
+        triples_array: np.ndarray,
+    ) -> int:
+        """The numpy survivor count: the reference and no-toolchain path."""
+        sampled = frequencies[None, :] + noise
         blocks = [
             (pair_collision_mask, pairs_array[start:start + CONNECTION_BLOCK])
             for start in range(0, len(pairs_array), CONNECTION_BLOCK)
@@ -256,7 +286,42 @@ class YieldSimulator:
                 break
             failed = mask(sampled, *block.T, self.delta_ghz, self.thresholds)
             sampled = sampled[~failed]
-        return self._estimate_from_successes(sampled.shape[0])
+        return sampled.shape[0]
+
+    def _native_survivors(
+        self,
+        kernel: Callable[..., int],
+        frequencies: np.ndarray,
+        noise: np.ndarray,
+        pairs_array: np.ndarray,
+        triples_array: np.ndarray,
+    ) -> Optional[int]:
+        """:meth:`_compacted_survivors` as one call of the C ``chip_survivors``.
+
+        Returns None, so the numpy loop decides, unless every array is
+        C-contiguous with the dtype the kernel reads and every index lies
+        in ``[0, n)``: numpy wraps negative indices and raises on the
+        rest, where C would read out of bounds.
+        """
+        arrays = ((frequencies, np.float64), (noise, np.float64),
+                  (pairs_array, np.int64), (triples_array, np.int64))
+        n = frequencies.shape[0]
+        if frequencies.ndim != 1 or noise.shape != (self.trials, n):
+            return None
+        if not all(a.dtype == dtype and a.flags.c_contiguous for a, dtype in arrays):
+            return None
+        for index in (pairs_array, triples_array):
+            if index.size and (index.min() < 0 or index.max() >= n):
+                return None
+        t = self.thresholds
+        return int(kernel(
+            frequencies.ctypes.data, noise.ctypes.data, self.trials, n,
+            pairs_array.ctypes.data, pairs_array.shape[0],
+            triples_array.ctypes.data, triples_array.shape[0],
+            self.delta_ghz, float(t.condition_1_ghz), float(t.condition_2_ghz),
+            float(t.condition_3_ghz), float(t.condition_5_ghz),
+            float(t.condition_6_ghz), float(t.condition_7_ghz),
+        ))
 
     def estimate_batch(
         self,

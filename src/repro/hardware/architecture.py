@@ -56,13 +56,20 @@ class Architecture:
         """All physical qubit pairs that can host a two-qubit gate.
 
         Every pair coupled by any bus appears exactly once, as ``(a, b)``
-        with ``a < b``.
+        with ``a < b``.  The sorted edges are memoized on the tuple of
+        (frozen) buses, outside the dataclass fields, so a changed or
+        replaced bus list misses; every call returns a new list.
         """
-        edges: Set[Tuple[int, int]] = set()
-        for bus in self.buses:
-            for a, b in bus.coupled_pairs:
-                edges.add((min(a, b), max(a, b)))
-        return sorted(edges)
+        key = tuple(self.buses)
+        cached = getattr(self, "_coupling_edges", None)
+        if cached is None or cached[0] != key:
+            edges: Set[Tuple[int, int]] = set()
+            for bus in key:
+                for a, b in bus.coupled_pairs:
+                    edges.add((min(a, b), max(a, b)))
+            cached = (key, sorted(edges))
+            self._coupling_edges = cached
+        return list(cached[1])
 
     def coupling_graph(self) -> nx.Graph:
         """The chip coupling graph (vertices = physical qubits, edges = couplings)."""

@@ -12,10 +12,17 @@ Invariants covered (ISSUE satellite list):
 * connection-free (degenerate) regions always fabricate successfully;
 * the survivor-compacted ``estimate_from_arrays`` counts exactly the
   trials the dense ``collision_mask`` reference leaves collision-free,
-  for the paper's thresholds and for non-foldable ones.
+  for the paper's thresholds and for non-foldable ones;
+* the native ``chip_survivors`` count equals the numpy compaction loop,
+  the dense mask and the ``numpy``-backend estimate on random chips of
+  up to 20 qubits, arbitrary thresholds and non-finite frequencies, and
+  declines to the numpy loop on out-of-range indices.
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -23,11 +30,15 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.collision import (
+    ANHARMONICITY_GHZ,
     DEFAULT_THRESHOLDS,
     CollisionThresholds,
     YieldSimulator,
     find_collisions,
+    merge_kernel,
 )
+from repro.collision.yield_simulator import collision_index_arrays
+from repro.hardware import Architecture, Lattice
 from strategies import (
     chain_regions,
     examples,
@@ -222,3 +233,276 @@ class TestDegenerateRegions:
             np.repeat(frequencies[None, :], 3, axis=0), [], []
         )
         assert all(e.yield_rate == 1.0 for e in batched)
+
+
+@contextlib.contextmanager
+def screening_backend(name):
+    """Run the block under one screening backend, then restore the previous one."""
+    previous = merge_kernel.active_backend()
+    merge_kernel.set_backend(name)
+    try:
+        yield
+    finally:
+        merge_kernel.set_backend(previous)
+
+
+def native_kernel():
+    """The C survivor count, whichever backend is active."""
+    with screening_backend("native"):
+        return merge_kernel.native_chip_survivors()
+
+
+def estimate_outcome(simulator, frequencies, pairs, triples):
+    """The estimate's success count, or the exception type and message it raises."""
+    try:
+        return simulator.estimate_from_arrays(frequencies, pairs, triples).successes
+    except Exception as error:  # the outcome is compared, not handled
+        return type(error), str(error)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+threshold_sets = st.one_of(
+    st.sampled_from([DEFAULT_THRESHOLDS, NON_FOLDABLE]),
+    st.builds(
+        CollisionThresholds,
+        **{
+            f"condition_{c}_ghz": st.floats(0.0, 0.5, allow_nan=False)
+            for c in (1, 2, 3, 5, 6, 7)
+        },
+    ),
+)
+
+deltas = st.one_of(st.just(ANHARMONICITY_GHZ), st.floats(-0.6, 0.6, allow_nan=False))
+
+
+@st.composite
+def random_chips(draw, max_qubits=20, max_connections=30):
+    """Frequencies (some non-finite) plus random pair and triple index lists."""
+    n = draw(st.integers(1, max_qubits))
+    frequencies = draw(frequency_vectors(n, n))
+    if draw(st.booleans()):
+        for position in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            frequencies[position] = draw(st.sampled_from(NON_FINITE))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=max_connections))
+    triples = draw(st.lists(st.tuples(index, index, index), max_size=max_connections))
+    return frequencies, pairs, triples
+
+
+@st.composite
+def chips_with_one_edited_index(draw):
+    """A small chip with one index replaced by a value on either side of
+    the valid ``[0, n)`` boundaries (or by a valid one)."""
+    frequencies, pairs, triples = draw(random_chips(max_qubits=6, max_connections=4))
+    rows = [list(row) for row in pairs + triples]
+    if rows:
+        n = frequencies.shape[0]
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from([-n - 1, -n, -1, 0, n - 1, n, n + 1])
+        )
+    pairs = [tuple(row) for row in rows[:len(pairs)]]
+    triples = [tuple(row) for row in rows[len(pairs):]]
+    return frequencies, pairs, triples
+
+
+@st.composite
+def boundary_cases(draw):
+    """A chip, delta and thresholds for noiseless trials: one condition's
+    threshold sits exactly on (or one ulp beside) a value one of the
+    chip's connections compares it with; the other thresholds are 0."""
+    frequencies, pairs, triples = draw(random_chips(max_qubits=4, max_connections=3))
+    assume(pairs or triples)
+    delta = draw(st.one_of(st.just(ANHARMONICITY_GHZ), st.floats(-0.6, 0.0)))
+    f, half = frequencies, delta / 2.0
+    compared = {}
+    if pairs:
+        j, k = draw(st.sampled_from(pairs))
+        diff = f[j] - f[k]
+        compared[1] = [abs(diff)]
+        compared[2] = [abs(diff + half), abs(-diff + half)]
+        compared[3] = [abs(diff + delta), abs(-diff + delta)]
+    if triples:
+        j, i, k = draw(st.sampled_from(triples))
+        compared[5] = [abs(f[i] - f[k])]
+        compared[6] = [abs(f[i] - f[k] + delta), abs(f[k] - f[i] + delta)]
+        compared[7] = [abs(2.0 * f[j] + delta - (f[k] + f[i]))]
+    condition = draw(st.sampled_from(sorted(compared)))
+    value = float(draw(st.sampled_from(compared[condition])))
+    threshold = draw(st.sampled_from(
+        [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
+    ))
+    thresholds = CollisionThresholds(
+        **{f"condition_{c}_ghz": threshold if c == condition else 0.0
+           for c in (1, 2, 3, 5, 6, 7)}
+    )
+    return (frequencies, pairs, triples), delta, thresholds
+
+
+#: No approximate-equality condition can fire: only condition 4 tests.
+NO_THRESHOLDS = CollisionThresholds(*[0.0] * 6)
+
+
+def on_every_clause_boundary(test):
+    """Add explicit examples putting each strict threshold comparison
+    (each clause of conditions 1-3 and 5-7) on its boundary and one ulp
+    to either side.
+
+    Each example's chip has one connection, oriented so the chosen
+    clause compares the smaller value of its condition, and every other
+    threshold is 0: the chosen comparison alone decides the trial.
+    """
+    delta, half = ANHARMONICITY_GHZ, ANHARMONICITY_GHZ / 2.0
+    f = np.array([5.05, 5.17, 5.26])
+    cases = []
+    for j, k in ((0, 1), (1, 0)):
+        diff = f[j] - f[k]
+        clauses = {1: [abs(diff)], 2: [abs(diff + half), abs(-diff + half)],
+                   3: [abs(diff + delta), abs(-diff + delta)]}
+        cases += [(c, value, (f[:2], [(j, k)], [])) for c, values in clauses.items()
+                  for value in values if value == min(values)]
+    for j, i, k in ((0, 1, 2), (0, 2, 1)):
+        clauses = {5: [abs(f[i] - f[k])],
+                   6: [abs(f[i] - f[k] + delta), abs(f[k] - f[i] + delta)],
+                   7: [abs(2.0 * f[j] + delta - (f[k] + f[i]))]}
+        cases += [(c, value, (f, [], [(j, i, k)])) for c, values in clauses.items()
+                  for value in values if value == min(values)]
+    for condition, value, chip in cases:
+        for threshold in (value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)):
+            thresholds = CollisionThresholds(
+                **{f"condition_{c}_ghz": float(threshold) if c == condition else 0.0
+                   for c in (1, 2, 3, 5, 6, 7)}
+            )
+            test = example(case=(chip, delta, thresholds))(test)
+    return test
+
+
+@pytest.mark.skipif("native" not in merge_kernel.available_backends(),
+                    reason="native library unavailable: no C toolchain")
+# inf - inf in the numpy masks warns; NaN compares false on both paths.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNativeSurvivorsMatchNumpy:
+    @given(
+        chip=random_chips(),
+        sigma=sigmas_ghz,
+        seed=seeds,
+        trials=st.one_of(st.just(1), trial_counts),
+        thresholds=threshold_sets,
+        delta=deltas,
+    )
+    @example(chip=(np.array([5.05, 5.17]), [], [(0, 1, 1)]), sigma=0.0, seed=0,
+             trials=1, thresholds=DEFAULT_THRESHOLDS, delta=ANHARMONICITY_GHZ)
+    @example(chip=(np.array([5.05, 5.29]), [(0, 1)], []), sigma=0.0, seed=0,
+             trials=1, thresholds=NON_FOLDABLE, delta=ANHARMONICITY_GHZ)
+    @example(chip=(np.array([math.nan, math.inf, 5.1]), [(0, 1), (1, 2)], [(2, 0, 1)]),
+             sigma=0.03, seed=3, trials=50, thresholds=DEFAULT_THRESHOLDS,
+             delta=ANHARMONICITY_GHZ)
+    @settings(max_examples=examples(200))
+    def test_native_count_equals_every_reference(
+        self, chip, sigma, seed, trials, thresholds, delta
+    ):
+        frequencies, pairs, triples = chip
+        simulator = YieldSimulator(trials=trials, sigma_ghz=sigma, seed=seed,
+                                   delta_ghz=delta, thresholds=thresholds)
+        pairs_array, triples_array = collision_index_arrays(pairs, triples)
+        noise = simulator._draw_noise(frequencies.shape[0])
+        native = simulator._native_survivors(
+            native_kernel(), frequencies, noise, pairs_array, triples_array
+        )
+        assert native is not None
+        assert native == simulator._compacted_survivors(
+            frequencies, noise, pairs_array, triples_array
+        )
+        dense = simulator.collision_mask(frequencies[None, :] + noise, pairs, triples)
+        assert native == trials - int(dense.sum())
+        for name in ("numpy", "native"):
+            with screening_backend(name):
+                estimate = simulator.estimate_from_arrays(frequencies, pairs, triples)
+            assert estimate.successes == native
+
+    @given(case=boundary_cases())
+    @on_every_clause_boundary
+    # fj == fk - delta exactly (5.25 == 5.0 + 0.25): condition 4's strict
+    # comparisons, one clause at a time.
+    @example(case=((np.array([5.25, 5.0]), [(0, 1)], []), -0.25, NO_THRESHOLDS))
+    @example(case=((np.array([5.0, 5.25]), [(0, 1)], []), -0.25, NO_THRESHOLDS))
+    @settings(max_examples=examples(200))
+    def test_threshold_boundaries_agree(self, case):
+        """Noiseless trials on exact threshold boundaries: every strict
+        comparison decides on both paths as it does in numpy."""
+        (frequencies, pairs, triples), delta, thresholds = case
+        simulator = YieldSimulator(trials=1, sigma_ghz=0.0, seed=0,
+                                   delta_ghz=delta, thresholds=thresholds)
+        pairs_array, triples_array = collision_index_arrays(pairs, triples)
+        noise = simulator._draw_noise(frequencies.shape[0])
+        native = simulator._native_survivors(
+            native_kernel(), frequencies, noise, pairs_array, triples_array
+        )
+        assert native == simulator._compacted_survivors(
+            frequencies, noise, pairs_array, triples_array
+        )
+        dense = simulator.collision_mask(frequencies[None, :] + noise, pairs, triples)
+        assert native == 1 - int(dense.sum())
+
+    @given(
+        chip=chips_with_one_edited_index(),
+        sigma=sigmas_ghz,
+        seed=seeds,
+        trials=st.one_of(st.just(1), trial_counts),
+    )
+    @example(chip=(np.array([5.05, 5.17, 5.29]), [(0, 1), (1, -1)], []),
+             sigma=0.0, seed=0, trials=1)
+    @example(chip=(np.array([5.05, 5.17, 5.29]), [(0, 1)], [(1, 0, 3)]),
+             sigma=0.0, seed=0, trials=1)
+    @example(chip=(np.array([5.10, 5.10, 5.29]), [(0, 1)], [(1, 0, 3)]),
+             sigma=0.0, seed=0, trials=1)
+    @settings(max_examples=examples(100))
+    def test_out_of_range_indices_decline_to_numpy(self, chip, sigma, seed, trials):
+        """Outside ``[0, n)`` the C count declines, so both backends give
+        numpy's answer: a wrapped count, or the same exception."""
+        frequencies, pairs, triples = chip
+        simulator = YieldSimulator(trials=trials, sigma_ghz=sigma, seed=seed)
+        pairs_array, triples_array = collision_index_arrays(pairs, triples)
+        noise = simulator._draw_noise(frequencies.shape[0])
+        native = simulator._native_survivors(
+            native_kernel(), frequencies, noise, pairs_array, triples_array
+        )
+        n = frequencies.shape[0]
+        in_range = all(0 <= i < n for row in pairs + triples for i in row)
+        assert (native is not None) == in_range
+        with screening_backend("numpy"):
+            expected = estimate_outcome(simulator, frequencies, pairs, triples)
+        with screening_backend("native"):
+            assert estimate_outcome(simulator, frequencies, pairs, triples) == expected
+
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 5), sigma=sigmas_ghz, seed=seeds,
+           data=st.data())
+    @settings(max_examples=examples(40))
+    def test_architecture_estimate_equals_numpy_backend(self, rows, cols, sigma, seed, data):
+        lattice = Lattice.rectangle(rows, cols)
+        designed = data.draw(frequency_vectors(lattice.num_qubits, lattice.num_qubits))
+        architecture = Architecture.from_layout(
+            "chip", lattice, frequencies=dict(zip(lattice.qubits, designed.tolist()))
+        )
+        simulator = YieldSimulator(trials=300, sigma_ghz=sigma, seed=seed)
+        with screening_backend("numpy"):
+            expected = simulator.estimate(architecture)
+        with screening_backend("native"):
+            assert simulator.estimate(architecture) == expected
+
+    def test_declines_arrays_the_kernel_cannot_read(self):
+        simulator = YieldSimulator(trials=20, seed=1)
+        pairs_array, triples_array = collision_index_arrays([(0, 1)], [(1, 0, 2)])
+        frequencies = np.array([5.05, 5.17, 5.29])
+        noise = simulator._draw_noise(3)
+        kernel = native_kernel()
+        assert simulator._native_survivors(
+            kernel, frequencies, noise, pairs_array, triples_array
+        ) is not None
+        strided = np.repeat(frequencies, 2)[::2]
+        narrow = pairs_array.astype(np.int32)
+        for args in ((strided, noise, pairs_array, triples_array),
+                     (frequencies, np.asfortranarray(noise), pairs_array, triples_array),
+                     (frequencies, noise, narrow, triples_array)):
+            assert simulator._native_survivors(kernel, *args) is None

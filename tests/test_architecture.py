@@ -53,6 +53,32 @@ class TestDerivedQuantities:
         arch = Architecture.from_layout("c", grid_2x2)
         assert arch.collision_pairs() == arch.coupling_edges()
 
+    def test_coupling_edges_follow_bus_changes(self, grid_2x2):
+        """The memoized edges miss when the bus list grows or is replaced."""
+        arch = Architecture.from_layout("e", grid_2x2, four_qubit_squares=[Square((0, 0))])
+        arch.buses = [two_qubit_bus(0, 1)]
+        assert arch.coupling_edges() == [(0, 1)]
+        arch.buses.append(two_qubit_bus(0, 2))
+        assert arch.coupling_edges() == [(0, 1), (0, 2)]
+        arch.buses = [two_qubit_bus(2, 3)]
+        assert arch.coupling_edges() == [(2, 3)]
+
+    def test_coupling_edges_hand_out_a_fresh_list(self, grid_2x2):
+        arch = Architecture.from_layout("m", grid_2x2)
+        edges = arch.coupling_edges()
+        edges.append((7, 8))
+        assert arch.coupling_edges() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+    def test_coupling_edge_memo_is_not_a_field(self, grid_2x2):
+        from dataclasses import asdict
+
+        arch = Architecture.from_layout("r", grid_2x2)
+        fresh = Architecture.from_layout("r", grid_2x2)
+        before = (repr(arch), list(asdict(arch)))
+        arch.coupling_edges()
+        assert arch == fresh
+        assert (repr(arch), list(asdict(arch))) == before
+
     def test_collision_triples_of_square(self, grid_2x2):
         arch = Architecture.from_layout("t", grid_2x2)
         triples = arch.collision_triples()

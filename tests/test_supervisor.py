@@ -252,6 +252,34 @@ def test_demoted_attempt_routes_on_the_python_pass(monkeypatch):
     assert python_passes
 
 
+def test_demoted_attempt_estimates_yield_on_numpy(monkeypatch):
+    """A demoted attempt (``numpy`` forced) counts full-chip survivors on
+    the numpy loop, with the estimate the default backend gives."""
+    from repro.collision import YieldSimulator
+    from repro.evaluation.supervisor import _run_attempt
+    from repro.hardware import ibm_16q_2x8
+
+    chip = ibm_16q_2x8()
+
+    def estimate():
+        return YieldSimulator(trials=2000, seed=5).estimate(chip)
+
+    numpy_counts = []
+    reference_count = YieldSimulator._compacted_survivors
+
+    def counted(self, *args):
+        numpy_counts.append(1)
+        return reference_count(self, *args)
+
+    default_estimate = estimate()
+    monkeypatch.setattr(YieldSimulator, "_compacted_survivors", counted)
+    monkeypatch.setattr(parallel, "_generate_task", lambda task: (estimate(), None))
+    status, payload, _ = _run_attempt("_generate_task", _task(1), _key(1), 0, "numpy")
+    assert status == "done"
+    assert payload == default_estimate
+    assert numpy_counts
+
+
 def test_traced_task_function_runs_in_workers(monkeypatch, tmp_path):
     """A tracer's rebinding of a task function is what supervised workers run.
 

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.collision import YieldSimulator, estimate_yield
+from repro.collision import YieldSimulator, estimate_yield, merge_kernel
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8, ibm_20q_4x5
+
+
+@pytest.fixture(params=["native", "numpy"])
+def yield_backend(request):
+    """Run a test under the C survivor count and under the numpy loop."""
+    if request.param not in merge_kernel.available_backends():
+        pytest.skip("native library unavailable: no C toolchain")
+    previous = merge_kernel.active_backend()
+    merge_kernel.set_backend(request.param)
+    yield request.param
+    merge_kernel.set_backend(previous)
 
 
 def chain_architecture(num_qubits, frequencies=None):
@@ -36,7 +47,7 @@ class TestBasicBehaviour:
         with pytest.raises(ValueError):
             YieldSimulator(sigma_ghz=-1.0)
 
-    def test_seeded_runs_are_reproducible(self):
+    def test_seeded_runs_are_reproducible(self, yield_backend):
         arch = ibm_16q_2x8()
         first = YieldSimulator(trials=2000, seed=42).estimate(arch)
         second = YieldSimulator(trials=2000, seed=42).estimate(arch)
@@ -247,7 +258,7 @@ class TestEstimateBatch:
 
 
 class TestSurvivorCompaction:
-    def test_qft_16_two_bus_design_matches_dense_count(self):
+    def test_qft_16_two_bus_design_matches_dense_count(self, yield_backend):
         from repro.benchmarks.library import get_benchmark
         from repro.design.engine import DesignEngine
 
