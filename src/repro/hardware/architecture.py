@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.hardware.bus import Bus, BusType, four_qubit_bus, two_qubit_bus
 from repro.hardware.lattice import Coordinate, Lattice, Square, manhattan_distance
 
@@ -70,13 +68,6 @@ class Architecture:
             cached = (key, sorted(edges))
             self._coupling_edges = cached
         return list(cached[1])
-
-    def coupling_graph(self) -> nx.Graph:
-        """The chip coupling graph (vertices = physical qubits, edges = couplings)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.qubits)
-        graph.add_edges_from(self.coupling_edges())
-        return graph
 
     def num_connections(self) -> int:
         """Number of distinct coupled qubit pairs (hardware resource measure)."""

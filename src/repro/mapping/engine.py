@@ -103,9 +103,7 @@ def profile_cache_key(profile: Optional[CircuitProfile]) -> Optional[int]:
     digest = hashlib.sha256()
     digest.update(profile.strength_matrix.tobytes())
     digest.update(str(tuple(profile.degree_list)).encode())
-    digest.update(str(
-        tuple(sorted(tuple(sorted(edge)) for edge in profile.graph.edges()))
-    ).encode())
+    digest.update(str(tuple(profile.coupled_pairs())).encode())
     return int.from_bytes(digest.digest()[:8], "big")
 
 

@@ -12,7 +12,6 @@ The profiler extracts the two quantities the design flow consumes:
 from repro.profiling.coupling import (
     coupling_degree_list,
     coupling_degrees,
-    coupling_graph,
     coupling_strength_matrix,
 )
 from repro.profiling.profiler import CircuitProfile, profile_circuit
@@ -22,7 +21,6 @@ __all__ = [
     "coupling_strength_matrix",
     "coupling_degrees",
     "coupling_degree_list",
-    "coupling_graph",
     "CircuitProfile",
     "profile_circuit",
     "CouplingPattern",

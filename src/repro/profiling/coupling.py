@@ -4,14 +4,14 @@ These functions implement exactly the profiling procedure illustrated by
 Figure 4 of the paper: single-qubit gates, initialization, and
 measurements are ignored; each two-qubit gate adds one to the symmetric
 coupling strength matrix; the coupling degree of a qubit is the sum of
-the weights of its incident edges in the logical coupling graph.
+the weights of its incident edges in the logical coupling graph, whose
+edges are the matrix's non-zero entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
@@ -25,13 +25,12 @@ def coupling_strength_matrix(circuit: QuantumCircuit) -> np.ndarray:
     The diagonal is zero.
     """
     n = circuit.num_qubits
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for gate in circuit.gates:
-        if gate.is_two_qubit:
-            a, b = gate.qubits
-            matrix[a, b] += 1
-            matrix[b, a] += 1
-    return matrix
+    pairs = circuit.two_qubit_pairs()
+    if not pairs:
+        return np.zeros((n, n), dtype=np.int64)
+    a, b = np.array(pairs, dtype=np.int64).T
+    counts = np.bincount(a * n + b, minlength=n * n).astype(np.int64).reshape(n, n)
+    return counts + counts.T
 
 
 def coupling_degrees(circuit: QuantumCircuit) -> np.ndarray:
@@ -39,41 +38,18 @@ def coupling_degrees(circuit: QuantumCircuit) -> np.ndarray:
     return coupling_strength_matrix(circuit).sum(axis=1)
 
 
-def coupling_degree_list(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
-    """Qubits sorted by coupling degree, descending (paper Figure 4 (d)).
+def degree_list_of(matrix: np.ndarray) -> List[Tuple[int, int]]:
+    """Qubits of a coupling strength matrix sorted by degree, descending.
 
     Returns:
         A list of ``(qubit_index, coupling_degree)`` pairs.  Ties are broken
         by qubit index so the ordering is deterministic.
     """
-    degrees = coupling_degrees(circuit)
-    order = sorted(range(circuit.num_qubits), key=lambda q: (-int(degrees[q]), q))
-    return [(q, int(degrees[q])) for q in order]
+    degrees = matrix.sum(axis=1).tolist()
+    order = sorted(range(len(degrees)), key=lambda q: (-degrees[q], q))
+    return [(q, degrees[q]) for q in order]
 
 
-def coupling_graph(circuit: QuantumCircuit) -> nx.Graph:
-    """The logical coupling graph (paper Figure 4 (b)).
-
-    Vertices are logical qubits; an edge exists when at least one two-qubit
-    gate acts on the pair, weighted by the number of such gates.  Qubits
-    with no two-qubit gates still appear as isolated vertices.
-    """
-    matrix = coupling_strength_matrix(circuit)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
-    for i in range(circuit.num_qubits):
-        for j in range(i + 1, circuit.num_qubits):
-            if matrix[i, j] > 0:
-                graph.add_edge(i, j, weight=int(matrix[i, j]))
-    return graph
-
-
-def edge_weights(circuit: QuantumCircuit) -> Dict[Tuple[int, int], int]:
-    """Dictionary of ``(i, j) -> weight`` with ``i < j`` for coupled pairs only."""
-    matrix = coupling_strength_matrix(circuit)
-    weights: Dict[Tuple[int, int], int] = {}
-    for i in range(circuit.num_qubits):
-        for j in range(i + 1, circuit.num_qubits):
-            if matrix[i, j] > 0:
-                weights[(i, j)] = int(matrix[i, j])
-    return weights
+def coupling_degree_list(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
+    """Qubits sorted by coupling degree, descending (paper Figure 4 (d))."""
+    return degree_list_of(coupling_strength_matrix(circuit))

@@ -5,16 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.profiling.coupling import (
-    coupling_degree_list,
-    coupling_graph,
-    coupling_strength_matrix,
-    edge_weights,
-)
+from repro.profiling.coupling import coupling_strength_matrix, degree_list_of
 
 
 @dataclass
@@ -26,19 +20,24 @@ class CircuitProfile:
         num_qubits: Logical register size.
         strength_matrix: Symmetric matrix of two-qubit gate counts.
         degree_list: ``(qubit, degree)`` pairs in descending degree order.
-        graph: The weighted logical coupling graph.
         num_two_qubit_gates: Total number of two-qubit gates.
         num_gates: Total gate count (including 1q gates and measurements).
+
+    The logical coupling graph (paper Figure 4 (b)) is the strength
+    matrix's non-zero structure; :func:`profile_circuit` stores it as the
+    ``(i, j) -> weight`` map of coupled pairs and each qubit's ascending
+    neighbour tuple, read through :meth:`coupled_pairs`,
+    :meth:`edge_weight_map` and :meth:`neighbors`.
     """
 
     circuit_name: str
     num_qubits: int
     strength_matrix: np.ndarray
     degree_list: List[Tuple[int, int]]
-    graph: nx.Graph
     num_two_qubit_gates: int
     num_gates: int
     _edge_weights: Dict[Tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _neighbors: Tuple[Tuple[int, ...], ...] = field(default=(), repr=False)
 
     # -- convenience accessors -----------------------------------------------------
 
@@ -52,7 +51,7 @@ class CircuitProfile:
 
     def neighbors(self, qubit: int) -> List[int]:
         """Logical qubits sharing at least one two-qubit gate with ``qubit``."""
-        return sorted(self.graph.neighbors(qubit))
+        return list(self._neighbors[qubit])
 
     def coupled_pairs(self) -> List[Tuple[int, int]]:
         """All ``(i, j)`` with ``i < j`` having non-zero coupling strength."""
@@ -82,16 +81,20 @@ def profile_circuit(circuit: QuantumCircuit) -> CircuitProfile:
     """Profile a circuit per paper Section 3.1.
 
     Single-qubit gates, initialization, and measurement operations are
-    ignored; only the two-qubit gate structure is extracted.
+    ignored; only the two-qubit gate structure is extracted.  The gate
+    list is walked once, into the strength matrix; everything else is
+    derived from that matrix.
     """
     matrix = coupling_strength_matrix(circuit)
+    rows, cols = np.nonzero(np.triu(matrix, 1))  # row-major, so sorted
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     return CircuitProfile(
         circuit_name=circuit.name,
         num_qubits=circuit.num_qubits,
         strength_matrix=matrix,
-        degree_list=coupling_degree_list(circuit),
-        graph=coupling_graph(circuit),
-        num_two_qubit_gates=circuit.num_two_qubit_gates,
+        degree_list=degree_list_of(matrix),
+        num_two_qubit_gates=int(matrix.sum()) // 2,
         num_gates=len(circuit),
-        _edge_weights=edge_weights(circuit),
+        _edge_weights=dict(zip(pairs, matrix[rows, cols].tolist())),
+        _neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix),
     )

@@ -38,9 +38,9 @@ class TestFromLayout:
         assert arch.num_connections() == 3
 
     def test_coupling_graph_nodes_and_edges(self, grid_2x2):
-        graph = Architecture.from_layout("g", grid_2x2).coupling_graph()
-        assert set(graph.nodes()) == {0, 1, 2, 3}
-        assert graph.number_of_edges() == 4
+        arch = Architecture.from_layout("g", grid_2x2)
+        assert set(arch.adjacency()) == {0, 1, 2, 3}
+        assert arch.coupling_edges() == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 class TestDerivedQuantities:

@@ -1,6 +1,6 @@
 """Golden contracts: the design flow's outputs, committed.
 
-``tests/golden/contracts.json`` pins six things every refactor must keep:
+``tests/golden/contracts.json`` pins seven things every refactor must keep:
 
 * ``sweep_sha256`` — the SHA-256 of ``sweep sym6_145 --trials 200
   --local-trials 100 --output`` for each Algorithm 3 strategy, at
@@ -21,7 +21,11 @@
   145 points, total 24,073), keyed ``benchmark/config/index``;
 * ``design_fingerprints`` — the SHA-256 of every generated
   architecture's name, 4-qubit-bus origins, coupling edges and
-  frequencies, per (benchmark, ``eff-*`` configuration).
+  frequencies, per (benchmark, ``eff-*`` configuration);
+* ``profile_keys`` — per benchmark of the library, the routing cache
+  key (``profile_cache_key``) and the layout digest
+  (``profile_layout_digest``) of its circuit profile, so persisted
+  routing and design stores keep hitting across a profiler change.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchmarks import get_benchmark
+from repro.benchmarks import BENCHMARK_NAMES, get_benchmark
 from repro.circuit.dag import PackedDAG
 from repro.collision import merge_kernel
 from repro.cli import main
@@ -46,10 +50,12 @@ from repro.design import (
     DesignOptions,
     reset_shared_caches,
 )
+from repro.design.engine import profile_layout_digest
 from repro.evaluation import ExperimentConfig, architectures_for_config, parallel
 from repro.evaluation.checkpoint import generation_task_key, point_task_key
 from repro.hardware import ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import RoutingEngine
+from repro.mapping.engine import profile_cache_key
 from repro.mapping.initial import initial_mapping
 from repro.mapping.sabre import SabreParameters
 from repro.profiling import profile_circuit
@@ -226,6 +232,18 @@ def design_fingerprints() -> dict:
     return digests
 
 
+def profile_keys() -> dict:
+    """Routing cache key and layout digest of every library benchmark's profile."""
+    keys = {}
+    for name in BENCHMARK_NAMES:
+        profile = profile_circuit(get_benchmark(name))
+        keys[name] = {
+            "cache_key": profile_cache_key(profile),
+            "layout_digest": profile_layout_digest(profile),
+        }
+    return keys
+
+
 def load_golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -287,6 +305,10 @@ def test_design_fingerprints_match_golden():
     assert design_fingerprints() == load_golden()["design_fingerprints"]
 
 
+def test_profile_keys_match_golden():
+    assert profile_keys() == load_golden()["profile_keys"]
+
+
 def regenerate() -> None:
     """Rewrite the golden file from the current code."""
     import tempfile
@@ -301,6 +323,7 @@ def regenerate() -> None:
     golden = {
         "design_fingerprints": design_fingerprints(),
         "perfbench_grid_swaps": perfbench_grid_swaps(),
+        "profile_keys": profile_keys(),
         "routing_event_logs": routing_event_logs(),
         "routing_swaps": routing_swaps(),
         "sweep_argv": SWEEP_ARGV,

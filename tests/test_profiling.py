@@ -1,12 +1,13 @@
 """Tests for the program profiler (paper Section 3, Figure 4)."""
 
 import numpy as np
+import pytest
 
+from repro.benchmarks import BENCHMARK_NAMES, get_benchmark
 from repro.circuit import QuantumCircuit, cx, h, measure
 from repro.profiling import (
     coupling_degree_list,
     coupling_degrees,
-    coupling_graph,
     coupling_strength_matrix,
     profile_circuit,
 )
@@ -37,9 +38,9 @@ class TestPaperFigure4Example:
         assert dict(degrees)[3] == 1
 
     def test_coupling_graph_edges(self, paper_example_circuit):
-        graph = coupling_graph(paper_example_circuit)
-        assert set(graph.edges()) == {(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)}
-        assert graph[0][4]["weight"] == 2
+        profile = profile_circuit(paper_example_circuit)
+        assert profile.coupled_pairs() == [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)]
+        assert profile.edge_weight_map()[(0, 4)] == 2
 
     def test_single_qubit_gates_and_measurements_ignored(self, paper_example_circuit):
         only_two_qubit = QuantumCircuit(5)
@@ -132,9 +133,38 @@ class TestCircuitProfile:
     def test_graph_includes_isolated_vertices(self):
         circuit = QuantumCircuit(4).extend([cx(0, 1)])
         profile = profile_circuit(circuit)
-        assert set(profile.graph.nodes()) == {0, 1, 2, 3}
+        assert [profile.neighbors(q) for q in range(profile.num_qubits)] == [
+            [1], [0], [], []
+        ]
 
     def test_summary_keys(self, paper_example_circuit):
         summary = profile_circuit(paper_example_circuit).summary()
         assert summary["num_coupled_pairs"] == 5
         assert summary["max_pair_strength"] == 2
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_profile_matches_gate_loop_reference(name):
+    """Every profile field equals a direct walk of the gate list."""
+    circuit = get_benchmark(name)
+    n = circuit.num_qubits
+    matrix = np.zeros((n, n), dtype=np.int64)
+    for gate in circuit.gates:
+        if gate.is_two_qubit:
+            a, b = gate.qubits
+            matrix[a, b] += 1
+            matrix[b, a] += 1
+    weights = {(i, j): int(matrix[i, j])
+               for i in range(n) for j in range(i + 1, n) if matrix[i, j]}
+
+    profile = profile_circuit(circuit)
+    assert profile.strength_matrix.dtype == np.int64
+    assert (profile.strength_matrix == matrix).all()
+    assert profile.num_two_qubit_gates == circuit.num_two_qubit_gates
+    assert profile.edge_weight_map() == weights
+    assert profile.coupled_pairs() == sorted(weights)
+    for qubit in range(n):
+        assert profile.neighbors(qubit) == sorted(
+            other for pair in weights for other in pair
+            if qubit in pair and other != qubit
+        )
