@@ -2,10 +2,11 @@
 
 Every persisted cache of this repo — routing cache, design cache, sweep
 checkpoint — is written exclusively through :mod:`repro.persistence`
-store APIs (``merge_save`` / ``union_merge_save`` / atomic
-replace-writes under per-path locks).  A raw ``open(..., "w")`` +
-``json.dump`` aimed at a cache file bypasses the lock *and* the atomic
-replace, reintroducing the torn-file and lost-update races PR 4 fixed.
+store APIs (``merge_save`` / ``union_merge_save``, one SQLite
+transaction each), and every other file the program writes goes through
+``atomic_write_text``.  A raw ``open(..., "w")`` + ``json.dump`` aimed
+at a cache file bypasses both, reintroducing torn files and lost
+updates.
 
 * **REPRO-S201** — write-mode ``open()`` / ``Path.write_text`` /
   ``Path.write_bytes`` whose path expression looks cache-shaped

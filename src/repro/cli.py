@@ -11,8 +11,9 @@ Subcommands:
   and ASCII Pareto plots.  The grid can be sharded across worker
   processes (``--jobs N``); per-point seeds make the results
   byte-identical for every job count.
-* ``cache migrate <src> <dst>`` — copy a persisted cache store (routing
-  cache, design cache, or sweep checkpoint) to another backend.
+* ``cache migrate <src> <dst>`` — copy a legacy persisted cache store
+  (routing cache, design cache, or sweep checkpoint; one JSON file or a
+  sharded directory) into a SQLite store.
 * ``list`` — list the available benchmarks.
 
 ``sweep`` resolves its flags into one frozen
@@ -32,7 +33,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.benchmarks.library import BENCHMARK_NAMES, benchmark_info, get_benchmark
-from repro.persistence import atomic_write_text
+from repro.persistence import atomic_write_text, check_store_path
 from repro.collision.yield_simulator import YieldSimulator
 from repro.design.frequency_allocation import ALLOCATION_STRATEGIES
 from repro.design.flow import DesignFlow, DesignOptions
@@ -101,10 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="sweep checkpoint store: every completed generation/evaluation "
-             "task is recorded into it, so an interrupted sweep can restart "
-             "with --resume (any store backend; a json:/sharded:/sqlite: "
-             "prefix picks one)",
+        help="sweep checkpoint store (SQLite): every completed "
+             "generation/evaluation task is recorded into it, so an "
+             "interrupted sweep can restart with --resume",
     )
     sweep_parser.add_argument(
         "--resume", action="store_true",
@@ -168,17 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     cache_subparsers = cache_parser.add_subparsers(dest="cache_command", required=True)
     migrate_parser = cache_subparsers.add_parser(
         "migrate",
-        help="copy a cache store (routing cache, design cache, or sweep "
-             "checkpoint) into another backend",
+        help="copy a legacy cache store (routing cache, design cache, or "
+             "sweep checkpoint) into a SQLite store",
     )
     migrate_parser.add_argument(
-        "source", help="existing store to read (backend sniffed or prefixed)"
+        "source",
+        help="legacy store to read: one JSON file or a sharded directory",
     )
     migrate_parser.add_argument(
-        "dest",
-        help="store to (re)write with the source's full entry list; a "
-             "json:/sharded:/sqlite: prefix picks its backend (default: "
-             "sniff existing state, else single-file JSON)",
+        "dest", help="SQLite store to (re)write with the source's full entry list",
     )
 
     lint_parser = subparsers.add_parser(
@@ -234,7 +232,7 @@ def _add_router_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--routing-cache", default=None, metavar="PATH",
-        help="persisted routing-result cache (counts-only JSON): loaded "
+        help="persisted routing-result cache (SQLite, counts only): loaded "
              "before routing — by every worker, for sweeps — and refreshed "
              "after in-process runs, so routing work is reused across "
              "invocations",
@@ -274,8 +272,8 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
     _add_screening_argument(group)
     group.add_argument(
         "--design-cache", default=None, metavar="PATH",
-        help="persisted design-stage cache (counts-only JSON of Algorithm 3 "
-             "frequency plans): loaded before designing — by every worker, "
+        help="persisted design-stage cache (SQLite, Algorithm 3 frequency "
+             "plans): loaded before designing — by every worker, "
              "for sweeps — and merged back afterwards, so a warm session "
              "re-derives its architectures without any frequency search",
     )
@@ -318,7 +316,8 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     given at exactly its default value is indistinguishable from an
     omitted one and cannot override the file.)  Invalid values — even
     router passes, trial counts below 1, malformed config-file fields, an
-    unreadable config file — exit with status 2.
+    unreadable config file, a store path that names a legacy JSON or
+    sharded store — exit with status 2.
     """
     try:
         config = (
@@ -352,6 +351,10 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
             updates["resume"] = True
         if updates:
             config = dataclasses.replace(config, **updates)
+        for path in (config.routing_cache_path, config.design_cache_path,
+                     config.checkpoint_path):
+            if path is not None:
+                check_store_path(path)
     except (OSError, ValueError) as error:
         raise SystemExit(_usage_error(str(error))) from None
     return config
@@ -598,18 +601,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_migrate(source: str, dest: str) -> int:
-    """``repro-design cache migrate``: copy a store to another backend.
+    """``repro-design cache migrate``: copy a legacy store into SQLite.
 
     The source's cache kind is detected by reading it under each known
     envelope in turn (routing cache, design cache, sweep checkpoint);
-    every backend fails loud with :class:`WrongFormatError` on another
+    every reader fails loud with :class:`WrongFormatError` on another
     kind's data, so the first successful read identifies the store.
     """
     from repro.design.engine import DesignCache
     from repro.evaluation.checkpoint import SweepCheckpoint
     from repro.mapping.engine import RoutingCache
-    from repro.persistence import WrongFormatError, migrate_store, read_cache_entries
+    from repro.persistence import WrongFormatError, migrate_store
 
+    try:
+        check_store_path(dest)
+    except ValueError as error:
+        return _usage_error(str(error))
     kinds = (
         ("routing cache", RoutingCache.FORMAT, RoutingCache.VERSION,
          RoutingCache._record_key),
@@ -620,22 +627,15 @@ def _cmd_cache_migrate(source: str, dest: str) -> int:
     )
     for kind, file_format, version, key_of in kinds:
         try:
-            entries = read_cache_entries(source, file_format, version, kind=kind)
+            count = migrate_store(source, dest, file_format, version, key_of,
+                                  kind=kind)
         except FileNotFoundError:
-            print(f"repro-design: error: cache store not found: {source}",
-                  file=sys.stderr)
-            return 2
+            return _usage_error(f"cache store not found: {source}")
         except (WrongFormatError, ValueError):
             continue
-        if entries is None:
-            continue
-        count = migrate_store(source, dest, file_format, version, key_of,
-                              kind=kind)
         print(f"migrated {count} {kind} entries: {source} -> {dest}")
         return 0
-    print(f"repro-design: error: {source} is not a recognized cache store",
-          file=sys.stderr)
-    return 2
+    return _usage_error(f"{source} is not a recognized cache store")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -174,7 +174,7 @@ class DesignCache(StageCache):
 
     Mirrors :class:`~repro.mapping.engine.RoutingCache`: the memoized
     Algorithm 3 frequency plans — by far the most expensive stage of the
-    design flow — round-trip through a versioned, counts-only JSON file
+    design flow — round-trip through a versioned, counts-only cache store
     (a few floats per qubit; never simulators or noise tensors), so a
     second session, or every worker of a ``sweep --jobs N``, re-derives
     a warm evaluation grid's architectures without a single Monte Carlo
@@ -199,13 +199,13 @@ class DesignCache(StageCache):
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> int:
-        """Persist the memoized frequency plans to a counts-only JSON file.
+        """Persist the memoized frequency plans to a cache store.
 
-        The file is an image of the in-memory stage cache (at most
+        The store is an image of the in-memory stage cache (at most
         ``max_entries`` plans); use :meth:`merge_save` to extend an
-        existing file instead of replacing it.  The write is atomic
-        (temp file + ``os.replace``), so concurrent readers never
-        observe a torn file.  Returns the number of entries written.
+        existing store instead of replacing it.  The write is one
+        SQLite transaction, so concurrent readers never observe a
+        half-written image.  Returns the number of entries written.
         """
         return persistence.write_cache_file(
             path, self.FORMAT, self.VERSION, self._serialize_entries(),
@@ -228,15 +228,16 @@ class DesignCache(StageCache):
         return persistence.tuplify(record["key"])
 
     def load(self, path: Union[str, Path], missing_ok: bool = False) -> int:
-        """Merge a persisted cache file into this cache.
+        """Merge a persisted cache store into this cache.
 
-        Existing in-memory entries win over file entries under the same
-        key.  Files with the wrong format marker or an unknown schema
-        version are rejected with a clear error.  Returns the number of
-        merged entries still resident afterwards — on a bounded cache, a
-        file larger than ``max_entries`` merges only its tail, and the
-        count reflects that rather than masking the eviction.
-        ``missing_ok`` turns a nonexistent file into a no-op returning 0.
+        Existing in-memory entries win over stored entries under the
+        same key.  Another cache kind's store is rejected with a clear
+        error; an unknown schema version or an unreadable file loads as
+        cold with a warning.  Returns the number of merged entries still
+        resident afterwards — on a bounded cache, a store larger than
+        ``max_entries`` merges only its tail, and the count reflects that
+        rather than masking the eviction.  ``missing_ok`` turns a
+        nonexistent store into a no-op returning 0.
         """
         records = persistence.read_cache_entries(
             path, self.FORMAT, self.VERSION, missing_ok=missing_ok,
@@ -255,15 +256,15 @@ class DesignCache(StageCache):
         return persistence.merge_loaded(self, records, decode)
 
     def merge_save(self, path: Union[str, Path]) -> int:
-        """Extend the persisted file with this cache's entries, concurrency-safe.
+        """Extend the persisted store with this cache's entries, concurrency-safe.
 
-        A file-level union under a per-path lock: the file keeps every
+        A store-level union in one transaction: the store keeps every
         plan it already holds (this cache's entries win under equal
         keys) plus everything memoized here — it never shrinks to this
-        cache's LRU bound, so a long sweep's cache file stays complete
+        cache's LRU bound, so a long sweep's cache store stays complete
         even when its grid outgrows ``max_entries``, and concurrent
         workers sharing one cache path cannot drop each other's results.
-        Returns the number of entries the rewritten file holds.
+        Returns the number of entries the store holds afterwards.
         """
         return persistence.union_merge_save(
             path, self.FORMAT, self.VERSION, self._serialize_entries(),

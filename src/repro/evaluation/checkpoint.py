@@ -5,8 +5,8 @@ A sweep is a deterministic grid of independent tasks — architecture
 Algorithm 3 frequency search) and point *evaluation* tasks (one per
 architecture, dominated by routing plus Monte Carlo yield).  The
 checkpoint records every completed task in a
-:mod:`repro.persistence` store (any backend), keyed by a **content
-digest** of everything that can influence the task's result:
+:mod:`repro.persistence` SQLite store, keyed by a **content digest**
+of everything that can influence the task's result:
 
 * a generation task digests its benchmark, configuration, and the
   design-affecting settings (local trials, bus seeds, allocation
@@ -22,15 +22,15 @@ Because the keys are content digests, ``--resume`` can never replay a
 stale result into a sweep whose settings changed — a changed knob
 changes every affected digest, and those tasks simply recompute.  An
 interrupted sweep restarted with ``--resume`` therefore produces output
-byte-identical to an uninterrupted run, for any ``--jobs`` count and
-any store backend: completed points are restored (value-exact, via the
-JSON float round trip), incomplete ones recompute under the same
-deterministic per-point seeds, and checkpointed generation tasks are
-restored without a single Algorithm 3 Monte Carlo call.
+byte-identical to an uninterrupted run, for any ``--jobs`` count:
+completed points are restored (value-exact, via the JSON float round
+trip), incomplete ones recompute under the same deterministic
+per-point seeds, and checkpointed generation tasks are restored
+without a single Algorithm 3 Monte Carlo call.
 
-Workers record tasks as they finish (the store's locked union merge
-keeps concurrent writers from dropping each other's records), so a kill
-at any moment loses at most the tasks in flight.
+Workers record tasks as they finish (the store's transactional union
+merge keeps concurrent writers from dropping each other's records), so
+a kill at any moment loses at most the tasks in flight.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def point_from_record(record: dict) -> DataPoint:
 
 
 class SweepCheckpoint:
-    """Completed sweep tasks, persisted in a pluggable cache store.
+    """Completed sweep tasks, persisted in a SQLite cache store.
 
     One checkpoint store holds three record kinds under one envelope:
     ``generation`` records (the architecture rows of one benchmark x
@@ -216,7 +216,7 @@ class SweepCheckpoint:
     identity is ``(kind, key)``.
 
     Lookups are served from the snapshot taken by :meth:`load`;
-    recordings go straight to the store via the backend's locked union
+    recordings go straight to the store via its transactional union
     merge, so any number of workers (or hosts, on a shared filesystem)
     can checkpoint one sweep concurrently.
 
@@ -244,39 +244,19 @@ class SweepCheckpoint:
     def load(self) -> int:
         """Snapshot the store's completed tasks for resume lookups.
 
-        Missing stores are simply cold.  A *torn* single-file store —
-        half-written trailing record, the signature of a copy or append
-        interrupted mid-byte — is salvaged instead of crashing
-        ``--resume``: every intact record is kept, the damaged file is
-        quarantined (``<name>.quarantine-<pid>``), and the lost tail
-        simply recomputes.  A store holding a different cache kind's
-        data still fails loud (:class:`~repro.persistence.WrongFormatError`
-        means a typo'd path, not damage).  Returns the number of
-        records loaded.
+        Missing stores are simply cold, and so are torn or garbage files
+        SQLite cannot read: the store reads them as empty with a
+        :class:`~repro.persistence.CacheStoreFault` warning, the first
+        recording quarantines the damaged file
+        (``<name>.quarantine-<pid>``), and the lost tasks recompute.  A
+        store holding a different cache kind's data still fails loud
+        (:class:`~repro.persistence.WrongFormatError` means a typo'd
+        path, not damage).  Returns the number of records loaded.
         """
-        try:
-            records = persistence.read_cache_entries(
-                self.path, self.FORMAT, self.VERSION, missing_ok=True,
-                kind="sweep checkpoint",
-            ) or []
-        except persistence.WrongFormatError:
-            raise
-        except ValueError as error:
-            salvaged = persistence.salvage_torn_store(
-                self.path, self.FORMAT, self.VERSION, kind="sweep checkpoint",
-            )
-            if salvaged is None:
-                raise error
-            records = salvaged
-            if records:
-                # Re-persist the intact records so the rebuilt store is
-                # whole again: without this, salvaged tasks would satisfy
-                # *this* resume but vanish from the store (resumed tasks
-                # are never re-recorded), costing a recompute next run.
-                persistence.union_merge_save(
-                    self.path, self.FORMAT, self.VERSION, records,
-                    self._record_key, kind="sweep checkpoint",
-                )
+        records = persistence.read_cache_entries(
+            self.path, self.FORMAT, self.VERSION, missing_ok=True,
+            kind="sweep checkpoint",
+        ) or []
         for record in records:
             if record.get("kind") == "generation":
                 self._generations[record["key"]] = record

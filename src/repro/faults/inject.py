@@ -110,12 +110,7 @@ def _hang(spec: FaultSpec) -> None:
 def _corrupt(spec: FaultSpec, store_path: Union[str, Path]) -> None:
     """Tear the tail off a store file, as a crash mid-append would."""
     target = Path(store_path)
-    if target.is_dir():
-        shards = [p for p in sorted(target.iterdir()) if p.is_file()]
-        if not shards:
-            return
-        target = shards[0]
-    if not target.exists():
+    if not target.is_file():
         return
     size = target.stat().st_size
     keep = max(0, size - spec.truncate_bytes)
@@ -146,8 +141,8 @@ def maybe_inject(site: str, *,
                  store_path: Optional[Union[str, Path]] = None) -> None:
     """Fire a scheduled fault at ``site`` if the armed plan has one.
 
-    ``store_path`` names the store file/directory a ``corrupt`` fault
-    would tear; sites that do not touch a store omit it.
+    ``store_path`` names the store file a ``corrupt`` fault would tear;
+    sites that do not touch a store omit it.
     """
     plan = _load_plan()
     if plan is None:

@@ -52,7 +52,10 @@ PLAN_VERSION = 1
 #: ``hang``       sleep ``delay_s`` seconds (optionally holding the GIL)
 #: ``exception``  raise :class:`repro.faults.inject.FaultInjected`
 #: ``corrupt``    truncate ``truncate_bytes`` from the tail of the store
-#:                file passed to the injection site (simulated torn write)
+#:                file passed to the injection site (simulated torn write).
+#:                A tear shorter than one SQLite page (4,096 bytes),
+#:                such as the default 16 bytes, can leave every record
+#:                readable; a tear of a whole page reads as cold.
 FAULT_KINDS = ("kill", "exit", "segv", "hang", "exception", "corrupt")
 
 

@@ -183,21 +183,18 @@ class RoutingCache:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> int:
-        """Persist the memoized routings to a counts-only JSON file.
+        """Persist the memoized routings to a counts-only cache store.
 
         Only the mapping *results* are written — swap counts, gate
         counts, and the initial/final mappings — never routed circuits or
-        gate tuples, so the file stays small and sweep-scale caches
+        gate tuples, so the store stays small and sweep-scale caches
         persist in milliseconds.  Returns the number of entries written.
 
-        The file is an image of the in-memory cache, so it holds at most
+        The store is an image of the in-memory cache, so it holds at most
         ``max_entries`` results; writers wanting to extend an existing
-        file rather than replace it should use :meth:`merge_save` (cached
-        entries win over file entries, anything beyond the bound falls
-        out least-recently-used, and the load-merge-rewrite cycle is
-        serialized against concurrent writers).  The write itself is
-        atomic (temp file + ``os.replace``), so readers never observe a
-        torn or truncated file.
+        store rather than replace it should use :meth:`merge_save`.  The
+        write is one SQLite transaction, so readers never observe a
+        half-written image.
 
         Because the gate tuples are not persisted, results served from a
         loaded cache are trusted on the 64-bit circuit content digest in
@@ -244,18 +241,18 @@ class RoutingCache:
         )
 
     def load(self, path: Union[str, Path], missing_ok: bool = False) -> int:
-        """Merge a persisted cache file into this cache.
+        """Merge a persisted cache store into this cache.
 
         Loaded entries are counts-only (no routed circuit): route calls
         with ``keep_routed_circuit=True`` still recompute and upgrade
-        them.  Existing in-memory entries win over file entries under the
-        same key.  Files with the wrong format marker or an unknown
-        schema version are rejected with a clear error.  Returns the
-        number of merged entries still resident afterwards — on a
-        bounded cache, a file larger than ``max_entries`` merges only
-        its tail, and the count reflects that rather than masking the
-        eviction.  ``missing_ok`` turns a nonexistent file into a no-op
-        returning 0.
+        them.  Existing in-memory entries win over stored entries under
+        the same key.  Another cache kind's store is rejected with a
+        clear error; an unknown schema version or an unreadable file
+        loads as cold with a warning.  Returns the number of merged
+        entries still resident afterwards — on a bounded cache, a store
+        larger than ``max_entries`` merges only its tail, and the count
+        reflects that rather than masking the eviction.  ``missing_ok``
+        turns a nonexistent store into a no-op returning 0.
         """
         from repro.mapping.router import MappingResult
 
@@ -289,14 +286,14 @@ class RoutingCache:
         return persistence.merge_loaded(self, records, decode)
 
     def merge_save(self, path: Union[str, Path]) -> int:
-        """Extend the persisted file with this cache's entries, concurrency-safe.
+        """Extend the persisted store with this cache's entries, concurrency-safe.
 
-        A file-level union under a per-path lock: the file keeps every
+        A store-level union in one transaction: the store keeps every
         entry it already holds (this cache's entries win under equal
         keys) plus everything memoized here — it never shrinks to this
         cache's LRU bound, and concurrent workers sharing one cache path
         cannot drop each other's results.  Returns the number of entries
-        the rewritten file holds.
+        the store holds afterwards.
         """
         return persistence.union_merge_save(
             path, self.FORMAT, self.VERSION, self._serialize_entries(),

@@ -1,33 +1,23 @@
-"""Pluggable cache-store machinery for persisted result caches.
+"""The cache store beneath every persisted result cache.
 
 Both persisted caches of the code base — the routing-result cache
 (:class:`~repro.mapping.engine.RoutingCache`) and the design-stage cache
 (:class:`~repro.design.engine.DesignCache`) — plus the sweep checkpoint
 (:class:`~repro.evaluation.checkpoint.SweepCheckpoint`) store entry
-lists that many processes read and extend concurrently.  This package
-owns the storage layer beneath them, as a pluggable **store** with
-three backends:
+lists that many processes read and extend concurrently.  Each lives in
+one SQLite database (:class:`~repro.persistence.sqlite.SqliteStore`):
+transactional upsert merges, degrade-to-cold with quarantine on
+unreadable state, fail-loud on another cache kind's data.
 
-* ``json`` (:class:`~repro.persistence.store.SingleFileStore`) — the
-  legacy single JSON file; byte-compatible with every cache file
-  written before the abstraction existed, strict (fail-loud)
-  validation.
-* ``sharded`` (:class:`~repro.persistence.sharded.ShardedStore`) — a
-  directory of up to 256 digest-prefixed shard files; concurrent
-  mergers rarely collide, and per-shard faults degrade to cold without
-  touching peers.
-* ``sqlite`` (:class:`~repro.persistence.sqlite.SqliteStore`) — one
-  database file with transactional upsert-merge semantics.
-
-Cache classes do not pick backends; they keep calling the module-level
-legacy API (:func:`read_cache_entries`, :func:`write_cache_file`,
-:func:`union_merge_save`), which dispatches on the *path*: an optional
-``json:`` / ``sharded:`` / ``sqlite:`` scheme prefix names the backend
-explicitly, and unprefixed paths are sniffed from on-disk state (an
-existing directory is a sharded store, a file opening with the SQLite
-magic — or a fresh ``.sqlite`` / ``.db`` path — is a database,
-everything else is the single file).  :func:`migrate_store` converts a
-store between backends.
+Cache classes keep calling the module-level API
+(:func:`read_cache_entries`, :func:`write_cache_file`,
+:func:`union_merge_save`).  Two legacy layouts that earlier releases
+wrote — one JSON file (:class:`~repro.persistence.store.SingleFileStore`)
+and a directory of digest-sharded JSON files
+(:class:`~repro.persistence.sharded.ShardedStore`) — are only read, by
+:func:`migrate_store` (``repro-design cache migrate``), which copies
+them into SQLite.  :func:`check_store_path` refuses them everywhere
+else.
 
 Cache classes stay in charge of their own entry schemas; this package
 only standardizes the envelope (``format`` / ``version`` / ``entries``)
@@ -36,48 +26,40 @@ and the concurrency discipline around it.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
+from repro.persistence.sharded import ShardedStore
+from repro.persistence.sqlite import SqliteStore
 from repro.persistence.store import (
-    BACKENDS,
     CacheStore,
     CacheStoreFault,
     PathLike,
-    SQLITE_MAGIC,
     SingleFileStore,
     WrongFormatError,
     atomic_write_text,
-    cache_file_lock,
     canonical_key,
-    key_digest,
     listify,
     merge_loaded,
-    migrate_store,
-    open_store,
-    parse_store_path,
-    salvage_torn_store,
     tuplify,
 )
 
 __all__ = [
-    "BACKENDS",
     "CacheStore",
     "CacheStoreFault",
     "PathLike",
-    "SQLITE_MAGIC",
+    "ShardedStore",
     "SingleFileStore",
+    "SqliteStore",
     "WrongFormatError",
     "atomic_write_text",
-    "cache_file_lock",
     "canonical_key",
-    "key_digest",
+    "check_store_path",
     "listify",
     "merge_loaded",
     "migrate_store",
-    "open_store",
-    "parse_store_path",
     "read_cache_entries",
-    "salvage_torn_store",
     "tuplify",
     "union_merge_save",
     "write_cache_file",
@@ -95,13 +77,11 @@ def write_cache_file(
     """Atomically write a cache store *image* in the standard envelope.
 
     Replaces whatever the store at ``path`` held with exactly
-    ``entries``.  ``key_of`` maps an entry to its merge identity; the
-    single-file backend ignores it, but the sharded and SQLite backends
-    need it for shard routing / primary keys, so callers that may be
-    pointed at any backend should always pass it.  Returns the number
-    of entries written.
+    ``entries``.  ``key_of`` maps an entry to its merge identity (the
+    primary key); it is required.  Returns the number of entries
+    written.
     """
-    return open_store(path).replace(
+    return SqliteStore(path).replace(
         file_format, version, entries, key_of=key_of, kind=kind
     )
 
@@ -116,19 +96,18 @@ def read_cache_entries(
     """Read and validate a cache store; return its entry list.
 
     Args:
-        path: Cache store location (any backend; see the module
-            docstring for how the backend is chosen).
-        file_format: Expected ``format`` marker.
-        version: The (single) supported schema version.  The single-file
-            backend rejects other versions with a clear error; the
-            sharded and SQLite backends degrade wrong-version state to
-            cold with a :class:`CacheStoreFault` warning instead.
+        path: Cache store location.
+        file_format: Expected ``format`` marker; another cache kind's
+            store raises :class:`WrongFormatError`.
+        version: The (single) supported schema version.  Wrong-version
+            or unreadable state degrades to an empty list with a
+            :class:`CacheStoreFault` warning.
         missing_ok: Return ``None`` for a nonexistent store instead of
             raising :class:`FileNotFoundError`.
         kind: Human-readable store kind for error messages (defaults to
             ``file_format``).
     """
-    return open_store(path).read(
+    return SqliteStore(path).read(
         file_format, version, missing_ok=missing_ok, kind=kind
     )
 
@@ -143,17 +122,17 @@ def union_merge_save(
 ) -> int:
     """Extend the cache store at ``path`` with ``records``, concurrency-safe.
 
-    The canonical end-of-run persistence step: under the backend's
-    locking discipline, the store's current entries are unioned with
-    ``records`` (``records`` win under equal ``key_of`` keys, existing
-    order is preserved, new entries append) and written back atomically.
-    The merge happens at the *store* level, deliberately outside any
-    in-memory cache: the persisted store accumulates every entry ever
-    merged into it, never shrinking to a producer's LRU bound, and
-    never dropping a concurrent writer's additions.
+    The canonical end-of-run persistence step: in one transaction, the
+    store's current entries are unioned with ``records`` (``records``
+    win under equal ``key_of`` keys, existing order is preserved, new
+    entries append).  The merge happens at the *store* level,
+    deliberately outside any in-memory cache: the persisted store
+    accumulates every entry ever merged into it, never shrinking to a
+    producer's LRU bound, and never dropping a concurrent writer's
+    additions.
 
     Args:
-        path: Cache store location (any backend).
+        path: Cache store location.
         file_format: ``format`` marker of the envelope.
         version: Schema version written and required of existing state.
         records: Serialized entries to merge in (JSON-compatible dicts).
@@ -163,6 +142,74 @@ def union_merge_save(
 
     Returns the number of entries the store holds afterwards.
     """
-    return open_store(path).union_merge(
+    return SqliteStore(path).union_merge(
         file_format, version, records, key_of, kind=kind
     )
+
+
+def migrate_store(
+    source: PathLike,
+    dest: PathLike,
+    file_format: str,
+    version: int,
+    key_of: Callable[[dict], Tuple],
+    kind: Optional[str] = None,
+) -> int:
+    """Copy every entry of a legacy store into a SQLite store.
+
+    ``source`` is a legacy sharded directory or else a legacy single
+    JSON file; it is only read.  Its full entry list becomes the new
+    *image* of the SQLite store at ``dest``.  Returns the number of
+    entries migrated.
+    """
+    source = Path(source)
+    reader = ShardedStore(source) if source.is_dir() else SingleFileStore(source)
+    entries = reader.read(file_format, version, kind=kind)
+    return SqliteStore(dest).replace(
+        file_format, version, list(entries or []), key_of=key_of, kind=kind
+    )
+
+
+#: Opening bytes of every legacy single-file store: the envelope of
+#: :func:`json.dumps` over ``{"format": "repro-...", ...}``.
+_JSON_ENVELOPE = re.compile(rb'\s*\{\s*"format"\s*:\s*"repro-')
+
+#: Path prefixes that picked a store backend before SQLite was the only one.
+_BACKEND_PREFIXES = ("json:", "sharded:", "sqlite:")
+
+
+def check_store_path(path: PathLike) -> None:
+    """Refuse a store location that only ``cache migrate`` can read.
+
+    Raises :class:`ValueError` naming ``repro-design cache migrate``
+    when ``path`` carries a ``json:``/``sharded:``/``sqlite:`` backend
+    prefix, is an existing directory (a legacy sharded store), or is a
+    file holding a ``repro-*`` JSON envelope (a legacy single-file
+    store).  Nothing is read beyond a file's first bytes, and nothing
+    is renamed.  Any other file, garbage included, is left to
+    :class:`SqliteStore`, which reads it as cold and quarantines it on
+    the first write.
+    """
+    text = str(path)
+    if text.startswith(_BACKEND_PREFIXES):
+        raise ValueError(
+            f"{text}: store paths take no backend prefix any more (SQLite is "
+            "the only store); drop it, and convert a legacy json or sharded "
+            "store with 'repro-design cache migrate SOURCE DEST'"
+        )
+    target = Path(text)
+    legacy = None
+    if target.is_dir():
+        legacy = "sharded store directory"
+    else:
+        try:
+            with open(target, "rb") as handle:
+                if _JSON_ENVELOPE.match(handle.read(256)):
+                    legacy = "single-file JSON store"
+        except OSError:
+            pass  # missing: a fresh SQLite store
+    if legacy:
+        raise ValueError(
+            f"{text} is a legacy {legacy}; SQLite is the only store now: "
+            f"convert it with 'repro-design cache migrate {text} NEW.sqlite'"
+        )

@@ -1,25 +1,26 @@
-"""The SQLite store: one database file with upsert-merge semantics.
+"""The SQLite store: the one store that is written, with upsert-merge semantics.
 
-Entries live in a two-table schema — ``meta`` holding the envelope
-(``format`` marker and schema ``version``) and ``entries`` holding one
-row per cache entry, keyed by the canonical JSON text of the entry's
-merge key.  A union merge is a single transaction of
-``INSERT ... ON CONFLICT(key) DO UPDATE`` upserts, so concurrent
-writers sharing the file serialize on SQLite's own locking (with a busy
-timeout plus a short retry loop) instead of the sidecar file locks the
-JSON backends use, and a merge never rewrites untouched rows.
+Every persisted cache (routing cache, design cache, sweep checkpoint)
+is one database file.  Entries live in a two-table schema — ``meta``
+holding the envelope (``format`` marker and schema ``version``) and
+``entries`` holding one row per cache entry, keyed by the canonical JSON
+text of the entry's merge key.  A union merge is a single transaction
+of ``INSERT ... ON CONFLICT(key) DO UPDATE`` upserts, so concurrent
+writers sharing the file — threads, worker processes, or hosts on a
+shared filesystem — serialize on SQLite's own locking (with a busy
+timeout plus a short retry loop), and a merge never rewrites untouched
+rows.
 
-Fault semantics mirror the sharded backend: a garbage, truncated, or
-wrong-version database degrades to "cold" with a
-:class:`~repro.persistence.store.CacheStoreFault` warning — reads
-return an empty entry list, and writers quarantine the unreadable file
-(``<name>.quarantine-<pid>``) before creating a fresh database, so no
-bytes are ever silently destroyed.  A *wrong format marker* (pointing
-one cache kind at another kind's store) still fails loud: that is a
-configuration error, not corruption.
+A garbage, truncated, or wrong-version database degrades to "cold"
+with a :class:`~repro.persistence.store.CacheStoreFault` warning —
+reads return an empty entry list, and writers quarantine the unreadable
+file (``<name>.quarantine-<pid>``) before creating a fresh database, so
+no bytes are ever silently destroyed.  A *wrong format marker*
+(pointing one cache kind at another kind's store) still fails loud:
+that is a configuration error, not corruption.
 
 Read order is insertion order (``rowid``; upserts keep the original
-row), matching the entry-list semantics of the JSON backends.
+row).
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class _StaleStore(Exception):
 class SqliteStore(CacheStore):
     """A cache store backed by one SQLite database file."""
 
-    backend = "sqlite"
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
     # -- connection helpers ---------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
@@ -91,7 +87,7 @@ class SqliteStore(CacheStore):
         Raises :class:`ValueError` on a wrong format marker (a
         misconfiguration, handled loudly everywhere); degrades an
         unknown version to cold via :class:`CacheStoreFault` (the
-        fleet-facing recovery contract).  ``sqlite3.DatabaseError`` —
+        store's recovery contract).  ``sqlite3.DatabaseError`` —
         garbage or truncated files — propagates to the caller, which
         owns quarantine/cold handling.
         """

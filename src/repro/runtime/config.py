@@ -31,7 +31,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from repro.design.frequency_allocation import resolve_strategy
 from repro.hardware.frequency import DEFAULT_SIGMA_GHZ
 from repro.mapping.sabre import SabreParameters
-from repro.persistence import parse_store_path
 
 #: Router parameters used by the evaluation harness by default.
 #:
@@ -46,18 +45,14 @@ DEFAULT_EVALUATION_ROUTING = SabreParameters(passes=3)
 
 
 def canonical_store_path(path: Optional[str]) -> Optional[str]:
-    """Canonicalize a store path, preserving its backend scheme prefix.
+    """Canonicalize a store path.
 
-    ``cache.json``, ``./cache.json``, and a symlink alias all resolve to
-    the same absolute real path; an explicit ``json:`` / ``sharded:`` /
-    ``sqlite:`` scheme is split off first and reattached after
-    resolution, so backend selection survives canonicalization.
+    ``cache.sqlite``, ``./cache.sqlite``, and a symlink alias all
+    resolve to the same absolute real path.
     """
     if path is None:
         return None
-    scheme, raw = parse_store_path(path)
-    resolved = Path(raw).resolve()
-    return f"{scheme}:{resolved}" if scheme else str(resolved)
+    return str(Path(path).resolve())
 
 
 _PATH_FIELDS = ("routing_cache_path", "design_cache_path", "checkpoint_path")

@@ -1,22 +1,20 @@
-"""Property tests of the pluggable cache-store backends.
+"""Property tests of the cache store and of ``cache migrate``.
 
-Invariants covered (ISSUE satellite list):
+Invariants covered:
 
-* shard routing is *total* and *stable*: every JSON-expressible key maps
-  to exactly one of the 256 two-hex-digit shards, identically across
-  repeated calls and across the tuple/list spellings of one key (the
-  in-memory and file-loaded shapes);
 * union merge is idempotent and order-independent: merging the same
-  batches again, or in any order, yields the same final entry set on
-  every backend;
-* round-trips between backends preserve entries: any store image
-  migrated sharded ⇄ single-file ⇄ sqlite carries exactly the same
-  records.
+  batches again, or in any order, yields the same final entry set;
+* migration preserves entries: a legacy single-file JSON store or a
+  legacy sharded directory, written in the exact layout earlier
+  releases produced, migrates into SQLite with every entry kept.
+
+Strategies are JSON-safe (no NaN or infinities, text without
+surrogates), since every path under test serializes through JSON.
 """
 
 from __future__ import annotations
 
-import re
+import json
 import tempfile
 from pathlib import Path
 
@@ -24,15 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legacy_stores import write_legacy_json, write_legacy_sharded
 from repro import persistence
-from repro.persistence.sharded import shard_for_key
 from strategies import examples
 
 pytestmark = pytest.mark.property
 
 FMT = "repro-test-cache"
-
-_SHARD_ID = re.compile(r"^[0-9a-f]{2}$")
 
 # JSON-expressible cache keys: scalars and nested tuples of them — the
 # exact shapes the routing/design caches and the sweep checkpoint use.
@@ -46,6 +42,15 @@ _scalars = st.one_of(
 keys = st.recursive(
     _scalars, lambda children: st.lists(children, max_size=4).map(tuple), max_leaves=8
 )
+# JSON-expressible record payloads: scalars, lists and string-keyed objects.
+payloads = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=8,
+)
 
 
 def _record(key):
@@ -57,33 +62,12 @@ def _key_of(record):
     return persistence.tuplify(record["key"])
 
 
+def _json_text(record):
+    return json.dumps(record, sort_keys=True)
+
+
 def _entry_set(records):
     return {(persistence.canonical_key(_key_of(r)), r["value"]) for r in records or []}
-
-
-class TestShardRouting:
-    @given(key=keys)
-    @settings(max_examples=examples(100))
-    def test_total_and_well_formed(self, key):
-        assert _SHARD_ID.match(shard_for_key(key))
-
-    @given(key=keys)
-    @settings(max_examples=examples(100))
-    def test_stable_across_calls_and_key_spellings(self, key):
-        shard = shard_for_key(key)
-        assert shard_for_key(key) == shard
-        # The file-loaded (list) and in-memory (tuple) shapes must route
-        # identically, or a reloaded entry would migrate between shards.
-        assert shard_for_key(persistence.listify(key)) == shard
-        assert shard_for_key(persistence.tuplify(key)) == shard
-
-
-def _store_paths(root):
-    return [
-        f"json:{root / 'store.json'}",
-        f"sharded:{root / 'store-dir'}",
-        f"sqlite:{root / 'store.sqlite'}",
-    ]
 
 
 class TestUnionMergeAlgebra:
@@ -96,21 +80,19 @@ class TestUnionMergeAlgebra:
         records_a = [_record(key) for key in batch_a]
         records_b = [_record(key) for key in batch_b]
         expected = _entry_set(records_a + records_b)
-        with tempfile.TemporaryDirectory() as ab_root, \
-                tempfile.TemporaryDirectory() as ba_root:
-            for path_ab, path_ba in zip(
-                _store_paths(Path(ab_root)), _store_paths(Path(ba_root))
-            ):
-                persistence.union_merge_save(path_ab, FMT, 1, records_a, _key_of)
-                persistence.union_merge_save(path_ab, FMT, 1, records_b, _key_of)
-                # Replaying a batch must change nothing (idempotence).
-                persistence.union_merge_save(path_ab, FMT, 1, records_a, _key_of)
-                persistence.union_merge_save(path_ba, FMT, 1, records_b, _key_of)
-                persistence.union_merge_save(path_ba, FMT, 1, records_a, _key_of)
-                loaded_ab = persistence.read_cache_entries(path_ab, FMT, 1)
-                loaded_ba = persistence.read_cache_entries(path_ba, FMT, 1)
-                assert _entry_set(loaded_ab) == expected
-                assert _entry_set(loaded_ba) == expected
+        with tempfile.TemporaryDirectory() as root:
+            path_ab = Path(root) / "ab.sqlite"
+            path_ba = Path(root) / "ba.sqlite"
+            persistence.union_merge_save(path_ab, FMT, 1, records_a, _key_of)
+            persistence.union_merge_save(path_ab, FMT, 1, records_b, _key_of)
+            # Replaying a batch must change nothing (idempotence).
+            persistence.union_merge_save(path_ab, FMT, 1, records_a, _key_of)
+            persistence.union_merge_save(path_ba, FMT, 1, records_b, _key_of)
+            persistence.union_merge_save(path_ba, FMT, 1, records_a, _key_of)
+            loaded_ab = persistence.read_cache_entries(path_ab, FMT, 1)
+            loaded_ba = persistence.read_cache_entries(path_ba, FMT, 1)
+            assert _entry_set(loaded_ab) == expected
+            assert _entry_set(loaded_ba) == expected
 
     @given(batch=st.lists(keys, min_size=1, max_size=8))
     @settings(max_examples=examples(25))
@@ -118,25 +100,42 @@ class TestUnionMergeAlgebra:
         records = [_record(key) for key in batch]
         distinct = len({persistence.canonical_key(_key_of(r)) for r in records})
         with tempfile.TemporaryDirectory() as root:
-            for path in _store_paths(Path(root)):
-                count = persistence.union_merge_save(path, FMT, 1, records, _key_of)
-                assert count == distinct
+            path = Path(root) / "store.sqlite"
+            count = persistence.union_merge_save(path, FMT, 1, records, _key_of)
+            assert count == distinct
 
 
-class TestCrossBackendRoundTrips:
-    @given(batch=st.lists(keys, max_size=8))
+class TestMigration:
+    @given(batch=st.lists(st.tuples(keys, payloads), max_size=8))
     @settings(max_examples=examples(25))
-    def test_migration_chain_preserves_entries(self, batch):
-        records = [_record(key) for key in batch]
-        expected = _entry_set(records)
+    def test_legacy_stores_migrate_with_every_entry(self, batch):
+        records = [
+            {"key": persistence.listify(key), "value": payload}
+            for key, payload in batch
+        ]
+        # The last record under each canonical key wins, in the first
+        # one's position: the legacy merge semantics.
+        expected = {}
+        for record in records:
+            expected[persistence.canonical_key(_key_of(record))] = record
+        # Compared as canonical JSON text, so 1 and True, or 0.0 and
+        # -0.0, never pass for each other.
+        exact = {key: _json_text(record) for key, record in expected.items()}
         with tempfile.TemporaryDirectory() as root:
-            json_path, sharded_path, sqlite_path = _store_paths(Path(root))
-            persistence.union_merge_save(json_path, FMT, 1, records, _key_of)
-            persistence.migrate_store(json_path, sharded_path, FMT, 1, _key_of)
-            persistence.migrate_store(sharded_path, sqlite_path, FMT, 1, _key_of)
-            round_tripped = f"json:{Path(root) / 'round-trip.json'}"
-            persistence.migrate_store(sqlite_path, round_tripped, FMT, 1, _key_of)
-            for path in (sharded_path, sqlite_path, round_tripped):
-                assert _entry_set(
-                    persistence.read_cache_entries(path, FMT, 1)
-                ) == expected
+            root = Path(root)
+            sources = (
+                write_legacy_json(root / "store.json", FMT, 1, records, _key_of),
+                write_legacy_sharded(root / "store-dir", FMT, 1, records, _key_of),
+            )
+            for index, source in enumerate(sources):
+                dest = root / f"migrated-{index}.sqlite"
+                count = persistence.migrate_store(source, dest, FMT, 1, _key_of)
+                assert count == len(expected)
+                migrated = persistence.read_cache_entries(dest, FMT, 1)
+                assert {
+                    persistence.canonical_key(_key_of(record)): _json_text(record)
+                    for record in migrated
+                } == exact
+            # A single file keeps its entry order through the migration.
+            in_order = persistence.read_cache_entries(root / "migrated-0.sqlite", FMT, 1)
+            assert [_json_text(record) for record in in_order] == list(exact.values())

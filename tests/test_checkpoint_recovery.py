@@ -1,22 +1,25 @@
 """Torn-checkpoint recovery and failure-record round trips.
 
-A single-file sweep checkpoint whose trailing record was half-written —
-the signature of a kill mid-append or an interrupted copy — must not
-crash ``--resume``: :meth:`SweepCheckpoint.load` salvages every intact
-record, quarantines the damaged file beside the store, and lets the lost
-tail recompute.  Recognizable *misconfiguration* (a different cache
-kind's store at the path) must keep failing loud, and pure garbage that
-never held checkpoint data stays a hard error too.
+A sweep checkpoint torn at the tail — the signature of an interrupted
+copy or a full disk — must not crash ``--resume``.  A tear shorter than
+one SQLite page can leave every record readable; a tear of a page or
+more reads as cold with a :class:`CacheStoreFault` warning, the next
+recording quarantines the damaged file beside the store, and the lost
+tasks recompute.  Recognizable *misconfiguration* (a different cache
+kind's store at the path) keeps failing loud.
 """
-
-import json
 
 import pytest
 
 from repro import persistence
 from repro.evaluation.checkpoint import SweepCheckpoint
+from repro.mapping.engine import RoutingCache
 from repro.persistence import CacheStoreFault, WrongFormatError
 from repro.runtime.metrics import global_metrics
+
+#: SQLite's default page size.  Tearing a whole page off a checkpoint
+#: leaves it unreadable; a shorter tear can leave it readable.
+PAGE = 4096
 
 
 def _failure(key, benchmark="sym6_145"):
@@ -38,7 +41,7 @@ def _seeded_checkpoint(path, keys=("k1", "k2", "k3")):
 
 
 def test_failure_records_round_trip(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.sqlite"
     _seeded_checkpoint(path)
     reloaded = SweepCheckpoint(str(path))
     assert reloaded.load() == 3
@@ -52,76 +55,59 @@ def test_failure_records_round_trip(tmp_path):
     assert reloaded.generation_rows("k1") is None
 
 
-def test_torn_trailing_record_is_salvaged_and_quarantined(tmp_path):
-    path = tmp_path / "ck.json"
+@pytest.mark.parametrize("tear", [40, 100, 1000])
+def test_tear_shorter_than_a_page_still_reads_every_record(tmp_path, tear):
+    path = tmp_path / "ck.sqlite"
     _seeded_checkpoint(path)
-    intact = path.read_bytes()
-    path.write_bytes(intact[:-40])  # tear the tail mid-record
+    path.write_bytes(path.read_bytes()[:-tear])
+    assert SweepCheckpoint(str(path)).load() == 3
 
-    before = global_metrics().snapshot()
+
+def test_torn_checkpoint_reads_cold_and_is_quarantined(tmp_path):
+    path = tmp_path / "ck.sqlite"
+    _seeded_checkpoint(path)
+    torn = path.read_bytes()[:-PAGE]
+    path.write_bytes(torn)
+
+    before = global_metrics().snapshot()["counters"].get(
+        "persistence/store_faults", 0
+    )
     reloaded = SweepCheckpoint(str(path))
-    with pytest.warns(CacheStoreFault, match="salvaged"):
-        count = reloaded.load()
-    assert 0 < count < 3  # the torn tail is lost, the intact head kept
-    assert count == reloaded.recorded_failures
+    with pytest.warns(CacheStoreFault, match="as cold"):
+        assert reloaded.load() == 0
+    assert path.read_bytes() == torn  # reading never moves the file
 
-    # The damaged file moved aside, original bytes preserved for
-    # forensics; the intact records were re-persisted to a fresh store.
-    assert path.exists()
-    quarantine = list(tmp_path.glob("ck.json.quarantine-*"))
+    # The next recording quarantines the damaged file, original bytes
+    # preserved for forensics, and starts a fresh store.
+    with pytest.warns(CacheStoreFault, match="quarantined"):
+        reloaded.record_failure(_failure("k9"))
+    quarantine = list(tmp_path.glob("ck.sqlite.quarantine-*"))
     assert len(quarantine) == 1
-    assert quarantine[0].read_bytes() == intact[:-40]
+    assert quarantine[0].read_bytes() == torn
+    after = global_metrics().snapshot()["counters"]["persistence/store_faults"]
+    assert after == before + 2
 
-    delta_counters = global_metrics().snapshot()["counters"]
-    base_counters = before["counters"]
-    assert delta_counters.get("persistence/torn_stores", 0) == \
-        base_counters.get("persistence/torn_stores", 0) + 1
-    assert delta_counters.get("persistence/salvaged_records", 0) == \
-        base_counters.get("persistence/salvaged_records", 0) + count
-
-    # The store is whole again: the salvaged records survive a reload
-    # on their own, and new recordings merge alongside them.
-    assert SweepCheckpoint(str(path)).load() == count
-    reloaded.record_failure(_failure("k9"))
     fresh = SweepCheckpoint(str(path))
-    assert fresh.load() == count + 1
+    assert fresh.load() == 1
+    assert [record["key"] for record in fresh.failures()] == ["k9"]
 
 
 def test_wrong_cache_kind_still_fails_loud(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({
-        "format": "repro-routing-cache", "version": 1, "entries": [],
-    }), encoding="utf-8")
+    path = tmp_path / "ck.sqlite"
+    persistence.write_cache_file(
+        path, RoutingCache.FORMAT, RoutingCache.VERSION, [],
+        key_of=RoutingCache._record_key,
+    )
+    intact = path.read_bytes()
     with pytest.raises(WrongFormatError):
         SweepCheckpoint(str(path)).load()
-    assert path.exists()  # misconfiguration is never quarantined
-
-
-def test_unrecognizable_garbage_still_fails_loud(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text("this was never a checkpoint", encoding="utf-8")
-    with pytest.raises(ValueError):
-        SweepCheckpoint(str(path)).load()
-    assert path.exists()
-
-
-def test_salvage_declines_foreign_header(tmp_path):
-    """salvage_torn_store only touches files that held *our* format."""
-    path = tmp_path / "ck.json"
-    path.write_text(
-        '{"format": "repro-other-cache", "version": 1, "entries": [{}',
-        encoding="utf-8",
-    )
-    assert persistence.salvage_torn_store(
-        path, SweepCheckpoint.FORMAT, SweepCheckpoint.VERSION,
-    ) is None
-    assert path.exists()
+    assert path.read_bytes() == intact  # misconfiguration is never quarantined
 
 
 def test_intact_checkpoint_loads_without_warnings(tmp_path):
     import warnings
 
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.sqlite"
     _seeded_checkpoint(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", CacheStoreFault)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -235,27 +236,67 @@ class TestDesignCacheRoundTrip:
 
 
 class TestCacheBackendFlag:
-    """A ``json:``/``sharded:``/``sqlite:`` path prefix picks a store's
-    backend; invalid input exits 2 before any work."""
+    """Every store is SQLite; a path naming a legacy JSON or sharded store
+    (or a backend prefix) and any other invalid input exit 2 before any
+    work."""
 
     FAST = ["--trials", "200", "--local-trials", "60"]
 
     def test_evaluate_writes_sqlite_design_cache(self, tmp_path, capsys):
-        from repro.persistence import SQLITE_MAGIC
-
         cache = tmp_path / "design-cache"
         assert main(["evaluate", "sym6_145", *self.FAST,
-                     "--design-cache", f"sqlite:{cache}"]) == 0
+                     "--design-cache", str(cache)]) == 0
         capsys.readouterr()
-        assert cache.read_bytes()[: len(SQLITE_MAGIC)] == SQLITE_MAGIC
+        assert cache.read_bytes().startswith(b"SQLite format 3\x00")
 
-    def test_evaluate_writes_sharded_design_cache(self, tmp_path, capsys):
-        cache = tmp_path / "design-cache"
-        assert main(["evaluate", "sym6_145", *self.FAST,
-                     "--design-cache", f"sharded:{cache}"]) == 0
-        capsys.readouterr()
-        assert cache.is_dir()
-        assert (cache / "shards.json").exists()
+    def test_legacy_store_paths_exit_2_naming_cache_migrate(
+            self, tmp_path, capsys, allocation_calls):
+        from legacy_stores import write_legacy_json, write_legacy_sharded
+        from repro.design.engine import DesignCache
+
+        def key_of(record):
+            return record["key"]
+
+        entries = [{"key": ["k"], "frequencies": {"0": 5.0}}]
+        legacy_file = write_legacy_json(
+            tmp_path / "plans.json", DesignCache.FORMAT, 1, entries, key_of)
+        legacy_dir = write_legacy_sharded(
+            tmp_path / "plans-dir", DesignCache.FORMAT, 1, entries, key_of)
+        prefixed = f"sqlite:{tmp_path / 'fresh.sqlite'}"
+
+        def snapshot():
+            return sorted(
+                (str(path), path.read_bytes() if path.is_file() else None)
+                for path in tmp_path.rglob("*")
+            )
+
+        before = snapshot()
+        for flag in ("--routing-cache", "--design-cache", "--checkpoint"):
+            for value in (str(legacy_file), str(legacy_dir), prefixed):
+                with pytest.raises(SystemExit) as exited:
+                    main(["sweep", "sym6_145", *self.FAST, flag, value])
+                assert exited.value.code == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                (line,) = captured.err.splitlines()
+                assert line.startswith("repro-design: error:")
+                assert "repro-design cache migrate" in line, line
+        # Nothing was read, renamed, quarantined or created.
+        assert snapshot() == before
+        assert not os.path.exists(prefixed)
+        assert allocation_calls() == 0
+
+    def test_runtime_config_store_paths_are_guarded(self, tmp_path, capsys):
+        """Store paths read from a --runtime-config file meet the same guard."""
+        legacy = tmp_path / "routes"
+        legacy.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"routing_cache_path": str(legacy)}))
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "sym6_145", *self.FAST, "--runtime-config", str(config)])
+        assert exited.value.code == 2
+        assert "repro-design cache migrate" in capsys.readouterr().err
+        assert list(legacy.iterdir()) == []
 
     def test_resume_without_checkpoint_is_an_error(self, tmp_path, capsys,
                                                    allocation_calls):

@@ -1,10 +1,10 @@
 """Tests for the persisted design-stage cache (``DesignCache``)."""
 
-import json
 import threading
 
 import pytest
 
+from repro import persistence
 from repro.benchmarks import get_benchmark
 from repro.design import DesignCache, DesignEngine
 from repro.design.engine import DesignOptions
@@ -26,7 +26,7 @@ def plans(series):
 
 class TestSaveLoadRoundTrip:
     def test_warm_engine_reproduces_series_bit_identically(self, tmp_path, circuit):
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         producer = DesignEngine()
         series = producer.design_series(circuit, options=FAST)
         assert producer.frequency_cache.save(path) == len(series)
@@ -41,7 +41,7 @@ class TestSaveLoadRoundTrip:
         """The headline guarantee: a session served from a persisted cache
         re-derives its architectures without a single Algorithm 3 Monte
         Carlo search."""
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         producer = DesignEngine()
         producer.design_series(circuit, options=FAST)
         producer.frequency_cache.save(path)
@@ -54,7 +54,7 @@ class TestSaveLoadRoundTrip:
         assert consumer.frequency_cache.stats()["misses"] == 0
 
     def test_loaded_plans_are_caller_owned(self, tmp_path, circuit):
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         producer = DesignEngine()
         producer.design_series(circuit, options=FAST)
         producer.frequency_cache.save(path)
@@ -67,7 +67,7 @@ class TestSaveLoadRoundTrip:
         assert second.frequencies[0] != -1.0
 
     def test_in_memory_entries_win_over_file_entries(self, tmp_path, circuit):
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         engine = DesignEngine()
         series = engine.design_series(circuit, options=FAST)
         engine.frequency_cache.save(path)
@@ -80,7 +80,7 @@ class TestKeying:
                                                    allocation_calls):
         """Plans persisted under one allocator configuration must never be
         served to another."""
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         producer = DesignEngine()
         producer.design_series(circuit, options=FAST)
         producer.frequency_cache.save(path)
@@ -94,7 +94,7 @@ class TestKeying:
 
     def test_strategy_specific_plans_round_trip(self, tmp_path, circuit,
                                                 allocation_calls):
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         options = DesignOptions(local_trials=80, allocation_strategy="analytic-guided")
         producer = DesignEngine()
         series = producer.design_series(circuit, options=options)
@@ -110,28 +110,32 @@ class TestKeying:
 class TestFileValidation:
     def test_missing_file_handling(self, tmp_path):
         cache = DesignCache()
-        missing = tmp_path / "nope.json"
+        missing = tmp_path / "nope.sqlite"
         assert cache.load(missing, missing_ok=True) == 0
         with pytest.raises(FileNotFoundError):
             cache.load(missing)
 
     def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else", "version": 1, "entries": []}')
+        path = tmp_path / "other.sqlite"
+        persistence.write_cache_file(path, "something-else", 1, [],
+                                     key_of=DesignCache._record_key)
         with pytest.raises(ValueError, match="not a design cache"):
             DesignCache().load(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        payload = {"format": DesignCache.FORMAT, "version": 2, "entries": []}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported .* version 2"):
-            DesignCache().load(path)
+        """A future version reads as cold, never half-parsed."""
+        path = tmp_path / "future.sqlite"
+        persistence.write_cache_file(
+            path, DesignCache.FORMAT, 2, [{"key": ["k"], "new-schema": True}],
+            key_of=DesignCache._record_key,
+        )
+        with pytest.warns(persistence.CacheStoreFault, match="unsupported version '2'"):
+            assert DesignCache().load(path) == 0
 
     def test_routing_cache_file_rejected(self, tmp_path):
-        path = tmp_path / "routing.json"
-        payload = {"format": "repro-routing-cache", "version": 1, "entries": []}
-        path.write_text(json.dumps(payload))
+        path = tmp_path / "routing.sqlite"
+        persistence.write_cache_file(path, "repro-routing-cache", 1, [],
+                                     key_of=DesignCache._record_key)
         with pytest.raises(ValueError, match="not a design cache"):
             DesignCache().load(path)
 
@@ -141,7 +145,7 @@ class TestMergeBeyondBound:
         """A producer whose in-memory cache is smaller than the file must
         extend the file, never truncate it to its own bound — long sweeps
         outgrowing max_entries keep complete cache files."""
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         producer = DesignEngine()
         producer.design_series(circuit, options=FAST)
         baseline = producer.frequency_cache.merge_save(path)
@@ -161,7 +165,7 @@ class TestConcurrentMerge:
     def test_two_thread_merge_saves_lose_no_plans(self, tmp_path, circuit):
         """Concurrent workers sharing one --design-cache path must end up
         with the union of their frequency plans."""
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         qft = get_benchmark("qft_16")
         engines = {}
         for name, circ in (("sym", circuit), ("qft", qft)):

@@ -198,13 +198,25 @@ def test_task_context_nests_and_restores():
 
 
 def test_corrupt_fault_tears_store_tail(tmp_path):
-    target = tmp_path / "store.json"
+    target = tmp_path / "store.sqlite"
     target.write_bytes(b"x" * 100)
     faults.arm(FaultPlan(faults=(
         FaultSpec(site="checkpoint:record", kind="corrupt", truncate_bytes=30),
     )))
     faults.maybe_inject("checkpoint:record", store_path=target)
     assert target.stat().st_size == 70
+
+
+def test_corrupt_fault_tears_only_files(tmp_path):
+    """Stores are single files: a directory (say, a legacy sharded store)
+    is never torn."""
+    inside = tmp_path / "entries.json"
+    inside.write_bytes(b"x" * 100)
+    faults.arm(FaultPlan(faults=(
+        FaultSpec(site="checkpoint:record", kind="corrupt", truncate_bytes=30),
+    )))
+    faults.maybe_inject("checkpoint:record", store_path=tmp_path)
+    assert inside.stat().st_size == 100
 
 
 def test_corrupt_fault_without_store_path_is_noop():

@@ -1,8 +1,8 @@
-"""Tests for the shared cache-file machinery (``repro.persistence``)."""
+"""Tests for the shared cache-store machinery (``repro.persistence``)."""
 
 import json
+import sqlite3
 import threading
-import time
 
 import pytest
 
@@ -32,17 +32,26 @@ class TestAtomicWrite:
         assert path.read_text() == "ok"
 
 
+def _key(record):
+    return record["key"]
+
+
 class TestCacheFileEnvelope:
     FMT = "repro-test-cache"
 
+    def _write(self, path, file_format=FMT, version=1, entries=()):
+        return persistence.write_cache_file(
+            path, file_format, version, list(entries), key_of=_key
+        )
+
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         entries = [{"key": [1, 2], "value": 3.5}]
-        assert persistence.write_cache_file(path, self.FMT, 1, entries) == 1
+        assert self._write(path, entries=entries) == 1
         assert persistence.read_cache_entries(path, self.FMT, 1) == entries
 
     def test_missing_file(self, tmp_path):
-        missing = tmp_path / "nope.json"
+        missing = tmp_path / "nope.sqlite"
         assert persistence.read_cache_entries(
             missing, self.FMT, 1, missing_ok=True
         ) is None
@@ -50,27 +59,29 @@ class TestCacheFileEnvelope:
             persistence.read_cache_entries(missing, self.FMT, 1)
 
     def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else", "version": 1, "entries": []}')
-        with pytest.raises(ValueError, match="not a repro-test-cache"):
+        path = tmp_path / "other.sqlite"
+        self._write(path, file_format="something-else")
+        with pytest.raises(persistence.WrongFormatError, match="not a repro-test-cache"):
             persistence.read_cache_entries(path, self.FMT, 1)
 
     def test_unknown_version_rejected(self, tmp_path):
-        """A future version-2 file must fail loudly, never be half-parsed."""
-        path = tmp_path / "future.json"
-        persistence.write_cache_file(path, self.FMT, 2, [{"new-schema": True}])
-        with pytest.raises(ValueError, match="unsupported .* version 2"):
-            persistence.read_cache_entries(path, self.FMT, 1)
+        """A future version-2 store reads as cold, never half-parsed."""
+        path = tmp_path / "future.sqlite"
+        self._write(path, version=2, entries=[{"key": "k", "new-schema": True}])
+        with pytest.warns(persistence.CacheStoreFault, match="unsupported version '2'"):
+            assert persistence.read_cache_entries(path, self.FMT, 1) == []
 
     def test_missing_version_rejected(self, tmp_path):
-        path = tmp_path / "unversioned.json"
-        path.write_text(json.dumps({"format": self.FMT, "entries": []}))
-        with pytest.raises(ValueError, match="unsupported"):
-            persistence.read_cache_entries(path, self.FMT, 1)
+        path = tmp_path / "unversioned.sqlite"
+        self._write(path, entries=[{"key": "k"}])
+        with sqlite3.connect(path) as connection:
+            connection.execute("DELETE FROM meta WHERE key='version'")
+        with pytest.warns(persistence.CacheStoreFault, match="unsupported"):
+            assert persistence.read_cache_entries(path, self.FMT, 1) == []
 
     def test_kind_names_error_messages(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "x", "version": 1, "entries": []}')
+        path = tmp_path / "other.sqlite"
+        self._write(path, file_format="x")
         with pytest.raises(ValueError, match="not a widget cache file"):
             persistence.read_cache_entries(path, self.FMT, 1, kind="widget cache")
 
@@ -99,11 +110,13 @@ class _DictCache:
         return [{"key": k, "value": v} for k, v in self.entries.items()]
 
     def save(self, path):
-        return persistence.write_cache_file(path, self.FMT, 1, self._records())
+        return persistence.write_cache_file(
+            path, self.FMT, 1, self._records(), key_of=_key
+        )
 
     def merge_save(self, path):
         return persistence.union_merge_save(
-            path, self.FMT, 1, self._records(), lambda record: record["key"]
+            path, self.FMT, 1, self._records(), _key
         )
 
     def load(self, path, missing_ok=False):
@@ -122,7 +135,7 @@ class _DictCache:
 
 class TestMergeLocking:
     def test_merge_save_extends_existing_file(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         _DictCache({"a": 1}).save(path)
         assert _DictCache({"b": 2}).merge_save(path) == 2
         merged = _DictCache()
@@ -130,7 +143,7 @@ class TestMergeLocking:
         assert merged.entries == {"a": 1, "b": 2}
 
     def test_merge_save_prefers_new_records_under_equal_keys(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         _DictCache({"a": 1, "b": 2}).save(path)
         _DictCache({"b": 20, "c": 30}).merge_save(path)
         merged = _DictCache()
@@ -138,19 +151,19 @@ class TestMergeLocking:
         assert merged.entries == {"a": 1, "b": 20, "c": 30}
 
     def test_merge_save_never_shrinks_to_the_producer(self, tmp_path):
-        """The union happens at the file level: a producer holding only a
-        few entries must not truncate a file holding many."""
-        path = tmp_path / "cache.json"
+        """The union happens at the store level: a producer holding only a
+        few entries must not truncate a store holding many."""
+        path = tmp_path / "cache.sqlite"
         _DictCache({f"old-{i}": i for i in range(50)}).save(path)
         _DictCache({"new": 1}).merge_save(path)
         merged = _DictCache()
         assert merged.load(path) == 51
 
     def test_concurrent_merges_lose_no_entries(self, tmp_path):
-        """The satellite regression: unlocked load-then-save merges let
-        concurrent writers sharing one path silently drop each other's
-        entries; the locked cycle must keep the union."""
-        path = tmp_path / "cache.json"
+        """Concurrent writers sharing one path must never drop each
+        other's entries: every merge is one transaction, so the store
+        ends with the union."""
+        path = tmp_path / "cache.sqlite"
         workers = 8
         barrier = threading.Barrier(workers)
         errors = []
@@ -174,63 +187,63 @@ class TestMergeLocking:
         final.load(path)
         assert final.entries == {f"worker-{i}": i for i in range(workers)}
 
-    def test_lock_key_resolves_path_spellings(self, tmp_path, monkeypatch):
-        """The regression: lock identity must be the *resolved* path, so
-        ``./cache.json``, ``cache.json``, an absolute spelling, and a
-        symlinked alias all contend on one lock instead of racing."""
-        from repro.persistence.store import _lock_key
 
-        monkeypatch.chdir(tmp_path)
-        target = tmp_path / "cache.json"
-        target.write_text("{}")
-        link = tmp_path / "alias.json"
-        link.symlink_to(target)
-        spellings = ["cache.json", "./cache.json", str(target), link]
-        assert {_lock_key(spelling) for spelling in spellings} == {str(target)}
+class TestLegacyStoreGuard:
+    """``check_store_path`` refuses only what ``cache migrate`` must read."""
 
-    def test_lock_serializes_symlinked_aliases(self, tmp_path):
-        """Behavioral version of the lock-key fix: writers locking the real
-        path and a symlinked alias must never hold the lock together."""
-        target = tmp_path / "cache.json"
-        target.write_text("{}")
-        link = tmp_path / "alias.json"
-        link.symlink_to(target)
-        active = []
-        overlaps = []
+    FMT = "repro-test-cache"
 
-        def critical(path, index):
-            with persistence.cache_file_lock(path):
-                active.append(index)
-                time.sleep(0.002)  # widen the window a broken lock would race in
-                if len(active) > 1:
-                    overlaps.append(tuple(active))
-                active.remove(index)
+    def test_fresh_and_sqlite_paths_pass(self, tmp_path):
+        persistence.check_store_path(tmp_path / "fresh.sqlite")
+        path = tmp_path / "cache.sqlite"
+        _DictCache({"a": 1}).merge_save(path)
+        persistence.check_store_path(path)
 
-        threads = [
-            threading.Thread(target=critical, args=(path, index))
-            for index, path in enumerate([target, link] * 4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not overlaps
+    def test_legacy_json_is_refused_even_when_torn(self, tmp_path):
+        from legacy_stores import write_legacy_json
 
-    def test_lock_serializes_threads(self, tmp_path):
-        path = tmp_path / "cache.json"
-        active = []
-        overlaps = []
+        path = write_legacy_json(
+            tmp_path / "cache.json", self.FMT, 1, [{"key": "a"}], _key
+        )
+        path.write_bytes(path.read_bytes()[:-5])
+        torn = path.read_bytes()
+        with pytest.raises(ValueError, match="repro-design cache migrate"):
+            persistence.check_store_path(path)
+        assert path.read_bytes() == torn
 
-        def critical(index):
-            with persistence.cache_file_lock(path):
-                active.append(index)
-                if len(active) > 1:
-                    overlaps.append(tuple(active))
-                active.remove(index)
+    def test_any_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="repro-design cache migrate"):
+            persistence.check_store_path(tmp_path)
 
-        threads = [threading.Thread(target=critical, args=(i,)) for i in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not overlaps
+    def test_garbage_passes_to_sqlite_recovery(self, tmp_path):
+        """Neither a database nor a repro envelope: SQLite reads it as
+        cold and the first write quarantines it."""
+        path = tmp_path / "cache.sqlite"
+        garbage = b'{"format": "someone-else"} and then noise'
+        path.write_bytes(garbage)
+        persistence.check_store_path(path)
+        with pytest.warns(persistence.CacheStoreFault, match="quarantined"):
+            _DictCache({"a": 1}).merge_save(path)
+        (quarantined,) = tmp_path.glob("cache.sqlite.quarantine-*")
+        assert quarantined.read_bytes() == garbage
+        assert _DictCache().load(path) == 1
+
+
+class TestStoreClasses:
+    """The three store classes stay importable where the benchmark's
+    tracer wraps their ``read`` and ``union_merge``."""
+
+    def test_tracer_wraps_resolve(self):
+        from repro.persistence.sharded import ShardedStore
+        from repro.persistence.sqlite import SqliteStore
+        from repro.persistence.store import SingleFileStore
+
+        for store in (SingleFileStore, ShardedStore, SqliteStore):
+            assert callable(store.read) and callable(store.union_merge)
+
+    @pytest.mark.parametrize("reader", ["SingleFileStore", "ShardedStore"])
+    def test_legacy_readers_are_read_only(self, tmp_path, reader):
+        store = getattr(persistence, reader)(tmp_path / "legacy")
+        with pytest.raises(NotImplementedError, match="read-only"):
+            store.union_merge("repro-test-cache", 1, [{"key": "a"}], _key)
+        assert list(tmp_path.iterdir()) == []

@@ -1,18 +1,18 @@
 """Fault-injection and multi-process stress tests for the cache stores.
 
-The fleet-facing backends (sharded, SQLite) have one recovery contract:
-any *persisted-state* fault — torn, truncated, or garbage files, a crash
-between temp-write and rename, a wrong or mixed schema version — must
-degrade the damaged state to "cold" with a :class:`CacheStoreFault`
-warning, never crash, never take healthy peer state down with it, and
-never silently destroy bytes (unreadable state is quarantined, not
-overwritten).  Misconfiguration — pointing one cache kind at another
-kind's store — is the deliberate exception: that still fails loud on
-every backend.
+The SQLite store has one recovery contract: any *persisted-state*
+fault — torn, truncated, or garbage files, a wrong schema version —
+must degrade the damaged state to "cold" with a
+:class:`CacheStoreFault` warning, never crash, and never silently
+destroy bytes (unreadable state is quarantined, not overwritten).
+Misconfiguration — pointing one cache kind at another kind's store — is
+the deliberate exception: that still fails loud.
 
-The stress tests spawn real *processes* (not threads: the sidecar file
-locks only matter across processes) hammering one logical store with
-overlapping union merges, and require the exact union at the end.
+The legacy sharded reader, a ``cache migrate`` source, keeps the same
+contract per shard: a damaged shard reads as cold and spares its peers.
+
+The stress test spawns real *processes* hammering one store with
+overlapping union merges, and requires the exact union at the end.
 """
 
 import json
@@ -25,8 +25,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from legacy_stores import shard_of, write_legacy_sharded
 from repro import persistence
-from repro.persistence.sharded import shard_for_key
+from repro.persistence import ShardedStore
 
 FMT = "repro-test-cache"
 
@@ -48,103 +49,94 @@ def _read_keys(path, **kwargs):
     return sorted(record["key"] for record in records or [])
 
 
+def _read_sharded_keys(root):
+    return sorted(record["key"] for record in ShardedStore(root).read(FMT, 1))
+
+
 def _shard_file(root, key):
-    return Path(root) / shard_for_key(key) / "entries.json"
+    return Path(root) / shard_of(key) / "entries.json"
 
 
 @pytest.fixture
 def sharded(tmp_path):
-    """A populated sharded store: the path string and three distinct keys."""
-    path = f"sharded:{tmp_path / 'store'}"
+    """A legacy sharded store: its root and three distinct keys."""
+    root = tmp_path / "store"
     keys = ["alpha", "bravo", "charlie"]
-    shards = {shard_for_key(key) for key in keys}
+    shards = {shard_of(key) for key in keys}
     assert len(shards) == 3, "fixture keys must land in distinct shards"
-    _merge(path, *keys)
-    return path, keys
+    write_legacy_sharded(root, FMT, 1, _records(*keys), _key_of)
+    return root, keys
 
 
 class TestShardedFaults:
     def test_garbage_shard_degrades_to_cold_and_spares_peers(self, sharded):
-        path, keys = sharded
-        _shard_file(path[len("sharded:"):], keys[0]).write_bytes(b"\x00garbage\xff")
+        root, keys = sharded
+        _shard_file(root, keys[0]).write_bytes(b"\x00garbage\xff")
         with pytest.warns(persistence.CacheStoreFault, match="as cold"):
-            assert _read_keys(path) == sorted(keys[1:])
+            assert _read_sharded_keys(root) == sorted(keys[1:])
 
     def test_truncated_shard_degrades_to_cold(self, sharded):
-        path, keys = sharded
-        shard = _shard_file(path[len("sharded:"):], keys[1])
+        root, keys = sharded
+        shard = _shard_file(root, keys[1])
         torn = shard.read_bytes()[: len(shard.read_bytes()) // 2]
         shard.write_bytes(torn)
         with pytest.warns(persistence.CacheStoreFault):
-            assert keys[1] not in _read_keys(path)
-            assert keys[0] in _read_keys(path)
+            assert keys[1] not in _read_sharded_keys(root)
+            assert keys[0] in _read_sharded_keys(root)
 
     def test_crash_leftover_temp_files_are_ignored(self, sharded):
-        """A writer killed between temp-write and ``os.replace`` leaves an
+        """A writer killed between temp-write and ``os.replace`` left an
         ``entries.json.*.tmp`` orphan; readers must not even warn."""
-        path, keys = sharded
-        shard = _shard_file(path[len("sharded:"):], keys[0])
+        root, keys = sharded
+        shard = _shard_file(root, keys[0])
         (shard.parent / "entries.json.abc123.tmp").write_text('{"half": ')
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _read_keys(path) == sorted(keys)
+            assert _read_sharded_keys(root) == sorted(keys)
 
     def test_wrong_version_shard_degrades_to_cold(self, sharded):
-        path, keys = sharded
-        shard = _shard_file(path[len("sharded:"):], keys[2])
+        root, keys = sharded
+        shard = _shard_file(root, keys[2])
         shard.write_text(json.dumps(
             {"format": FMT, "version": 99, "entries": _records(keys[2])}
         ))
         with pytest.warns(persistence.CacheStoreFault, match="version 99"):
-            assert _read_keys(path) == sorted(keys[:2])
+            assert _read_sharded_keys(root) == sorted(keys[:2])
 
     def test_mixed_version_store_reads_current_shards(self, sharded):
         """v1 and v99 shards side by side: the store serves the v1 subset."""
-        path, keys = sharded
+        root, keys = sharded
         for stale in keys[:2]:
-            shard = _shard_file(path[len("sharded:"):], stale)
+            shard = _shard_file(root, stale)
             shard.write_text(json.dumps(
                 {"format": FMT, "version": 99, "entries": _records(stale)}
             ))
         with pytest.warns(persistence.CacheStoreFault):
-            assert _read_keys(path) == [keys[2]]
-
-    def test_merge_quarantines_unreadable_shard(self, sharded):
-        """Recovery never destroys bytes: the bad file is set aside."""
-        path, keys = sharded
-        shard = _shard_file(path[len("sharded:"):], keys[0])
-        shard.write_bytes(b"not json at all")
-        with pytest.warns(persistence.CacheStoreFault, match="quarantined"):
-            _merge(path, keys[0])
-        quarantined = list(shard.parent.glob("entries.json.quarantine-*"))
-        assert len(quarantined) == 1
-        assert quarantined[0].read_bytes() == b"not json at all"
-        # The shard is rebuilt with the merged record; peers untouched.
-        assert _read_keys(path) == sorted(keys)
+            assert _read_sharded_keys(root) == [keys[2]]
 
     def test_wrong_format_still_fails_loud(self, sharded):
         """Misconfiguration is not corruption: another repro cache kind's
         shard must raise, not be silently treated as cold."""
-        path, keys = sharded
-        shard = _shard_file(path[len("sharded:"):], keys[0])
+        root, keys = sharded
+        shard = _shard_file(root, keys[0])
         shard.write_text(json.dumps(
             {"format": "repro-routing-cache", "version": 1, "entries": []}
         ))
         with pytest.raises(ValueError, match="not a repro-test-cache"):
-            persistence.read_cache_entries(path, FMT, 1)
+            ShardedStore(root).read(FMT, 1)
 
     def test_missing_store_semantics(self, tmp_path):
-        path = f"sharded:{tmp_path / 'nope'}"
-        assert persistence.read_cache_entries(path, FMT, 1, missing_ok=True) is None
+        root = tmp_path / "nope"
+        assert ShardedStore(root).read(FMT, 1, missing_ok=True) is None
         with pytest.raises(FileNotFoundError):
-            persistence.read_cache_entries(path, FMT, 1)
+            ShardedStore(root).read(FMT, 1)
 
     def test_faults_are_recorded_on_the_store(self, sharded):
-        path, keys = sharded
-        _shard_file(path[len("sharded:"):], keys[0]).write_bytes(b"junk")
-        store = persistence.open_store(path)
+        root, keys = sharded
+        _shard_file(root, keys[0]).write_bytes(b"junk")
+        store = ShardedStore(root)
         with pytest.warns(persistence.CacheStoreFault):
             store.read(FMT, 1)
         assert len(store.faults) == 1
@@ -231,13 +223,13 @@ class TestSqliteFaults:
 
 
 class TestImageWritesNeedKeys:
-    """The fanned-out backends cannot route entries without ``key_of``."""
+    """An image write cannot build its primary keys without ``key_of``."""
 
-    @pytest.mark.parametrize("scheme", ["sharded", "sqlite"])
-    def test_replace_requires_key_of(self, tmp_path, scheme):
-        path = f"{scheme}:{tmp_path / 'store'}"
+    def test_replace_requires_key_of(self, tmp_path):
+        path = tmp_path / "store.sqlite"
         with pytest.raises(ValueError, match="key_of"):
             persistence.write_cache_file(path, FMT, 1, _records("a"))
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +259,8 @@ for batch in range({batches}):
 """.format(batches=_STRESS_BATCHES, span=_STRESS_SPAN, fmt=FMT)
 
 
-def _stress_paths(tmp_path):
-    return [
-        f"json:{tmp_path / 'stress.json'}",
-        f"sharded:{tmp_path / 'stress-dir'}",
-        f"sqlite:{tmp_path / 'stress.sqlite'}",
-    ]
-
-
-@pytest.mark.parametrize("backend", ["json", "sharded", "sqlite"])
-def test_multiprocess_union_merge_loses_no_updates(tmp_path, backend):
-    path = [p for p in _stress_paths(tmp_path) if p.startswith(backend + ":")][0]
+def test_multiprocess_union_merge_loses_no_updates(tmp_path):
+    path = str(tmp_path / "stress.sqlite")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
     workers = [
@@ -305,10 +288,6 @@ def test_multiprocess_union_merge_loses_no_updates(tmp_path, backend):
     for record in records:
         assert record["value"] == f"value-of-{record['key']}"
 
-    # No partial state left behind: no temp files, nothing quarantined.
-    leftovers = [
-        child
-        for child in tmp_path.rglob("*")
-        if child.name.endswith(".tmp") or ".quarantine-" in child.name
-    ]
-    assert leftovers == []
+    # No partial state left behind: only the database itself remains
+    # (no journal, nothing quarantined).
+    assert [child.name for child in tmp_path.iterdir()] == ["stress.sqlite"]

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro import persistence
 from repro.circuit import QuantumCircuit, cx, h, measure
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8
 from repro.mapping import (
@@ -304,14 +305,14 @@ class TestSharingByTopology:
 
 
 class TestCachePersistence:
-    """RoutingCache.save/load: counts-only JSON reuse across processes."""
+    """RoutingCache.save/load: counts-only store reuse across processes."""
 
     def test_round_trip_serves_counts_from_disk(self, tmp_path):
         circuit = small_circuit()
         arch = ibm_16q_2x8()
         producer = RoutingEngine()
         original = producer.route(circuit, arch, keep_routed_circuit=False)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         assert producer.cache.save(path) == 1
 
         consumer = RoutingEngine()
@@ -328,7 +329,7 @@ class TestCachePersistence:
         arch = ibm_16q_2x8()
         producer = RoutingEngine()
         producer.route(circuit, arch, keep_routed_circuit=False)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         producer.cache.save(path)
 
         consumer = RoutingEngine()
@@ -341,7 +342,7 @@ class TestCachePersistence:
         arch = ibm_16q_2x8()
         producer = RoutingEngine()
         producer.route(circuit, arch, keep_routed_circuit=False)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         producer.cache.save(path)
 
         consumer = RoutingEngine()
@@ -352,14 +353,15 @@ class TestCachePersistence:
 
     def test_missing_file_handling(self, tmp_path):
         cache = RoutingCache()
-        missing = tmp_path / "nope.json"
+        missing = tmp_path / "nope.sqlite"
         assert cache.load(missing, missing_ok=True) == 0
         with pytest.raises(FileNotFoundError):
             cache.load(missing)
 
     def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else", "entries": []}')
+        path = tmp_path / "other.sqlite"
+        persistence.write_cache_file(path, "something-else", 1, [],
+                                     key_of=RoutingCache._record_key)
         with pytest.raises(ValueError, match="not a routing cache"):
             RoutingCache().load(path)
 
@@ -370,7 +372,7 @@ class TestCachePersistence:
         tuned = SabreParameters(passes=3)
         producer = RoutingEngine(tuned)
         producer.route(circuit, arch, keep_routed_circuit=False)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         producer.cache.save(path)
 
         default_engine = RoutingEngine()
@@ -386,8 +388,6 @@ class TestCachePersistence:
     def test_pre_topology_record_is_served_under_requesters_name(self, tmp_path):
         """Records written while the architecture key began with the chip's
         name still hit, and the result names the requesting chip."""
-        import json
-
         circuit = small_circuit()
         arch = ibm_16q_2x8()
         fresh = RoutingEngine().route(circuit, arch, keep_routed_circuit=False)
@@ -412,11 +412,10 @@ class TestCachePersistence:
                 "final_mapping": {str(k): v for k, v in fresh.final_mapping.items()},
             },
         }
-        path = tmp_path / "routing_cache.json"
-        path.write_text(json.dumps(
-            {"format": RoutingCache.FORMAT, "version": 1, "entries": [record]}
-        ))
+        path = tmp_path / "routing_cache.sqlite"
         assert RoutingCache.VERSION == 1
+        persistence.write_cache_file(path, RoutingCache.FORMAT, 1, [record],
+                                     key_of=RoutingCache._record_key)
         assert RoutingCache._record_key(record) == RoutingCache._record_key(
             {**record, "architecture_key": legacy_key[1:]}
         )
@@ -434,30 +433,37 @@ class TestCachePersistence:
         assert small_circuit().content_hash() == 1918906499985999522
 
     def test_unknown_version_rejected(self, tmp_path):
-        """A future version-2 cache file must fail loudly instead of being
-        half-parsed by version-1 code."""
-        import json
-
-        path = tmp_path / "future.json"
-        payload = {"format": RoutingCache.FORMAT, "version": 2, "entries": []}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported .* version 2"):
-            RoutingCache().load(path)
+        """A future version-2 cache store reads as cold with a warning
+        instead of being half-parsed by version-1 code."""
+        circuit = small_circuit()
+        producer = RoutingEngine()
+        producer.route(circuit, ibm_16q_2x8(), keep_routed_circuit=False)
+        path = tmp_path / "future.sqlite"
+        persistence.write_cache_file(
+            path, RoutingCache.FORMAT, 2, producer.cache._serialize_entries(),
+            key_of=RoutingCache._record_key,
+        )
+        with pytest.warns(persistence.CacheStoreFault, match="unsupported version '2'"):
+            assert RoutingCache().load(path) == 0
 
     def test_save_is_atomic_on_disk(self, tmp_path):
-        """save goes through a temp file + os.replace: after it returns, the
-        directory holds exactly the target file, fully written."""
-        import json
+        """save is one SQLite transaction: after it returns, the directory
+        holds exactly the committed database (no journal left behind),
+        stamped with the cache's envelope."""
+        import sqlite3
 
         circuit = small_circuit()
         producer = RoutingEngine()
         producer.route(circuit, ibm_16q_2x8(), keep_routed_circuit=False)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         producer.cache.save(path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["routing_cache.json"]
-        payload = json.loads(path.read_text())
-        assert payload["format"] == RoutingCache.FORMAT
-        assert payload["version"] == RoutingCache.VERSION
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["routing_cache.sqlite"]
+        with sqlite3.connect(path) as connection:
+            meta = dict(connection.execute("SELECT key, value FROM meta"))
+            (rows,) = connection.execute("SELECT COUNT(*) FROM entries").fetchone()
+        assert meta == {"format": RoutingCache.FORMAT,
+                        "version": str(RoutingCache.VERSION)}
+        assert rows == 1
 
     def test_concurrent_merge_saves_lose_no_entries(self, tmp_path):
         """The satellite regression: two workers merging into one shared
@@ -473,7 +479,7 @@ class TestCachePersistence:
                 small_circuit(name=f"worker_{index}"), arch, keep_routed_circuit=False
             )
             engines.append(engine)
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         barrier = threading.Barrier(len(engines))
         errors = []
 

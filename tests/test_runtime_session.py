@@ -34,7 +34,7 @@ def _cold_process():
 class TestRuntimeConfigRoundTrip:
     def test_json_round_trip_preserves_digest(self, tmp_path):
         config = RuntimeConfig(
-            yield_trials=500, routing_cache_path="sqlite:cache.db",
+            yield_trials=500, routing_cache_path="cache.sqlite",
             allocation_strategy="analytic-guided",
         )
         path = tmp_path / "config.json"
@@ -72,7 +72,7 @@ class TestRuntimeConfigRoundTrip:
 
 class TestStorePathAliasing:
     """Regression: worker engine maps used to key on raw cache-path
-    strings, so ``cache.json`` and ``/abs/dir/cache.json`` naming the
+    strings, so ``cache.sqlite`` and ``/abs/dir/cache.sqlite`` naming the
     same file got two engines (and two racing writers).  Sessions key on
     the config digest, which canonicalizes store paths first."""
 
@@ -80,9 +80,9 @@ class TestStorePathAliasing:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
-        relative = RuntimeConfig(routing_cache_path="cache.json", **FAST_KW)
+        relative = RuntimeConfig(routing_cache_path="cache.sqlite", **FAST_KW)
         absolute = RuntimeConfig(
-            routing_cache_path=str(tmp_path / "cache.json"), **FAST_KW
+            routing_cache_path=str(tmp_path / "cache.sqlite"), **FAST_KW
         )
         assert relative.digest() == absolute.digest()
         parallel.reset_worker_state()
@@ -94,10 +94,10 @@ class TestStorePathAliasing:
         link = tmp_path / "link"
         link.symlink_to(real)
         via_real = RuntimeConfig(
-            design_cache_path=str(real / "plans.json"), **FAST_KW
+            design_cache_path=str(real / "plans.sqlite"), **FAST_KW
         )
         via_link = RuntimeConfig(
-            design_cache_path=str(link / "plans.json"), **FAST_KW
+            design_cache_path=str(link / "plans.sqlite"), **FAST_KW
         )
         assert via_real.digest() == via_link.digest()
         parallel.reset_worker_state()
@@ -105,17 +105,25 @@ class TestStorePathAliasing:
                 is parallel._worker_design_engine(via_link))
 
     def test_different_paths_get_different_sessions(self, tmp_path):
-        a = RuntimeConfig(routing_cache_path=str(tmp_path / "a.json"), **FAST_KW)
-        b = RuntimeConfig(routing_cache_path=str(tmp_path / "b.json"), **FAST_KW)
+        a = RuntimeConfig(routing_cache_path=str(tmp_path / "a.sqlite"), **FAST_KW)
+        b = RuntimeConfig(routing_cache_path=str(tmp_path / "b.sqlite"), **FAST_KW)
         assert a.digest() != b.digest()
         parallel.reset_worker_state()
         assert parallel._worker_engine(a) is not parallel._worker_engine(b)
 
-    def test_scheme_prefix_survives_canonicalization(self, tmp_path, monkeypatch):
+    def test_backend_prefix_is_refused(self, tmp_path, monkeypatch):
+        """Store paths carry no backend prefix: canonicalization only
+        resolves the path, and the CLI's guard refuses a prefix."""
+        from repro.persistence import check_store_path
+
         monkeypatch.chdir(tmp_path)
-        canonical = canonical_store_path("sqlite:cache.db")
-        assert canonical == f"sqlite:{tmp_path / 'cache.db'}"
+        assert canonical_store_path("cache.sqlite") == str(tmp_path / "cache.sqlite")
         assert canonical_store_path(None) is None
+        check_store_path("cache.sqlite")  # a fresh path: a new SQLite store
+        for prefix in ("json:", "sharded:", "sqlite:"):
+            with pytest.raises(ValueError, match="repro-design cache migrate"):
+                check_store_path(prefix + "cache.sqlite")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSessionRegistry:

@@ -133,7 +133,7 @@ class TestProfileOnce:
 
 class TestRoutingCachePersistence:
     def test_in_process_sweep_persists_and_reuses_routing_results(self, tmp_path):
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
@@ -162,7 +162,7 @@ class TestRoutingCachePersistence:
         '--jobs 1 refresh pass' is gone."""
         from repro.evaluation import parallel
 
-        path = tmp_path / "routing_cache.json"
+        path = tmp_path / "routing_cache.sqlite"
         settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
@@ -190,7 +190,7 @@ class TestRoutingCachePersistence:
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
-            routing_cache_path=str(tmp_path / "cache.json"),
+            routing_cache_path=str(tmp_path / "cache.sqlite"),
         )
         plain = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
                           configs=FAST_CONFIGS)
@@ -307,7 +307,7 @@ class TestDesignCachePersistence:
     def test_in_process_sweep_persists_design_cache(self, tmp_path, allocation_calls):
         from repro.evaluation import parallel
 
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         settings = self._settings(path)
         first = run_sweep(["sym6_145"], jobs=1, settings=settings,
                           configs=FAST_CONFIGS)
@@ -330,7 +330,7 @@ class TestDesignCachePersistence:
         even --jobs N leaves a complete cache file behind."""
         from repro.design import DesignCache
 
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         settings = self._settings(path)
         parallel = run_sweep(["sym6_145"], jobs=3, settings=settings,
                              configs=FAST_CONFIGS)
@@ -347,7 +347,7 @@ class TestDesignCachePersistence:
 
     def test_design_cache_does_not_change_results(self, tmp_path):
         cached = run_sweep(
-            ["sym6_145"], jobs=1, settings=self._settings(tmp_path / "dc.json"),
+            ["sym6_145"], jobs=1, settings=self._settings(tmp_path / "dc.sqlite"),
             configs=FAST_CONFIGS,
         )
         plain = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
@@ -359,7 +359,7 @@ class TestDesignCachePersistence:
     def test_warm_cache_with_ablation_strategy_is_jobs_invariant(self, tmp_path):
         """The acceptance-criteria grid: a warm design cache plus the
         analytic-guided ablation stays byte-identical for jobs 1 vs 4."""
-        path = tmp_path / "design_cache.json"
+        path = tmp_path / "design_cache.sqlite"
         settings = self._settings(path, allocation_strategy="analytic-guided")
         run_sweep(["sym6_145"], jobs=1, settings=settings, configs=FAST_CONFIGS)
         assert path.exists()

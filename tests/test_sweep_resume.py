@@ -2,9 +2,8 @@
 
 The contract under test: a sweep interrupted after K completed tasks and
 restarted with ``--resume`` produces output *byte-identical* to an
-uninterrupted run — for any ``--jobs`` count and any checkpoint store
-backend — and re-runs zero Algorithm 3 Monte Carlo searches for the
-tasks already recorded.
+uninterrupted run — for any ``--jobs`` count — and re-runs zero
+Algorithm 3 Monte Carlo searches for the tasks already recorded.
 
 The "interrupted" run is staged through the executor API (generate, then
 evaluate only the first K points), which leaves the checkpoint store in
@@ -62,12 +61,9 @@ def _interrupt_after(checkpoint_path, completed_points):
     return len(points)
 
 
-@pytest.mark.parametrize(
-    "store", ["sharded:{tmp}/ckpt", "{tmp}/ckpt.sqlite"], ids=["sharded", "sqlite"]
-)
-def test_interrupted_sweep_resumes_byte_identical(tmp_path, baseline, store,
+def test_interrupted_sweep_resumes_byte_identical(tmp_path, baseline,
                                                   allocation_calls):
-    checkpoint = store.format(tmp=tmp_path)
+    checkpoint = str(tmp_path / "ckpt.sqlite")
     total = _interrupt_after(checkpoint, completed_points=3)
 
     # First resume recomputes only the missing points; the recorded
@@ -109,7 +105,7 @@ def test_checkpointed_run_output_matches_plain_run(tmp_path, baseline):
     out = tmp_path / "checkpointed.json"
     assert main([
         "sweep", BENCHMARK, *FAST,
-        "--checkpoint", f"sharded:{tmp_path / 'ckpt'}", "--output", str(out),
+        "--checkpoint", str(tmp_path / "ckpt.sqlite"), "--output", str(out),
     ]) == 0
     assert out.read_bytes() == baseline
 
