@@ -4,9 +4,10 @@ The cache/session stack is only sound if *every result-affecting knob*
 reaches the content digests and cache keys that address persisted
 state.  A knob that misses the digest is a silent-staleness bug: two
 different configurations collide on one cache entry and the second one
-serves the first one's results.  (PR 5 dodged exactly this by hand when
-``frequency_screening`` was deliberately kept out of the design-cache
-key — a decision that is *correct* but must be recorded, not implicit.)
+serves the first one's results.  A field deliberately kept out of a key
+(a pre-memo dispatch field such as ``bus_strategy``) is a decision that
+must be recorded in the baseline with a justification, not left
+implicit.
 
 These checks are semantic rather than syntactic, so they run against
 the real classes:

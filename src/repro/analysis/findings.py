@@ -39,7 +39,7 @@ class Finding:
 
     ``context`` is the finding's line-number-independent identity: the
     stripped source line for AST rules, or a symbolic marker such as
-    ``field frequency_screening`` for project-level digest rules.  The
+    ``field bus_strategy`` for project-level digest rules.  The
     baseline matches on ``(rule, path, context)``.
     """
 

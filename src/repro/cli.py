@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=10_000, help="Monte Carlo trials for yield estimation"
     )
     _add_allocation_strategy_argument(design_parser)
-    _add_screening_argument(design_parser)
 
     sweep_parser = subparsers.add_parser(
         "sweep", aliases=["evaluate"],
@@ -255,21 +254,10 @@ def _add_allocation_strategy_argument(target) -> None:
     )
 
 
-def _add_screening_argument(target) -> None:
-    """The Algorithm 3 screening escape hatch, shared by several subcommands."""
-    target.add_argument(
-        "--no-screening", action="store_true",
-        help="disable the exact interval-count screening engine inside "
-             "Algorithm 3 (results are bit-identical either way; screening "
-             "only changes how fast the cold path runs)",
-    )
-
-
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
     """Design-engine knobs of ``sweep``."""
     group = parser.add_argument_group("design engine")
     _add_allocation_strategy_argument(group)
-    _add_screening_argument(group)
     group.add_argument(
         "--design-cache", default=None, metavar="PATH",
         help="persisted design-stage cache (SQLite, Algorithm 3 frequency "
@@ -339,8 +327,6 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
             updates["frequency_local_trials"] = args.local_trials
         if args.allocation_strategy != _ALLOCATION_STRATEGY_DEFAULT:
             updates["allocation_strategy"] = args.allocation_strategy
-        if args.no_screening:
-            updates["screening"] = False
         for flag, field in (("routing_cache", "routing_cache_path"),
                             ("design_cache", "design_cache_path"),
                             ("checkpoint", "checkpoint_path")):
@@ -377,8 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "profile":
         return _cmd_profile(args.benchmark)
     if args.command == "design":
-        return _cmd_design(args.benchmark, args.buses, args.trials, args.allocation_strategy,
-                           screening=not args.no_screening)
+        return _cmd_design(args.benchmark, args.buses, args.trials, args.allocation_strategy)
     if args.command in ("sweep", "evaluate"):
         return _cmd_sweep(args)
     if args.command == "cache":
@@ -429,14 +414,13 @@ def _cmd_profile(benchmark: str) -> int:
 
 
 def _cmd_design(benchmark: str, buses: Optional[int], trials: int,
-                alloc_strategy: str = "bfs-greedy", screening: bool = True) -> int:
+                alloc_strategy: str = "bfs-greedy") -> int:
     if trials < 1:
         return _usage_error(f"--trials must be >= 1, got {trials}")
     if buses is not None and buses < 0:
         return _usage_error(f"--buses must be >= 0, got {buses}")
     circuit = get_benchmark(benchmark)
-    flow = DesignFlow(circuit, DesignOptions(allocation_strategy=alloc_strategy,
-                                             frequency_screening=screening))
+    flow = DesignFlow(circuit, DesignOptions(allocation_strategy=alloc_strategy))
     simulator = YieldSimulator(trials=trials, seed=7)
     architectures = (
         flow.design_series() if buses is None else [flow.design(max_four_qubit_buses=buses)]

@@ -1,53 +1,47 @@
-"""Fused single-pass merge kernels behind the interval screening engine.
+"""The C merge kernel behind the interval screening engine.
 
 :mod:`repro.collision.screening` reduces every Algorithm 3 candidate
 ranking to one computation: given each trial's violating intervals on
 the candidate-frequency axis, count — for every candidate — the trials
 whose interval *union* contains it, once with every interval widened by
 the float-safety epsilon (an upper bound on the joint kernel's count)
-and once narrowed by it (a lower bound).  PR 5 implemented that as a
-chain of per-ranking numpy ops (``argsort`` + flattened-index gathers +
-a shared merge + a disputed-trial re-merge), whose dispatch constants
-dominated the cold path.  This module is the fused replacement:
+and once narrowed by it (a lower bound).  The C function
+``fused_union_bounds``, called through :func:`fused_union_bounds`, does
+that in one pass per row:
 
 * **In-band packing.**  Each interval becomes a single ``uint64``: the
   high 32 bits hold the low endpoint's float32 bits remapped to a
   sort-preserving unsigned key, the low 32 bits hold the high
-  endpoint's raw float32 bits.  One ``np.sort`` on the packed matrix
-  replaces the ``argsort``/take/take shuffle of three parallel arrays,
-  and unpacking is pure bit arithmetic.  Infinite interval tails are
-  clamped by the caller to finite band sentinels (:data:`CLAMP_GHZ`),
-  so the sweep never meets a non-finite value.
+  endpoint's raw float32 bits, so one sort orders a row by low
+  endpoint.  Infinite interval tails are clamped by the caller to
+  finite band sentinels (:data:`CLAMP_GHZ`), so the sweep never meets a
+  non-finite value.
 * **One sweep, both spaces.**  The widened and narrowed merges share
   the sorted order and the running maximum of high endpoints; their
   component boundaries differ only in the decision threshold on the
   low-vs-previous-high gap (``> +2 eps`` widened, ``> -2 eps``
-  narrowed).  Both are decided in a single pass over the sorted
-  matrix — no dispute detection, no re-merge round trip.
+  narrowed).  Both are decided in a single pass over the sorted row.
 * **Slot batching.**  Rows carry a *slot* index (one slot per ranked
   qubit), and the per-candidate counting lands every component in a
   ``(space, slot, bin)`` segmented histogram — so one kernel invocation
-  prices an entire BFS frontier of local regions, amortizing every
-  dispatch constant across the batch.
+  prices an entire BFS frontier of local regions.
 
-Three backends implement the identical contract and are selected with
-``REPRO_SCREENING_BACKEND=python|numpy|native`` (default ``auto``:
-``native`` when a C toolchain is available, ``numpy`` otherwise):
+The kernel is a small C library compiled once with the system ``cc``
+into a module-local build directory and loaded through ``ctypes``; no
+third-party dependency is ever required.  :func:`_python_union_bounds`
+is the scalar reference (same float32 merge arithmetic, same float64
+binning) the property suite pins it against; it is orders of magnitude
+slower and never runs in a ranking.  The correctness argument (why the
+two-threshold merge bounds the joint kernel's counts) lives in
+:mod:`repro.collision.screening`.
 
-* ``numpy`` — the vectorized formulation above; the portable fast path.
-* ``native`` — a small C library compiled once with the system ``cc``
-  into a module-local build directory and loaded through ``ctypes``;
-  its merge kernel fuses sort, sweep, and counting into one pass per
-  row.  When no toolchain (or no uniform candidate grid) is available it
-  silently degrades to ``numpy`` — no third-party dependency is ever
-  required.
-* ``python`` — a scalar reference implementation (same float32 merge
-  arithmetic, same float64 binning) used by the property suite to pin
-  the other backends; orders of magnitude slower.
-
-Every backend returns bit-identical ``(lower, upper)`` counts; the
-correctness argument (why the two-threshold merge bounds the joint
-kernel's counts) lives in :mod:`repro.collision.screening`.
+``REPRO_SCREENING_BACKEND=native|numpy`` (default ``auto``: ``native``
+when a C toolchain is available, ``numpy`` otherwise) picks the active
+backend.  Algorithm 3 screens only under ``native``; under ``numpy``,
+or when the kernel declines a batch (a non-uniform grid or a non-zero
+C status), it ranks every candidate with the joint numpy kernel: a
+vectorized numpy merge measured slower than that direct ranking, so
+screening without the C kernel would not pay for itself.
 
 The native library holds two more kernels: the SABRE routing pass
 (``sabre_pass``, reached through :func:`native_sabre_pass`) and the
@@ -94,7 +88,7 @@ CLAMP_GHZ = 1.0e4
 SENTINEL = np.float32(3.0e38)
 
 _ENV_VAR = "REPRO_SCREENING_BACKEND"
-_BACKENDS = ("python", "numpy", "native")
+_BACKENDS = ("numpy", "native")
 
 _active_backend: Optional[str] = None
 _native_lib: Optional[ctypes.CDLL] = None
@@ -116,8 +110,9 @@ def _count_fallback(name: str) -> None:
 class CandidateBins:
     """Maps interval endpoints to per-candidate membership counts.
 
-    ``counts(lows, highs)`` returns ``#{j : lows[j] < f < highs[j]}``
-    for every candidate ``f`` of the (ascending) grid.  Valid for any
+    ``bound_counts`` returns ``#{j : lows[j] < f < highs[j]}`` for
+    every candidate ``f`` of the (ascending) grid, once with every
+    interval widened and once narrowed by an epsilon.  Valid for any
     interval collection with ``lows[j] < highs[j]`` (the identity
     ``[lo < f < hi] = [lo < f] - [hi <= f]`` holds per interval); when
     the intervals are pairwise disjoint within a trial, summing over a
@@ -159,17 +154,6 @@ class CandidateBins:
             return np.searchsorted(self.candidates, highs, side="left")
         raw = np.ceil((highs - self.origin) * self.inverse_step)
         return np.clip(raw, 0, self.num).astype(np.int64)
-
-    def counts(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        num = self.num
-        # [lo_j < f_c]  <=>  c >= start_bin_j;  [hi_j <= f_c]  <=>  c >= end_bin_j.
-        started = np.cumsum(
-            np.bincount(self.start_bins(lows), minlength=num + 1)[:num]
-        )
-        ended = np.cumsum(
-            np.bincount(self.end_bins(highs), minlength=num + 1)[:num]
-        )
-        return started - ended
 
     def bound_counts(
         self, lows: np.ndarray, highs: np.ndarray, epsilon
@@ -273,160 +257,7 @@ def unpack_intervals(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The numpy backend: vectorized pack -> sort -> sweep -> segmented count.
-# ---------------------------------------------------------------------------
-
-
-#: Target bytes per float32 endpoint matrix chunk.  Row blocks around
-#: this size keep the dozen-or-so full-matrix temporaries of one chunk
-#: cache-resident, which measures ~35% faster per row than streaming the
-#: whole multi-thousand-row matrix through memory.  Chunking is
-#: bit-transparent: components never span rows, per-chunk counts are
-#: exact int64 partial sums, and the lower clamp happens once at the end.
-_CHUNK_BYTES = 98304
-
-
-def _numpy_union_bounds(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    slots: np.ndarray,
-    num_slots: int,
-    bins: CandidateBins,
-    epsilon: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    rows, cols = lows.shape
-    chunk_rows = max(128, _CHUNK_BYTES // (cols * 4))
-    counts = None
-    for index in range(0, rows, chunk_rows):
-        block = slice(index, index + chunk_rows)
-        part = _numpy_counts_chunk(
-            lows[block], highs[block], slots[block], num_slots, bins, epsilon
-        )
-        counts = part if counts is None else counts + part
-    upper = counts[:num_slots]
-    lower = counts[num_slots:2 * num_slots]
-    np.maximum(lower, 0, out=lower)
-    return lower, upper
-
-
-def _numpy_counts_chunk(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    slots: np.ndarray,
-    num_slots: int,
-    bins: CandidateBins,
-    epsilon: float,
-) -> np.ndarray:
-    rows, _cols = lows.shape
-    packed = pack_intervals(lows, highs)
-    # Callers pre-order columns so rows arrive nearly sorted; timsort
-    # exploits that, the default introsort cannot.
-    packed.sort(axis=1, kind="stable")
-    lows_sorted, highs_sorted = unpack_intervals(packed)
-    running_max = np.maximum.accumulate(highs_sorted, axis=1)
-
-    # Low-vs-previous-high gap per trial; the first column's sentinel
-    # always starts a component in both spaces.
-    gap = np.empty_like(lows_sorted)
-    gap[:, 0] = SENTINEL
-    np.subtract(lows_sorted[:, 1:], running_max[:, :-1], out=gap[:, 1:])
-
-    eps = np.float32(epsilon)
-    two_eps = np.float32(2.0) * eps
-    num = bins.num
-    stride = num + 1
-    start_parts: list = []
-    end_parts: list = []
-
-    def add_components(flat_starts, lows_flat, rmax_flat, row_slots, spaces):
-        """Bin the components starting at ``flat_starts`` for each
-        ``(segment_base, sign)`` space and append the endpoint bins.
-
-        Column 0 always starts a component, so in flat index space every
-        component ends one element before the next start (the final one
-        at the last element) — no end masks or full-matrix boolean
-        extractions needed.
-        """
-        ends = np.empty_like(flat_starts)
-        ends[:-1] = flat_starts[1:] - 1
-        ends[-1] = lows_flat.shape[0] - 1
-        # The epsilon offset must happen in float64 to match the scalar
-        # reference; a Python float scalar would NOT upcast the float32
-        # gather (weak promotion), so convert explicitly.  The gathers
-        # are component-sized, so the conversion is cheap.
-        low64 = lows_flat[flat_starts].astype(np.float64)
-        high64 = rmax_flat[ends].astype(np.float64)
-        segment = row_slots[flat_starts // _cols] * stride
-        if len(spaces) == 2:
-            # Both spaces from one gather: a single fused binning pass
-            # over the concatenated widened + narrowed endpoints.
-            start_vals = np.concatenate((low64 - epsilon, low64 + epsilon))
-            end_vals = np.concatenate((high64 + epsilon, high64 - epsilon))
-            offsets = np.concatenate(
-                (segment, segment + num_slots * stride)
-            )
-        else:
-            ((segment_base, sign),) = spaces
-            start_vals = low64 - sign * epsilon
-            end_vals = high64 + sign * epsilon
-            offsets = segment + segment_base * stride if segment_base else segment
-        start_parts.append(bins.start_bins(start_vals) + offsets)
-        end_parts.append(bins.end_bins(end_vals) + offsets)
-
-    # Rows where some gap sits inside the 2-eps window need per-space
-    # merges (widening vs narrowing flips a decision); everywhere else
-    # one shared component extraction serves both spaces bit-identically
-    # (gap > 0 agrees with both per-space thresholds once |gap| clears
-    # the window, and the same float32 gap values feed all three tests).
-    # Disputed rows still go through the shared extraction — their
-    # components are routed to a discarded trash segment so the
-    # col-0-always-starts invariant of the flat end trick holds without
-    # compacting the (much larger) undisputed submatrix.
-    disputed = (np.abs(gap) <= two_eps).any(axis=1)
-    any_disputed = bool(disputed.any())
-    trash = 2 * num_slots
-    shared_slots = np.where(disputed, trash, slots) if any_disputed else slots
-    starts = gap > np.float32(0.0)
-    starts[:, 0] = True
-    add_components(
-        np.flatnonzero(starts), lows_sorted.ravel(), running_max.ravel(),
-        shared_slots, ((0, 1.0), (num_slots, -1.0)),
-    )
-    if any_disputed:
-        bad_rows = np.flatnonzero(disputed)
-        sub_lows = lows_sorted[bad_rows].ravel()
-        sub_rmax = running_max[bad_rows].ravel()
-        sub_gap = gap[bad_rows]
-        sub_slots = slots[bad_rows]
-        # Widened intervals [lo - eps, hi + eps] stay disjoint across a
-        # gap above +2 eps; narrowed ones [lo + eps, hi - eps] across
-        # -2 eps.
-        for segment_base, sign, margin in (
-            (0, 1.0, two_eps), (num_slots, -1.0, -two_eps)
-        ):
-            sub_starts = sub_gap > margin
-            sub_starts[:, 0] = True
-            add_components(
-                np.flatnonzero(sub_starts), sub_lows, sub_rmax, sub_slots,
-                ((segment_base, sign),),
-            )
-
-    # Trash blocks: widened components of disputed rows land at block
-    # 2*num_slots, narrowed ones at 3*num_slots.
-    total = (3 * num_slots + 1) * stride
-    started = np.bincount(np.concatenate(start_parts), minlength=total)
-    ended = np.bincount(np.concatenate(end_parts), minlength=total)
-    # Raw (unclamped) per-chunk counts; the caller sums chunks and
-    # clamps the lower space once, matching the unchunked arithmetic.
-    return (
-        (started - ended)
-        .reshape(3 * num_slots + 1, stride)[:, :num]
-        .cumsum(axis=1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# The python backend: scalar reference with identical arithmetic.
+# The scalar reference: the C kernel's contract in plain Python.
 # ---------------------------------------------------------------------------
 
 
@@ -451,7 +282,7 @@ def _python_union_bounds(
         high64 = float(high) + epsilon if widen else float(high) - epsilon
         start = int(bins.start_bins(np.array([low64]))[0])
         end = int(bins.end_bins(np.array([high64]))[0])
-        # Mirror the vectorized histogram difference exactly, including
+        # Mirror the kernel's histogram difference exactly, including
         # collapsed components whose counting identity goes negative
         # before the final clamp (e.g. a narrowed sliver).
         if start < end:
@@ -528,7 +359,7 @@ static inline int64_t clip_bin(double raw, int64_t num) {
 
 /* Diff-array update for one merged component: counts[start..end) += 1
    via counts[start] += 1, counts[end] -= 1 (prefix-summed at the end).
-   Matches the histogram-difference arithmetic of the numpy backend,
+   Matches the histogram-difference arithmetic of the scalar reference,
    including negative narrowed spans before the final clamp. */
 static inline void add_component(
     int64_t *diff, double lo, double hi,
@@ -1157,60 +988,14 @@ def _build_native() -> Optional[ctypes.CDLL]:
         return None
 
 
-def _native_union_bounds(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    slots: np.ndarray,
-    num_slots: int,
-    bins: CandidateBins,
-    epsilon: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    global _native_lib
-    if not bins.uniform:
-        # Non-uniform grids take the searchsorted path; only the numpy
-        # backend implements it (results are identical by contract).
-        return _numpy_union_bounds(lows, highs, slots, num_slots, bins, epsilon)
-    if _native_lib is None:
-        _native_lib = _build_native()
-        if _native_lib is None:
-            _count_fallback("screening/native_fallbacks")
-            return _numpy_union_bounds(lows, highs, slots, num_slots, bins, epsilon)
-    rows, cols = lows.shape
-    lows32 = np.ascontiguousarray(lows, dtype=np.float32)
-    highs32 = np.ascontiguousarray(highs, dtype=np.float32)
-    slots64 = np.ascontiguousarray(slots, dtype=np.int64)
-    lower = np.zeros((num_slots, bins.num), dtype=np.int64)
-    upper = np.zeros((num_slots, bins.num), dtype=np.int64)
-    status = _native_lib.fused_union_bounds(
-        lows32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-        highs32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-        rows, cols,
-        slots64.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), num_slots,
-        bins.origin, bins.inverse_step, bins.num,
-        float(epsilon),
-        lower.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        upper.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-    )
-    if status != 0:  # allocation failure: degrade, never crash
-        _count_fallback("screening/native_fallbacks")
-        return _numpy_union_bounds(lows, highs, slots, num_slots, bins, epsilon)
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # Backend selection.
 # ---------------------------------------------------------------------------
 
-_IMPLEMENTATIONS: Dict[str, Callable] = {
-    "python": _python_union_bounds,
-    "numpy": _numpy_union_bounds,
-    "native": _native_union_bounds,
-}
-
 
 def available_backends() -> Tuple[str, ...]:
     """Backends that can run here (``native`` only with a C toolchain)."""
-    names = ["python", "numpy"]
+    names = ["numpy"]
     global _native_lib
     if _native_lib is None and not _native_failed:
         _native_lib = _build_native()
@@ -1267,7 +1052,12 @@ def _resolve_default() -> str:
 
 
 def active_backend() -> str:
-    """The backend the fused kernel dispatches to (resolved lazily)."""
+    """The active backend, ``native`` or ``numpy`` (resolved lazily).
+
+    ``native`` screens Algorithm 3 rankings, routes and counts yield
+    survivors in C; ``numpy`` ranks directly, routes on the Python pass
+    and counts on the numpy loop.  Both give identical results.
+    """
     global _active_backend
     if _active_backend is None:
         _active_backend = _resolve_default()
@@ -1302,9 +1092,8 @@ def fused_union_bounds(
     num_slots: int,
     bins: CandidateBins,
     epsilon: float,
-    backend: Optional[str] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-slot (lower, upper) union-membership counts, fused.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per-slot (lower, upper) union-membership counts from the C kernel.
 
     Args:
         lows, highs: ``(rows, cols)`` float32 interval endpoint matrices.
@@ -1321,13 +1110,42 @@ def fused_union_bounds(
 
     Returns:
         ``(lower, upper)`` int64 arrays of shape ``(num_slots,
-        num_candidates)``; bit-identical across backends.
+        num_candidates)``, bit-identical to :func:`_python_union_bounds`;
+        or None when the kernel declines: no native library, a
+        non-uniform grid, or a non-zero C status (allocation failure).
+        A decline never crashes; the caller ranks the batch directly.
     """
+    global _native_lib
     if lows.size == 0 or bins.num == 0:
         zero = np.zeros((num_slots, bins.num), dtype=np.int64)
         return zero, zero.copy()
+    if not bins.uniform:
+        return None
+    if _native_lib is None:
+        _native_lib = _build_native()
+        if _native_lib is None:
+            _count_fallback("screening/native_fallbacks")
+            return None
     # Chaos-test site for simulated kernel aborts (a plain None check
     # when no fault plan is armed, so the hot path stays hot).
     faults.maybe_inject("native-kernel")
-    implementation = _IMPLEMENTATIONS[backend or active_backend()]
-    return implementation(lows, highs, slots, num_slots, bins, epsilon)
+    rows, cols = lows.shape
+    lows32 = np.ascontiguousarray(lows, dtype=np.float32)
+    highs32 = np.ascontiguousarray(highs, dtype=np.float32)
+    slots64 = np.ascontiguousarray(slots, dtype=np.int64)
+    lower = np.zeros((num_slots, bins.num), dtype=np.int64)
+    upper = np.zeros((num_slots, bins.num), dtype=np.int64)
+    status = _native_lib.fused_union_bounds(
+        lows32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
+        highs32.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
+        rows, cols,
+        slots64.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), num_slots,
+        bins.origin, bins.inverse_step, bins.num,
+        float(epsilon),
+        lower.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        upper.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+    )
+    if status != 0:
+        _count_fallback("screening/native_fallbacks")
+        return None
+    return lower, upper

@@ -33,12 +33,16 @@ because components are disjoint within a trial that sum over all trials
 *is* the number of failing trials.  No per-candidate work ever touches
 the trial axis.
 
-The sort/sweep/count itself lives in
-:mod:`repro.collision.merge_kernel` as one fused pass over a packed
-endpoint matrix (see that module for the backend registry and the
-``REPRO_SCREENING_BACKEND`` selection); this module owns the physics —
-turning a collision region into interval families — and the epsilon
-bookkeeping that makes the counts safe against float rounding.
+The sort/sweep/count itself is the C merge kernel of
+:mod:`repro.collision.merge_kernel`, one fused pass per row of a packed
+endpoint matrix.  The screen only runs while that kernel is the active
+backend (``REPRO_SCREENING_BACKEND``): a vectorized numpy merge measured
+slower than ranking every candidate with the joint kernel, so without
+the C kernel
+:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`
+ranks directly.  This module owns the physics — turning a collision
+region into interval families — and the epsilon bookkeeping that makes
+the counts safe against float rounding.
 
 Regions with a single event family skip the merge entirely: one
 family's intervals are pairwise disjoint by construction
@@ -93,7 +97,6 @@ from repro.collision.merge_kernel import (
     CLAMP_GHZ,
     SENTINEL,
     CandidateBins,
-    active_backend,
     candidate_bins,
     fused_union_bounds,
 )
@@ -440,9 +443,9 @@ def _prepare_region(
     hi_offsets = np.array(column_hi, dtype=np.float32)
     # Pre-order columns by the first trial's interval lows: rows differ
     # only by per-trial noise, so every row arrives nearly sorted and
-    # the merge kernels' sorts run at their adaptive best case.  Column
-    # order is immaterial to the result — each backend fully sorts the
-    # packed endpoints per row before merging.
+    # the kernel's per-row sort runs at its adaptive best case.  Column
+    # order is immaterial to the result — the kernel (and the scalar
+    # reference) fully sorts the packed endpoints per row before merging.
     shift32 = shift_matrix.astype(np.float32)
     order = np.argsort(shift32[0, family_of_column] + lo_offsets, kind="stable")
     family_of_column = family_of_column[order]
@@ -458,7 +461,7 @@ def screen_candidate_bounds_batch(
     delta_ghz: float,
     thresholds: CollisionThresholds,
     epsilon: float = SCREENING_EPSILON,
-) -> List[ScreeningBounds]:
+) -> Optional[List[ScreeningBounds]]:
     """Joint-count bounds for many local regions in one fused kernel call.
 
     The cross-qubit batched ranking path: every region shares the
@@ -470,7 +473,9 @@ def screen_candidate_bounds_batch(
     amortizing kernel dispatch across a whole BFS frontier.  Each
     region's bounds are identical to its own
     :func:`screen_candidate_bounds` call: the per-slot merge never mixes
-    rows of different regions.
+    rows of different regions.  Returns None when the C kernel declines
+    the batch (no native library, a non-uniform grid, or a non-zero C
+    status); callers then rank the batch directly.
 
     Args:
         candidates: Shared candidate frequencies, ascending.
@@ -515,9 +520,10 @@ def screen_candidate_bounds_batch(
             cursor += count
         merge_started = time.perf_counter_ns()
         pack_ns = merge_started - pack_started
-        lower_merged, upper_merged = fused_union_bounds(
-            lows, highs, slots, len(merged), bins, epsilon
-        )
+        fused = fused_union_bounds(lows, highs, slots, len(merged), bins, epsilon)
+        if fused is None:
+            return None
+        lower_merged, upper_merged = fused
         merge_ns = time.perf_counter_ns() - merge_started
     else:
         pack_ns = time.perf_counter_ns() - pack_started
@@ -560,8 +566,11 @@ def screen_candidate_bounds(
     delta_ghz: float,
     thresholds: CollisionThresholds,
     epsilon: float = SCREENING_EPSILON,
-) -> ScreeningBounds:
+) -> Optional[ScreeningBounds]:
     """Joint failed-trial count bounds for every candidate frequency.
+
+    None when the C merge kernel declines the region (see
+    :func:`screen_candidate_bounds_batch`).
 
     Args:
         candidates: Candidate frequencies of the scanned qubit, in
@@ -580,11 +589,12 @@ def screen_candidate_bounds(
         thresholds: Collision thresholds.
         epsilon: Float-safety margin (see module docstring).
     """
-    return screen_candidate_bounds_batch(
+    batch = screen_candidate_bounds_batch(
         candidates,
         [(qubit_index, base_frequencies, pairs, triples, noise)],
         delta_ghz, thresholds, epsilon,
-    )[0]
+    )
+    return None if batch is None else batch[0]
 
 
 def record_screening(
@@ -616,7 +626,6 @@ def record_screening(
         "screening/exact": exact,
         "screening/verified": verified,
         "screening/pruned": pruned,
-        f"screening/backend/{active_backend()}": calls,
     })
     # Wall-time phases ride the timer section: timers merge associatively
     # across workers exactly like counters, but are exempt from the

@@ -415,7 +415,7 @@ class YieldSimulator:
         )
 
     def screening_enabled(self) -> bool:
-        """Whether screened candidate rankings use the interval fast path.
+        """Whether these thresholds admit the interval fast path.
 
         Requires both the folded joint kernel (the ground truth screened
         survivors are verified against) and the disjoint-interval
@@ -435,7 +435,7 @@ class YieldSimulator:
         pairs: Sequence[Tuple[int, int]],
         triples: Sequence[Tuple[int, int, int]],
         noise: Optional[np.ndarray] = None,
-    ) -> ScreeningBounds:
+    ) -> Optional[ScreeningBounds]:
         """Per-candidate interval-count bounds for one scanned qubit.
 
         The raw bound layer of :meth:`screened_failure_counts`: for every
@@ -444,6 +444,8 @@ class YieldSimulator:
         (max over events) and an upper bound (sum over events) on the
         joint failure count the kernel of :meth:`failure_counts` would
         report.  Only valid when :meth:`screening_enabled` is True.
+        Returns None when the C merge kernel declines the region (see
+        :func:`repro.collision.merge_kernel.fused_union_bounds`).
         """
         if not self.screening_enabled():
             raise ValueError(
@@ -485,8 +487,10 @@ class YieldSimulator:
         The result is bit-identical to ranking with
         :meth:`failure_counts` wherever it matters: every candidate
         achieving the minimum count is ``known`` with its exact joint
-        count.  When :meth:`screening_enabled` is False the method
-        transparently computes every candidate exactly.
+        count.  The screen runs only while the C merge kernel is the
+        active backend; otherwise, or when :meth:`screening_enabled` is
+        False, the method computes every candidate exactly (the direct
+        ranking, with no ``screening/*`` metrics).
 
         Args:
             candidates: Candidate frequencies of the scanned qubit, in
@@ -524,7 +528,9 @@ class YieldSimulator:
         all regions screen through one fused merge-kernel invocation
         (:func:`repro.collision.screening.screen_candidate_bounds_batch`),
         then each region's survivors are verified with its own joint
-        kernel pass.  Per region the result is bit-identical to a
+        kernel pass.  Without the C kernel (another active backend, or
+        a batch the kernel declines) every region is ranked directly.
+        Per region the result is bit-identical to a
         sequential :meth:`screened_failure_counts` call — regions never
         share rows in the merge, and verification uses each region's own
         noise tensor — so callers are free to batch any set of rankings
@@ -550,7 +556,6 @@ class YieldSimulator:
                 max_chunk_elements=max_chunk_elements,
             )
 
-        enabled = self.screening_enabled()
         screenable = []
         for position, (qubit_index, base_frequencies, pairs, triples, noise) in (
             enumerate(regions)
@@ -566,28 +571,31 @@ class YieldSimulator:
                 continue
             if noise is None:
                 noise = self._draw_noise(base.shape[0])
-            if not enabled:
-                all_rows = np.arange(num_candidates)
-                results[position] = ScreenedCounts(
-                    counts=verify(
-                        all_rows, qubit_index, base, pairs_array,
-                        triples_array, noise,
-                    ),
-                    known=np.ones(num_candidates, dtype=bool),
-                    bounds=None, verified=num_candidates, pruned=0,
-                )
-                continue
             screenable.append(
                 (position, qubit_index, base, pairs_array, triples_array, noise)
             )
-        if not screenable:
+        bounds_batch = None
+        if (
+            screenable
+            and merge_kernel.active_backend() == "native"
+            and self.screening_enabled()
+        ):
+            bounds_batch = screen_candidate_bounds_batch(
+                candidates,
+                [region[1:] for region in screenable],
+                self.delta_ghz, self.thresholds,
+            )
+        if bounds_batch is None:
+            # The direct ranking: the joint kernel scores every candidate.
+            all_rows = np.arange(num_candidates)
+            for position, *region in screenable:
+                results[position] = ScreenedCounts(
+                    counts=verify(all_rows, *region),
+                    known=np.ones(num_candidates, dtype=bool),
+                    bounds=None, verified=num_candidates, pruned=0,
+                )
             return results
 
-        bounds_batch = screen_candidate_bounds_batch(
-            candidates,
-            [region[1:] for region in screenable],
-            self.delta_ghz, self.thresholds,
-        )
         total_candidates = total_exact = total_verified = total_pruned = 0
         dispute_ns = joint_ns = 0
         for entry, bounds in zip(screenable, bounds_batch):

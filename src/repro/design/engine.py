@@ -104,12 +104,6 @@ class DesignOptions:
             global-optimization extension the paper's Discussion suggests.
         allocation_strategy: Algorithm 3 search strategy name (see
             :data:`~repro.design.frequency_allocation.ALLOCATION_STRATEGIES`).
-        frequency_screening: Whether Algorithm 3 candidate rankings use
-            the exact interval-count screening engine
-            (:mod:`repro.collision.screening`).  Screening is provably
-            winner-preserving — results are bit-identical with it on or
-            off — so the flag never enters any cache key; it exists as
-            an escape hatch and for benchmarking the cold path.
     """
 
     bus_strategy: BusStrategy = BusStrategy.FILTERED_WEIGHT
@@ -120,7 +114,6 @@ class DesignOptions:
     frequency_seed: int = 2020
     frequency_refinement_passes: int = 0
     allocation_strategy: str = "bfs-greedy"
-    frequency_screening: bool = True
 
 
 class StageCache:
@@ -495,10 +488,10 @@ class DesignEngine:
         options = options or DesignOptions()
         if options.frequency_strategy is FrequencyStrategy.FIVE_FREQUENCY:
             return five_frequency_scheme(architecture.coordinates())
-        # ``frequency_screening`` is deliberately absent from the key:
-        # screening is winner-preserving, so screened and unscreened runs
-        # produce identical plans — and persisted DesignCache files stay
-        # valid (and shared) whichever way they were generated.
+        # The merge-kernel backend is absent from the key: the screened
+        # (native) and direct rankings produce identical plans, so
+        # persisted DesignCache files stay valid (and shared) whichever
+        # backend generated them.
         key = (
             architecture_collision_key(architecture),
             options.sigma_ghz,
@@ -515,7 +508,6 @@ class DesignEngine:
                 seed=options.frequency_seed,
                 refinement_passes=options.frequency_refinement_passes,
                 strategy=options.allocation_strategy,
-                screening=options.frequency_screening,
             )
             frequencies = allocator.allocate(architecture)
             self._frequencies.put(key, frequencies)

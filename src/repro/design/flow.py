@@ -23,10 +23,9 @@ are computed once per distinct input instead of once per flow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.design.bus_selection import BusSelectionResult
 from repro.design.engine import (
     BusStrategy,
     DesignEngine,
@@ -103,16 +102,6 @@ class DesignFlow:
         previous member, so such duplicates are dropped.
         """
         return self.engine.design_series(self.circuit, max_buses, self.options)
-
-    # -- internals -------------------------------------------------------------------
-
-    def _select_buses(self, max_buses: int) -> BusSelectionResult:
-        """The bus selection for one budget (kept for API compatibility)."""
-        return self.engine.bus_selection(self.circuit, max_buses, self.options)
-
-    def _design_frequencies(self, architecture: Architecture) -> Dict[int, float]:
-        """The frequency plan for a finished connection design (engine stage)."""
-        return self.engine.frequencies_for(architecture, self.options)
 
 
 def design_architecture(

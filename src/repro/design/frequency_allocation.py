@@ -25,6 +25,15 @@ Two structural layers keep the search fast:
   per-qubit seed as always) and reused by every scoring of that qubit in
   the same allocation: refinement sweeps and pruned re-ranks never redraw.
 
+**Two ways to rank, picked by the toolchain.**  Every candidate ranking
+goes through
+:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`.
+While the C merge kernel is the active backend it screens the candidates
+with exact interval counts (:mod:`repro.collision.screening`) and runs
+the joint Monte Carlo kernel only on the few it cannot decide; under
+the ``numpy`` backend the joint kernel scores every candidate.  No user
+setting chooses between them, and both give the same winners.
+
 **Candidate tie-break.**  Monte Carlo yields are integer success counts
 over ``local_trials``, so exact ties between candidates are common
 (typically several candidates survive every trial).  Candidates whose
@@ -64,7 +73,7 @@ from repro.collision.conditions import (
     CollisionThresholds,
     DEFAULT_THRESHOLDS,
 )
-from repro.collision.yield_simulator import YieldSimulator
+from repro.collision.yield_simulator import ScreenedCounts, YieldSimulator
 from repro.hardware.architecture import Architecture
 from repro.hardware.frequency import (
     DEFAULT_SIGMA_GHZ,
@@ -327,27 +336,17 @@ class _LocalRegionScorer:
     the scanned qubit's local region (the assigned qubits it can collide
     with), score every candidate's joint failed-trial count against the
     qubit's CRN noise tensor, and apply the documented mid-band
-    tie-break.  Two ranking paths produce bit-identical winners:
-
-    * **screened** (the default) — the exact interval-count bounds of
-      :mod:`repro.collision.screening` decide most candidates outright
-      and provably discard candidates that cannot win; the joint Monte
-      Carlo kernel runs only on the surviving rows
-      (:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts`).
-      Winner preservation is exact: every candidate achieving the
-      minimum failure count is verified with its exact joint count, so
-      the tie set — and therefore the tie-break — never changes.
-    * **direct** — the joint kernel scores every candidate
-      (``screening=False``, or threshold geometries the interval screen
-      does not support).
+    tie-break.  Rankings take the screened or the direct path of the
+    module docstring (the direct one also for threshold geometries the
+    interval screen does not support).  Winner preservation is exact:
+    every candidate achieving the minimum failure count is known with
+    its exact joint count, so the tie set — and therefore the tie-break
+    — never changes.
     """
 
     def __init__(self, context: "_AllocationContext") -> None:
         self._context = context
         allocator = context.allocator
-        self.screening = (
-            allocator.screening and context._simulator.screening_enabled()
-        )
         # Everything the local simulation reads besides the per-call
         # region content; part of every ranking-memo key.
         self._memo_prefix = (
@@ -375,7 +374,11 @@ class _LocalRegionScorer:
         winner, request = self._resolve(qubit, frequencies, candidate_indices)
         if request is None:
             return winner
-        return self._rank_one(request)
+        screened = self._context._simulator.screened_failure_counts(
+            request.candidates, request.qubit_index, request.base,
+            request.pair_idx, request.triple_idx, noise=request.noise,
+        )
+        return self._finish(request, screened)
 
     def best_frequencies_for(
         self,
@@ -404,22 +407,16 @@ class _LocalRegionScorer:
                 pending.append(request)
         if not pending:
             return winners
-        if self.screening:
-            screened_batch = self._context._simulator.screened_failure_counts_batch(
-                self._context.candidates,
-                [
-                    (request.qubit_index, request.base, request.pair_idx,
-                     request.triple_idx, request.noise)
-                    for request in pending
-                ],
-            )
-            for request, screened in zip(pending, screened_batch):
-                winners[request.qubit] = self._finish(
-                    request, screened.counts, screened.known
-                )
-        else:
-            for request in pending:
-                winners[request.qubit] = self._rank_one(request)
+        screened_batch = self._context._simulator.screened_failure_counts_batch(
+            self._context.candidates,
+            [
+                (request.qubit_index, request.base, request.pair_idx,
+                 request.triple_idx, request.noise)
+                for request in pending
+            ],
+        )
+        for request, screened in zip(pending, screened_batch):
+            winners[request.qubit] = self._finish(request, screened)
         return winners
 
     def _resolve(
@@ -488,42 +485,16 @@ class _LocalRegionScorer:
             noise, candidates, mid_distance,
         )
 
-    def _rank_one(self, request: "_RankingRequest") -> float:
-        """Rank one assembled region through the single-qubit path."""
-        simulator = self._context._simulator
-        if self.screening:
-            screened = simulator.screened_failure_counts(
-                request.candidates, request.qubit_index, request.base,
-                request.pair_idx, request.triple_idx, noise=request.noise,
-            )
-            return self._finish(request, screened.counts, screened.known)
-        designed_batch = np.repeat(
-            request.base[None, :], len(request.candidates), axis=0
-        )
-        designed_batch[:, request.qubit_index] = request.candidates
-        failures = simulator.failure_counts(
-            designed_batch, request.pair_idx, request.triple_idx,
-            noise=request.noise,
-        )
-        return self._finish(request, failures, None)
-
-    def _finish(
-        self,
-        request: "_RankingRequest",
-        failures: np.ndarray,
-        known: Optional[np.ndarray],
-    ) -> float:
+    def _finish(self, request: "_RankingRequest", screened: ScreenedCounts) -> float:
         """Apply the documented tie-break and memoize the winner."""
         # Failure counts are integers, so the 1e-12 yield tolerance reduces
         # to exact count equality; the tie set is ranked by mid-band
         # distance, lower frequency first among equally distant candidates
-        # (tie indices ascend and argmin returns the first minimum).
-        if known is not None:
-            # Every minimum-count candidate is known exactly, so the tie
-            # set over known counts equals the unscreened tie set.
-            tie_set = np.flatnonzero(known & (failures == failures[known].min()))
-        else:
-            tie_set = np.flatnonzero(failures == failures.min())
+        # (tie indices ascend and argmin returns the first minimum).  Every
+        # minimum-count candidate is known exactly, so the tie set over
+        # known counts equals the unscreened tie set.
+        failures, known = screened.counts, screened.known
+        tie_set = np.flatnonzero(known & (failures == failures[known].min()))
         winner = float(
             request.candidates[tie_set[np.argmin(request.mid_distance[tie_set])]]
         )
@@ -796,13 +767,6 @@ class FrequencyAllocator:
         strategy: Allocation strategy name or instance (see
             :data:`ALLOCATION_STRATEGIES`).  ``bfs-greedy`` is the
             paper-exact default.
-        screening: Whether candidate rankings use the exact
-            interval-count screening engine
-            (:mod:`repro.collision.screening`) to prune the candidate
-            grid before the joint Monte Carlo kernel runs.  Screening is
-            provably winner-preserving, so the allocation is
-            bit-identical with it on or off — the flag exists as an
-            escape hatch and for benchmarking the cold path.
     """
 
     sigma_ghz: float = DEFAULT_SIGMA_GHZ
@@ -813,7 +777,6 @@ class FrequencyAllocator:
     seed: int = 2020
     refinement_passes: int = 0
     strategy: Union[str, AllocationStrategy] = BfsGreedyStrategy.name
-    screening: bool = True
 
     def allocate(self, architecture: Architecture) -> Dict[int, float]:
         """Assign a frequency to every qubit of ``architecture``.
@@ -839,7 +802,6 @@ def allocate_frequencies(
     seed: int = 2020,
     refinement_passes: int = 0,
     strategy: Union[str, AllocationStrategy] = BfsGreedyStrategy.name,
-    screening: bool = True,
 ) -> Dict[int, float]:
     """One-call convenience wrapper around :class:`FrequencyAllocator`."""
     allocator = FrequencyAllocator(
@@ -848,6 +810,5 @@ def allocate_frequencies(
         seed=seed,
         refinement_passes=refinement_passes,
         strategy=strategy,
-        screening=screening,
     )
     return allocator.allocate(architecture)

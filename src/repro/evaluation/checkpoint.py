@@ -10,9 +10,7 @@ of everything that can influence the task's result:
 
 * a generation task digests its benchmark, configuration, and the
   design-affecting settings (local trials, bus seeds, allocation
-  strategy — screening is excluded, exactly as in the
-  :class:`~repro.design.engine.DesignCache`, because it is provably
-  winner-preserving);
+  strategy);
 * a point task digests its identity (benchmark, configuration,
   architecture index), the *full serialized architecture*, and the
   evaluation-affecting settings (yield trials, sigma, seed, router

@@ -58,7 +58,6 @@ def architectures_for_config(
     frequency_local_trials: int = 2000,
     engine: Optional[DesignEngine] = None,
     allocation_strategy: str = "bfs-greedy",
-    screening: bool = True,
 ) -> List[Architecture]:
     """Generate every architecture evaluated under ``config`` for ``circuit``.
 
@@ -81,16 +80,11 @@ def architectures_for_config(
             ``eff-rd-bus``); the paper-exact ``bfs-greedy`` by default.
             This is how whole sweeps run the ``analytic-guided`` /
             ``coordinate-descent`` ablations.
-        screening: Whether Algorithm 3 uses the exact interval-count
-            screening engine (:mod:`repro.collision.screening`).
-            Winner-preserving, so architectures are byte-identical with
-            it on or off; ``False`` is the ``--no-screening`` escape
-            hatch.
     """
     with _metrics.timer("design/generate"):
         architectures = _architectures_for_config(
             circuit, config, random_bus_seeds, frequency_local_trials,
-            engine, allocation_strategy, screening,
+            engine, allocation_strategy,
         )
     _metrics.increment("design/architectures", len(architectures))
     return architectures
@@ -103,7 +97,6 @@ def _architectures_for_config(
     frequency_local_trials: int,
     engine: Optional[DesignEngine],
     allocation_strategy: str,
-    screening: bool,
 ) -> List[Architecture]:
     engine = engine if engine is not None else DesignEngine()
     if config is ExperimentConfig.IBM:
@@ -113,7 +106,6 @@ def _architectures_for_config(
         options = DesignOptions(
             local_trials=frequency_local_trials,
             allocation_strategy=allocation_strategy,
-            frequency_screening=screening,
         )
         return DesignFlow(circuit, options, engine=engine).design_series()
 
@@ -133,7 +125,6 @@ def _architectures_for_config(
                 random_bus_seed=seed,
                 local_trials=frequency_local_trials,
                 allocation_strategy=allocation_strategy,
-                frequency_screening=screening,
             )
             flow = DesignFlow(circuit, options, engine=engine)
             previous_bus_count = -1

@@ -58,10 +58,6 @@ class DataPoint:
     num_swaps: int = 0
     normalized_reciprocal_gates: float = 0.0
 
-    @property
-    def reciprocal_gates(self) -> float:
-        return 1.0 / self.total_gates if self.total_gates else 0.0
-
 
 @dataclass
 class ExperimentResult:

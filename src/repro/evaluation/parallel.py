@@ -200,7 +200,6 @@ def _generate_rows(
         frequency_local_trials=settings.frequency_local_trials,
         engine=engine,
         allocation_strategy=settings.allocation_strategy,
-        screening=settings.screening,
     )
     # Merge freshly computed frequency plans back immediately: sweep
     # workers have no end-of-sweep hook, and the locked merge keeps

@@ -120,10 +120,6 @@ class Lattice:
     def qubits(self) -> List[int]:
         return sorted(self._node_of_qubit)
 
-    @property
-    def occupied_nodes(self) -> Set[Coordinate]:
-        return set(self._qubit_of_node)
-
     def coordinates(self) -> Dict[int, Coordinate]:
         """Copy of the qubit -> node mapping."""
         return dict(self._node_of_qubit)

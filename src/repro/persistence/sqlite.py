@@ -48,11 +48,36 @@ _SCHEMA = (
 class _StaleStore(Exception):
     """Internal: existing state a writer must quarantine, never merge into.
 
-    Raised by the write-path validation on a wrong-version database:
-    re-stamping the meta row and upserting on top would relabel the
-    stale entries as current-version records.  The writer quarantines
-    the file and retries against a fresh store instead.
+    Raised by the write-path validation on a wrong-version database
+    (re-stamping the meta row and upserting on top would relabel the
+    stale entries as current-version records) and on a file shorter
+    than its header's page count (a torn tail can take a primary-key
+    index page with it, after which upserts duplicate keys).  The
+    writer quarantines the file and retries against a fresh store.
     """
+
+
+def _torn_tail(connection: sqlite3.Connection, path) -> str:
+    """Why the database file is shorter than its header says, or ''.
+
+    ``PRAGMA page_count`` is the header's page count (bytes 28-31),
+    which SQLite trusts only while its valid-for number matches the
+    change counter, and otherwise the file size rounded up to whole
+    pages; SQLite itself misses a tear shorter than one page.  The
+    header is read through the connection rather than by opening the
+    file: closing any other descriptor of the file would drop this
+    process's POSIX locks on it mid-transaction.  A size check, not
+    ``PRAGMA integrity_check``: every checkpointed task commits through
+    this path.
+    """
+    size = os.path.getsize(path)
+    if size == 0:  # a fresh database: SQLite counts its page 1 unwritten
+        return ""
+    pages = connection.execute("PRAGMA page_count").fetchone()[0]
+    page_size = connection.execute("PRAGMA page_size").fetchone()[0]
+    if size >= pages * page_size:
+        return ""
+    return f"file is {size} bytes, shorter than its {pages} pages of {page_size}"
 
 
 class SqliteStore(CacheStore):
@@ -188,8 +213,9 @@ class SqliteStore(CacheStore):
     def _transact(self, file_format: str, version: int, kind: str, operation) -> int:
         """Run one write operation in an immediate transaction, with recovery.
 
-        An unreadable database (garbage bytes, torn pages, unknown
-        schema version) is quarantined once and the operation retried
+        An unreadable database (garbage bytes, torn pages, a file
+        shorter than its header's page count, unknown schema version)
+        is quarantined once and the operation retried
         against a fresh store; transient lock contention is retried a
         few times on top of SQLite's own busy timeout.
         """
@@ -198,6 +224,9 @@ class SqliteStore(CacheStore):
             connection = self._connect()
             try:
                 connection.execute("BEGIN IMMEDIATE")
+                torn = _torn_tail(connection, self.path)
+                if torn:
+                    raise _StaleStore(torn)
                 if not self._validate_meta(
                     connection, file_format, version, kind, for_write=True
                 ):

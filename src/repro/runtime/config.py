@@ -4,7 +4,11 @@
 harness: every result-affecting knob (trials, sigma, seeds, Algorithm 3
 strategy, router parameters) plus the store paths.  The CLI resolves it
 once, and the session layer, the sweep executors, their workers and the
-checkpoint task keys all take it as is.  It is:
+checkpoint task keys all take it as is.  How Algorithm 3 ranks its
+candidates is not a field: the interval screen runs exactly when the C
+merge kernel is the active backend (see
+:mod:`repro.collision.merge_kernel`), and both ways give the same plans.
+It is:
 
 * **frozen and picklable** — resolved once (from CLI flags and/or a
   ``--runtime-config`` JSON file) and shipped to sweep workers intact;
@@ -66,7 +70,6 @@ _FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
     "yield_seed": (int,),
     "frequency_local_trials": (int,),
     "allocation_strategy": (str,),
-    "screening": (bool,),
     "resume": (bool,),
     "routing_cache_path": (str, type(None)),
     "design_cache_path": (str, type(None)),
@@ -101,10 +104,6 @@ class RuntimeConfig:
         design_cache_path: Optional persisted design-stage cache (see
             :class:`~repro.design.engine.DesignCache`) of Algorithm 3
             frequency plans, warm-loaded by every design engine.
-        screening: Whether Algorithm 3 uses the exact interval-count
-            screening engine.  Winner-preserving — outputs are
-            byte-identical with it on or off — so ``False`` (the
-            ``--no-screening`` flag) is an escape hatch and bench baseline.
         checkpoint_path: Optional sweep checkpoint store (see
             :class:`~repro.evaluation.checkpoint.SweepCheckpoint`): workers
             record every completed task into it.
@@ -122,7 +121,6 @@ class RuntimeConfig:
     routing_cache_path: Optional[str] = None
     allocation_strategy: str = "bfs-greedy"
     design_cache_path: Optional[str] = None
-    screening: bool = True
     checkpoint_path: Optional[str] = None
     resume: bool = False
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.circuit import QuantumCircuit, cx, h, measure
-from repro.collision import YieldSimulator
+from repro.collision import YieldSimulator, merge_kernel
 from repro.design import DesignFlow
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8
 from repro.runtime.metrics import global_metrics
@@ -107,3 +107,25 @@ class AllocationCalls:
 def allocation_calls() -> AllocationCalls:
     """Counts Algorithm 3 searches from the moment the test starts."""
     return AllocationCalls()
+
+
+@pytest.fixture
+def merge_backend():
+    """Switch the merge-kernel backend inside a test: ``merge_backend(name)``.
+
+    ``native`` screens Algorithm 3 rankings (and routes and counts yield
+    survivors) in C; ``numpy`` ranks directly.  Asking for ``native``
+    without a C toolchain skips the test.  The previously active backend
+    is restored afterwards.
+    """
+    previous = merge_kernel.active_backend()
+
+    def switch(name: str) -> None:
+        if name not in merge_kernel.available_backends():
+            pytest.skip("native library unavailable: no C toolchain")
+        merge_kernel.set_backend(name)
+
+    try:
+        yield switch
+    finally:
+        merge_kernel.set_backend(previous)

@@ -1,14 +1,16 @@
-"""Property tests of the fused single-pass merge kernel backends.
+"""Property tests of the fused single-pass C merge kernel.
 
-Invariants covered (ISSUE satellite list):
+Invariants covered:
 
-* every enabled backend (``python``, ``numpy``, and ``native`` when a C
-  toolchain is present) returns bit-identical ``(lower, upper)`` counts
-  and bit-identical dispute masks (``lower != upper``) for random
-  interval families, including epsilon-sandwich edge cases: endpoints
+* the C kernel returns ``(lower, upper)`` counts and dispute masks
+  (``lower != upper``) bit-identical to the scalar reference
+  ``_python_union_bounds`` for random interval families, including
+  epsilon-sandwich edge cases: endpoints
   drawn from a shared pool and jittered by sub-epsilon / epsilon-scale
   multiples, so exact coincidences and barely-separated endpoints both
   occur;
+* the kernel declines (returns None) a non-uniform candidate grid, so
+  the caller ranks that batch directly;
 * the counts are *valid* bounds: candidates comfortably inside some
   interval are counted by ``upper``, and ``lower`` never counts a
   candidate comfortably outside every interval;
@@ -23,8 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collision import available_backends, set_backend
-from repro.collision.merge_kernel import candidate_bins, fused_union_bounds
+from repro.collision import available_backends
+from repro.collision.merge_kernel import (
+    _python_union_bounds,
+    candidate_bins,
+    fused_union_bounds,
+)
 from repro.collision.screening import SCREENING_EPSILON
 from repro.hardware.frequency import candidate_frequencies
 from strategies import examples
@@ -71,16 +77,15 @@ def interval_matrices(draw):
 
 
 def _all_backend_bounds(lows, highs, slots, num_slots):
+    """The scalar reference's counts, plus the C kernel's when built."""
     bins = candidate_bins(CANDIDATES)
-    results = {}
-    try:
-        for backend in available_backends():
-            set_backend(backend)
-            results[backend] = fused_union_bounds(
-                lows, highs, slots, num_slots, bins, EPS
-            )
-    finally:
-        set_backend(None)
+    results = {
+        "python": _python_union_bounds(lows, highs, slots, num_slots, bins, EPS)
+    }
+    if "native" in available_backends():
+        results["native"] = fused_union_bounds(
+            lows, highs, slots, num_slots, bins, EPS
+        )
     return results
 
 
@@ -90,7 +95,6 @@ def test_backends_agree_exactly(matrices):
     lows, highs = matrices
     slots = np.zeros(lows.shape[0], dtype=np.int64)
     results = _all_backend_bounds(lows, highs, slots, 1)
-    assert len(results) >= 2  # python + numpy always; native when built
     reference_name, (ref_lower, ref_upper) = next(iter(results.items()))
     for backend, (lower, upper) in results.items():
         assert (lower == ref_lower).all(), (backend, reference_name)
@@ -184,3 +188,14 @@ def test_shared_endpoint_sandwich_regression():
         for backend, (lower, upper) in results.items():
             assert (lower == reference[0]).all(), (backend, intervals)
             assert (upper == reference[1]).all(), (backend, intervals)
+
+
+def test_non_uniform_grid_is_declined():
+    """Only the uniform allocator grid has a C binning path."""
+    grid = np.concatenate((CANDIDATES[:3], CANDIDATES[4:]))
+    lows = np.array([[5.10]], dtype=np.float32)
+    highs = np.array([[5.20]], dtype=np.float32)
+    slots = np.zeros(1, dtype=np.int64)
+    assert fused_union_bounds(
+        lows, highs, slots, 1, candidate_bins(grid), EPS
+    ) is None

@@ -9,6 +9,8 @@ tasks recompute.  Recognizable *misconfiguration* (a different cache
 kind's store at the path) keeps failing loud.
 """
 
+import sqlite3
+
 import pytest
 
 from repro import persistence
@@ -61,6 +63,34 @@ def test_tear_shorter_than_a_page_still_reads_every_record(tmp_path, tear):
     _seeded_checkpoint(path)
     path.write_bytes(path.read_bytes()[:-tear])
     assert SweepCheckpoint(str(path)).load() == 3
+
+
+@pytest.mark.parametrize("tear", [16, 1000])
+def test_recording_into_a_short_file_quarantines_it(tmp_path, tear):
+    """A file shorter than its header's page count is not written into.
+
+    The torn tail can hold the ``entries`` primary-key index, after which
+    an upsert no longer finds the existing key and duplicates it.
+    """
+    path = tmp_path / "ck.sqlite"
+    _seeded_checkpoint(path)
+    torn = path.read_bytes()[:-tear]
+    path.write_bytes(torn)
+
+    checkpoint = SweepCheckpoint(str(path))
+    with pytest.warns(CacheStoreFault, match="shorter than its"):
+        checkpoint.record_failure(_failure("k1"))
+    checkpoint.record_failure(_failure("k4"))
+
+    connection = sqlite3.connect(str(path))
+    try:
+        keys = [row[0] for row in connection.execute("SELECT key FROM entries")]
+    finally:
+        connection.close()
+    assert len(keys) == len(set(keys)) == 2
+    quarantine = list(tmp_path.glob("ck.sqlite.quarantine-*"))
+    assert len(quarantine) == 1
+    assert quarantine[0].read_bytes() == torn
 
 
 def test_torn_checkpoint_reads_cold_and_is_quarantined(tmp_path):

@@ -94,16 +94,6 @@ class TestParser:
                 )
                 assert args.allocation_strategy == "analytic-guided"
 
-    def test_screening_flag_defaults_on(self):
-        for command in ("design", "evaluate", "sweep"):
-            args = build_parser().parse_args([command, "sym6_145"])
-            assert args.no_screening is False
-
-    def test_no_screening_accepted_everywhere(self):
-        for command in ("design", "evaluate", "sweep"):
-            args = build_parser().parse_args([command, "sym6_145", "--no-screening"])
-            assert args.no_screening is True
-
     def test_cache_stats_flag(self):
         """Retired in favour of --metrics-out; the parser rejects it."""
         for command in ("evaluate", "sweep"):
@@ -352,28 +342,33 @@ class TestScreeningAndStatsFlags:
 
     @staticmethod
     def _drop_process_caches():
-        """Drop every cache keyed without the screening flag, so the
-        unscreened run actually recomputes instead of replaying the
-        screened run's memoized plans."""
+        """Drop every cache keyed without the backend, so the second run
+        actually recomputes instead of replaying the first run's
+        memoized plans."""
         from repro.design import reset_shared_caches
         from repro.evaluation import parallel
 
         parallel.reset_worker_state()
         reset_shared_caches()
 
-    def test_no_screening_sweep_output_is_byte_identical(self, capsys, allocation_calls):
-        """The acceptance criterion at the CLI surface: screening on vs
-        off produces byte-identical sweep output."""
+    def test_no_screening_sweep_output_is_byte_identical(
+        self, capsys, allocation_calls, merge_backend,
+    ):
+        """The acceptance criterion at the CLI surface: the screened
+        (``native``) and direct (``numpy``) rankings produce
+        byte-identical sweep output."""
         base = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-full"]
+        merge_backend("native")
         self._drop_process_caches()
         assert main(base) == 0
         screened = capsys.readouterr().out
+        merge_backend("numpy")
         self._drop_process_caches()
         allocation_calls.reset()
-        assert main([*base, "--no-screening"]) == 0
-        unscreened = capsys.readouterr().out
+        assert main(base) == 0
+        direct = capsys.readouterr().out
         assert allocation_calls() > 0
-        assert unscreened == screened
+        assert direct == screened
 
     def test_metrics_out_reports_cache_counters(self, tmp_path, capsys):
         """The routing-cache and per-stage design-cache counters reach the

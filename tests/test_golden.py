@@ -41,7 +41,6 @@ import pytest
 
 from repro.benchmarks import BENCHMARK_NAMES, get_benchmark
 from repro.circuit.dag import PackedDAG
-from repro.collision import merge_kernel
 from repro.cli import main
 from repro.design import (
     ALLOCATION_STRATEGIES,
@@ -263,19 +262,11 @@ def test_checkpoint_task_keys_match_golden():
 
 
 @pytest.fixture(params=["native", "numpy"])
-def routing_backend(request):
-    """Route on the C pass (``native``) or on the Python pass (``numpy``).
-
-    The active backend is restored afterwards.
-    """
-    if request.param == "native" and "native" not in merge_kernel.available_backends():
-        pytest.skip("native library unavailable: no C toolchain")
-    previous = merge_kernel.active_backend()
-    merge_kernel.set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        merge_kernel.set_backend(previous)
+def routing_backend(request, merge_backend):
+    """Run on the C library (``native``: C routing pass, screened
+    Algorithm 3) or without it (``numpy``: Python pass, direct ranking)."""
+    merge_backend(request.param)
+    return request.param
 
 
 def test_routing_swaps_match_golden(routing_backend):
@@ -301,7 +292,7 @@ def test_perfbench_grid_swaps_match_golden():
     assert (len(live), sum(live.values())) == (145, 24_073)
 
 
-def test_design_fingerprints_match_golden():
+def test_design_fingerprints_match_golden(routing_backend):
     assert design_fingerprints() == load_golden()["design_fingerprints"]
 
 

@@ -415,12 +415,11 @@ def test_sabre_parameters_digest_probe_is_clean():
 
 def test_design_options_key_coverage_matches_baseline():
     contexts = {f.context for f in design_options_key_findings(ROOT)}
-    # The three dispatch/result-transparent fields are the accepted set —
-    # each carries a justification in lint-baseline.json.
+    # The two dispatch fields are the accepted set — each carries a
+    # justification in lint-baseline.json.
     assert contexts == {
         "field bus_strategy",
         "field frequency_strategy",
-        "field frequency_screening",
     }
 
 
@@ -607,6 +606,6 @@ def test_repository_tree_is_lint_clean():
     """The acceptance gate: zero non-baselined findings on the repo itself."""
     report = lint_tree(ROOT)
     assert report.ok, "\n".join(f.render() for f in report.new)
-    assert len(report.baselined) == 4
+    assert len(report.baselined) == 3
     assert report.stale_baseline == []
     assert report.checked_files > 50

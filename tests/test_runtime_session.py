@@ -51,7 +51,7 @@ class TestRuntimeConfigRoundTrip:
             {"routing": {"bogus": 1}}, {"routing": 3}, {"random_bus_seeds": 5},
             {"random_bus_seeds": ["a"]}, {"yield_trials": 0},
             {"frequency_local_trials": 0}, {"yield_trials": "100"},
-            {"yield_trials": True}, {"screening": "yes"},
+            {"yield_trials": True},
             {"allocation_strategy": 5}, {"checkpoint_path": 1},
         ):
             with pytest.raises(ValueError):

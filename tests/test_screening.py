@@ -10,9 +10,13 @@ Covers three layers:
   — the winner-preservation contract: every minimum-count candidate is
   known with its exact joint count;
 * the allocator integration — Algorithm 3 produces bit-identical plans
-  with screening on or off, for every allocation strategy and for the
-  unique collision structures of an evaluation grid, where the joint
-  kernel scores at most a tenth of the candidate rows.
+  screened (the ``native`` backend) and ranked directly (``numpy``), for
+  every allocation strategy and for the unique collision structures of
+  an evaluation grid, where the screen leaves the joint kernel at most a
+  tenth of the candidate rows.
+
+The bound and screen layers need the C merge kernel, so those tests run
+under ``native`` and skip without a C toolchain.
 """
 
 import numpy as np
@@ -21,7 +25,6 @@ import pytest
 from repro.collision import (
     CollisionThresholds,
     YieldSimulator,
-    active_backend,
     screening_applicable,
 )
 from repro.benchmarks import get_benchmark
@@ -103,6 +106,13 @@ class TestScreeningApplicable:
             )
 
 
+@pytest.fixture
+def native(merge_backend):
+    """Run the test with the C merge kernel active."""
+    merge_backend("native")
+
+
+@pytest.mark.usefixtures("native")
 class TestBoundValidity:
     """The bounds sandwich the joint kernel's counts on random regions."""
 
@@ -164,6 +174,7 @@ class TestBoundValidity:
         assert (bounds.upper >= exact).all()
 
 
+@pytest.mark.usefixtures("native")
 class TestScreenedCounts:
     """The screen-then-verify contract of ``screened_failure_counts``."""
 
@@ -230,7 +241,6 @@ class TestScreenedCounts:
         assert counters["screening/candidates"] == candidates
         assert counters.get("screening/pruned", 0) == screened.pruned
         assert counters.get("screening/verified", 0) == screened.verified
-        assert counters[f"screening/backend/{active_backend()}"] == 1
         # Counts accumulate across calls; a later baseline restarts them.
         middle = global_metrics().snapshot()
         simulator.screened_failure_counts(
@@ -241,6 +251,7 @@ class TestScreenedCounts:
         assert diff_snapshots(now, middle)["counters"]["screening/calls"] == 1
 
 
+@pytest.mark.usefixtures("native")
 class TestSessionScreeningStats:
     """The ``screening/*`` metrics a command's ``--metrics-out`` reports."""
 
@@ -266,27 +277,46 @@ class TestSessionScreeningStats:
             assert timers[f"screening/{phase}"]["total_s"] >= 0
 
 
+def _allocate_under(merge_backend, name, allocator, architectures):
+    """Plans and counter deltas of ``allocator`` under one backend.
+
+    The shared caches are cleared first: the ranking memo's keys
+    deliberately exclude the backend, so a warm memo would serve the
+    second backend from the first and compare nothing.
+    """
+    merge_backend(name)
+    reset_shared_caches()
+    before = global_metrics().snapshot()
+    plans = [allocator.allocate(arch) for arch in architectures]
+    return plans, diff_snapshots(global_metrics().snapshot(), before)["counters"]
+
+
 class TestAllocatorIdentity:
-    """Screening and the shared ranking caches never change a plan."""
+    """The backend and the shared ranking caches never change a plan."""
 
     def grid(self, rows, cols):
         return Architecture.from_layout(f"g{rows}x{cols}", Lattice.rectangle(rows, cols))
 
     @pytest.mark.parametrize("strategy", sorted(ALLOCATION_STRATEGIES))
-    def test_screening_is_bit_identical_per_strategy(self, strategy):
-        # The shared caches are cleared before each side: the ranking
-        # memo's keys deliberately exclude the screening flag, so a warm
-        # memo would serve the second run from the first and compare
-        # nothing.
+    def test_screening_is_bit_identical_per_strategy(self, strategy, merge_backend):
+        allocator = FrequencyAllocator(local_trials=500, seed=11, strategy=strategy)
         arch = self.grid(2, 4)
-        reset_shared_caches()
-        screened = FrequencyAllocator(
-            local_trials=500, seed=11, strategy=strategy, screening=True,
-        ).allocate(arch)
-        reset_shared_caches()
-        direct = FrequencyAllocator(
-            local_trials=500, seed=11, strategy=strategy, screening=False,
-        ).allocate(arch)
+        screened, _ = _allocate_under(merge_backend, "native", allocator, [arch])
+        direct, _ = _allocate_under(merge_backend, "numpy", allocator, [arch])
+        assert screened == direct
+
+    def test_only_the_native_backend_screens(self, merge_backend):
+        """``numpy`` ranks every candidate directly; ``native`` screens."""
+        allocator = FrequencyAllocator(local_trials=300, seed=11)
+        arch = self.grid(2, 3)
+        direct, direct_counters = _allocate_under(
+            merge_backend, "numpy", allocator, [arch]
+        )
+        screened, screened_counters = _allocate_under(
+            merge_backend, "native", allocator, [arch]
+        )
+        assert direct_counters.get("screening/calls", 0) == 0
+        assert screened_counters.get("screening/calls", 0) > 0
         assert screened == direct
 
     def test_ranking_memo_serves_repeat_allocations_identically(self):
@@ -346,19 +376,16 @@ class TestGridScreening:
                 unique.setdefault(architecture_collision_key(arch), arch)
         return list(unique.values())
 
-    def test_screened_plans_match_unscreened_and_skip_the_joint_kernel(self):
+    def test_screened_plans_match_unscreened_and_skip_the_joint_kernel(
+        self, merge_backend,
+    ):
         structures = self.structures()
         assert len(structures) == 11
-        screened_allocator = FrequencyAllocator(local_trials=self.LOCAL_TRIALS)
-        direct_allocator = FrequencyAllocator(
-            local_trials=self.LOCAL_TRIALS, screening=False
+        allocator = FrequencyAllocator(local_trials=self.LOCAL_TRIALS)
+        screened, counters = _allocate_under(
+            merge_backend, "native", allocator, structures
         )
-        reset_shared_caches()
-        before = global_metrics().snapshot()
-        screened = [screened_allocator.allocate(arch) for arch in structures]
-        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
-        reset_shared_caches()
-        direct = [direct_allocator.allocate(arch) for arch in structures]
+        direct, _ = _allocate_under(merge_backend, "numpy", allocator, structures)
         assert screened == direct
         candidates = counters.get("screening/candidates", 0)
         assert candidates > 0, "the screen never ran"

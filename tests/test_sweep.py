@@ -241,23 +241,22 @@ class TestAllocationStrategyAblation:
 
 
 class TestScreeningIdentity:
-    """--no-screening byte-identity: the interval screen is provably
-    winner-preserving, so whole sweeps agree bit for bit.
+    """Backend byte-identity: the interval screen (``native``) is provably
+    winner-preserving, so whole sweeps agree bit for bit with the direct
+    ranking (``numpy``).
 
     Every process-level cache whose keys deliberately exclude the
-    screening flag (the worker design engines' frequency stage, the
-    allocator's ranking memo and noise tensors) is dropped between the
-    two runs — otherwise the unscreened sweep would be served from the
-    screened sweep's results and the comparison would test nothing.
+    backend (the worker design engines' frequency stage, the allocator's
+    ranking memo and noise tensors) is dropped between the two runs —
+    otherwise the second sweep would be served from the first sweep's
+    results and the comparison would test nothing.
     """
 
-    def _settings(self, screening):
-        return RuntimeConfig(
-            yield_trials=300,
-            frequency_local_trials=80,
-            random_bus_seeds=(1,),
-            screening=screening,
-        )
+    SETTINGS = RuntimeConfig(
+        yield_trials=300,
+        frequency_local_trials=80,
+        random_bus_seeds=(1,),
+    )
 
     @staticmethod
     def _drop_process_caches():
@@ -267,29 +266,27 @@ class TestScreeningIdentity:
         parallel.reset_worker_state()
         reset_shared_caches()
 
-    def test_screening_off_is_byte_identical_serial(self, allocation_calls):
+    def _sweep_under(self, merge_backend, name, jobs):
+        merge_backend(name)
         self._drop_process_caches()
-        on = run_sweep(["sym6_145"], jobs=1, settings=self._settings(True),
-                       configs=FAST_CONFIGS)
-        self._drop_process_caches()
+        return run_sweep(["sym6_145"], jobs=jobs, settings=self.SETTINGS,
+                         configs=FAST_CONFIGS)
+
+    def test_screening_off_is_byte_identical_serial(self, merge_backend, allocation_calls):
+        native = self._sweep_under(merge_backend, "native", 1)
         allocation_calls.reset()
-        off = run_sweep(["sym6_145"], jobs=1, settings=self._settings(False),
-                        configs=FAST_CONFIGS)
-        # The unscreened side really recomputed its plans.
+        numpy = self._sweep_under(merge_backend, "numpy", 1)
+        # The direct side really recomputed its plans.
         assert allocation_calls() > 0
-        assert point_fingerprint(on["sym6_145"]) == point_fingerprint(
-            off["sym6_145"]
+        assert point_fingerprint(native["sym6_145"]) == point_fingerprint(
+            numpy["sym6_145"]
         )
 
-    def test_screening_off_is_byte_identical_sharded(self):
-        self._drop_process_caches()
-        on = run_sweep(["sym6_145"], jobs=3, settings=self._settings(True),
-                       configs=FAST_CONFIGS)
-        self._drop_process_caches()
-        off = run_sweep(["sym6_145"], jobs=3, settings=self._settings(False),
-                        configs=FAST_CONFIGS)
-        assert point_fingerprint(on["sym6_145"]) == point_fingerprint(
-            off["sym6_145"]
+    def test_screening_off_is_byte_identical_sharded(self, merge_backend):
+        native = self._sweep_under(merge_backend, "native", 3)
+        numpy = self._sweep_under(merge_backend, "numpy", 3)
+        assert point_fingerprint(native["sym6_145"]) == point_fingerprint(
+            numpy["sym6_145"]
         )
 
 

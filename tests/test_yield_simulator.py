@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.collision import YieldSimulator, estimate_yield, merge_kernel
+from repro.collision import YieldSimulator, estimate_yield
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8, ibm_20q_4x5
 
 
 @pytest.fixture(params=["native", "numpy"])
-def yield_backend(request):
+def yield_backend(request, merge_backend):
     """Run a test under the C survivor count and under the numpy loop."""
-    if request.param not in merge_kernel.available_backends():
-        pytest.skip("native library unavailable: no C toolchain")
-    previous = merge_kernel.active_backend()
-    merge_kernel.set_backend(request.param)
-    yield request.param
-    merge_kernel.set_backend(previous)
+    merge_backend(request.param)
+    return request.param
 
 
 def chain_architecture(num_qubits, frequencies=None):
