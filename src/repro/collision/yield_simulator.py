@@ -145,17 +145,13 @@ class ScreenedCounts:
             known, so ``counts[known].min()`` is the true minimum and the
             tie set ``known & (counts == counts[known].min())`` is exactly
             the unscreened tie set.
-        bounds: The interval-count bounds the screen derived (None when
-            the ranking bypassed screening entirely).
-        verified: How many candidate rows ran through the joint kernel.
-        pruned: How many candidates were provably discarded unverified.
+
+    How many candidates the screen verified or pruned is counted in the
+    ``screening/*`` metrics (:func:`repro.collision.screening.record_screening`).
     """
 
     counts: np.ndarray
     known: np.ndarray
-    bounds: Optional[ScreeningBounds]
-    verified: int
-    pruned: int
 
 
 @dataclass(frozen=True)
@@ -566,7 +562,6 @@ class YieldSimulator:
                 results[position] = ScreenedCounts(
                     counts=np.zeros(num_candidates, dtype=np.int64),
                     known=np.ones(num_candidates, dtype=bool),
-                    bounds=None, verified=0, pruned=0,
                 )
                 continue
             if noise is None:
@@ -592,7 +587,6 @@ class YieldSimulator:
                 results[position] = ScreenedCounts(
                     counts=verify(all_rows, *region),
                     known=np.ones(num_candidates, dtype=bool),
-                    bounds=None, verified=num_candidates, pruned=0,
                 )
             return results
 
@@ -603,8 +597,7 @@ class YieldSimulator:
             started = time.perf_counter_ns()
             counts = bounds.lower.copy()
             known = bounds.exact.copy()
-            exact_decided = int(known.sum())
-            verified = 0
+            total_exact += int(known.sum())
             survivors = None
             if not known.all():
                 # A candidate whose lower bound exceeds the best upper
@@ -625,16 +618,10 @@ class YieldSimulator:
                 )
                 joint_ns += time.perf_counter_ns() - started
                 known[survivors] = True
-                verified = int(survivors.size)
-            pruned = int(num_candidates - known.sum())
+                total_verified += int(survivors.size)
             total_candidates += num_candidates
-            total_exact += exact_decided
-            total_verified += verified
-            total_pruned += pruned
-            results[position] = ScreenedCounts(
-                counts=counts, known=known, bounds=bounds,
-                verified=verified, pruned=pruned,
-            )
+            total_pruned += int(num_candidates - known.sum())
+            results[position] = ScreenedCounts(counts=counts, known=known)
         record_screening(
             total_candidates, total_exact, total_verified, total_pruned,
             calls=len(screenable), dispute_ns=dispute_ns, joint_ns=joint_ns,

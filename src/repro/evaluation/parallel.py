@@ -403,7 +403,8 @@ class SweepExecutor:
         kind, identity = _TASKS[name]
         identities = [identity(task) for task in tasks]
         outcomes, quarantined = supervise(
-            name, tasks, [key for key, *_ in identities], self.jobs,
+            name, tasks, [key for key, *_ in identities],
+            [benchmark for _, benchmark, *_ in identities], self.jobs,
             self.policy or SupervisorPolicy(),
         )
         metrics = global_metrics()

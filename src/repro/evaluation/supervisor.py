@@ -24,11 +24,20 @@ Workers receive a task function's *name* and resolve it as an attribute
 of :mod:`repro.evaluation.parallel` at call time, so a rebinding of that
 attribute (a tracer's wrapper, a test double) is what runs.
 
-Determinism: tasks are dispatched and collected **by grid index**, each
-attempt re-derives the task's per-point seeds from its content identity,
-and worker metrics deltas merge key-wise — so for the non-quarantined
+Dispatch is **benchmark-affine**: every task belongs to a group (its
+benchmark), and an idle worker takes the lowest-index eligible task of
+the group it last ran, else of a group no other live worker holds, else
+of any group (:func:`_pick_task`).  A worker thus keeps one benchmark's
+profile, routers and Algorithm 3 memo warm instead of rebuilding every
+benchmark's, and no worker waits while an eligible task is pending.  A
+retired worker's group is free again; a replacement starts with none.
+
+Determinism: tasks are collected **by grid index**, each attempt
+re-derives the task's per-point seeds from its content identity, and
+worker metrics deltas merge key-wise — so for the non-quarantined
 points the sweep output is byte-identical to a fault-free run, for any
-``--jobs`` count, any backend, and any fault schedule.
+``--jobs`` count, any dispatch order, any backend, and any fault
+schedule.
 
 Every supervision event is counted in the
 :class:`~repro.runtime.metrics.MetricsRegistry` (``supervisor/tasks``,
@@ -49,7 +58,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.runtime.metrics import global_metrics
@@ -244,6 +253,7 @@ class _Worker:
     conn: Any
     last_beat: float
     task_index: Optional[int] = None
+    group: Optional[str] = None  #: the group of the last task dispatched
     attempt: int = 0
     backend: Optional[str] = None
     dispatched_at: float = 0.0
@@ -265,10 +275,35 @@ class _Pending:
     backend: Optional[str] = None
 
 
+def _pick_task(
+    eligible: Iterable[int],
+    groups: Sequence[str],
+    worker_id: int,
+    holdings: Mapping[int, Optional[str]],
+) -> Optional[int]:
+    """The task index idle worker ``worker_id`` takes next (None if none).
+
+    ``eligible`` holds the indices of the pending tasks past their
+    backoff, ``groups[i]`` is task ``i``'s group, and ``holdings`` maps
+    every live worker's id to its group (None before its first task).
+    The worker takes the lowest eligible index of its own group, else of
+    a group no other live worker holds, else of any group.
+    """
+    own = holdings.get(worker_id)
+    held = {group for other, group in holdings.items() if other != worker_id}
+
+    def rank(index: int) -> Tuple[int, int]:
+        group = groups[index]
+        return (0 if group == own else 1 if group not in held else 2), index
+
+    return min(eligible, key=rank, default=None)
+
+
 def supervise(
     task_name: str,
     tasks: Sequence[Any],
     digests: Sequence[str],
+    groups: Sequence[str],
     jobs: int,
     policy: SupervisorPolicy,
 ) -> Tuple[List[Optional[Tuple[Any, Any]]], Dict[int, List[TaskFailure]]]:
@@ -276,7 +311,8 @@ def supervise(
 
     ``task_name`` names the task function in
     :mod:`repro.evaluation.parallel`; ``digests[i]`` is task ``i``'s
-    content key, which scopes fault plans to it.  Returns, in task
+    content key, which scopes fault plans to it, and ``groups[i]`` its
+    dispatch group (see :func:`_pick_task`).  Returns, in task
     order, each task's ``(payload, metrics_delta)`` (None if it was
     quarantined), and the per-attempt failures of every quarantined
     task keyed by its index, in index order.
@@ -361,6 +397,7 @@ def supervise(
             _retire(worker)
             return False
         worker.task_index = item.index
+        worker.group = groups[item.index]
         worker.attempt = item.attempt
         worker.backend = item.backend
         worker.dispatched_at = worker.last_beat = time.monotonic()
@@ -393,18 +430,17 @@ def supervise(
                 worker.busy for worker in workers.values()
             ) or not workers):
                 _spawn(replacement=True)
-            # Hand eligible attempts to idle workers, lowest index first.
+            # Hand eligible attempts to idle workers, by group affinity.
             idle = [w for w in workers.values() if not w.busy]
             for worker in idle:
-                if not pending:
+                eligible = {
+                    item.index: item for item in pending if item.eligible_at <= now
+                }
+                holdings = {w.id: w.group for w in workers.values()}
+                index = _pick_task(eligible, groups, worker.id, holdings)
+                if index is None:
                     break
-                eligible = sorted(
-                    (item for item in pending if item.eligible_at <= now),
-                    key=lambda item: item.index,
-                )
-                if not eligible:
-                    break
-                item = eligible[0]
+                item = eligible[index]
                 pending.remove(item)
                 _dispatch(worker, item)
             if finished >= total:

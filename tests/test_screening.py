@@ -205,12 +205,14 @@ class TestScreenedCounts:
 
     def test_no_connections_all_zero_and_known(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
+        before = global_metrics().snapshot()
         screened = simulator.screened_failure_counts(
             candidate_frequencies(), 0, np.array([0.0]), [], []
         )
+        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
         assert (screened.counts == 0).all()
         assert screened.known.all()
-        assert screened.pruned == 0
+        assert counters.get("screening/pruned", 0) == 0
 
     def test_degrades_to_joint_kernel_on_exotic_thresholds(self):
         simulator = YieldSimulator(
@@ -219,15 +221,18 @@ class TestScreenedCounts:
         )
         candidates = candidate_frequencies()
         base = np.array([0.0, 5.13])
+        before = global_metrics().snapshot()
         screened = simulator.screened_failure_counts(
             candidates, 0, base, [(0, 1)], []
         )
+        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
         batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
         batch[:, 0] = candidates
         exact = simulator.failure_counts(batch, [(0, 1)], [])
         assert screened.known.all()
         assert (screened.counts == exact).all()
-        assert screened.bounds is None
+        # The direct ranking derived no bounds, so it records no screen.
+        assert "screening/calls" not in counters
 
     def test_stats_accumulate_and_reset(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
@@ -239,8 +244,13 @@ class TestScreenedCounts:
         candidates = candidate_frequencies().shape[0]
         assert counters["screening/calls"] == 1
         assert counters["screening/candidates"] == candidates
-        assert counters.get("screening/pruned", 0) == screened.pruned
-        assert counters.get("screening/verified", 0) == screened.verified
+        # Pruned candidates are the ones left unknown; the known ones were
+        # decided by their bounds or verified by the joint kernel.
+        pruned = counters.get("screening/pruned", 0)
+        verified = counters.get("screening/verified", 0)
+        assert pruned == int((~screened.known).sum())
+        exact = counters.get("screening/exact", 0)
+        assert exact + verified == int(screened.known.sum())
         # Counts accumulate across calls; a later baseline restarts them.
         middle = global_metrics().snapshot()
         simulator.screened_failure_counts(

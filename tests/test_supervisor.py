@@ -8,12 +8,14 @@ enough to run in the default suite.
 """
 
 import functools
+import itertools
 import os
 
 import pytest
 
 from repro import faults
 from repro.cli import main
+from repro.design import reset_shared_caches
 from repro.evaluation import parallel
 from repro.evaluation.checkpoint import generation_task_key
 from repro.evaluation.configs import ExperimentConfig
@@ -25,6 +27,7 @@ from repro.evaluation.supervisor import (
     QuarantinedTask,
     SupervisorPolicy,
     TaskFailure,
+    _pick_task,
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import diff_snapshots, global_metrics
@@ -94,23 +97,69 @@ def test_empty_failure_report():
     assert executor.failure_report()["quarantined"] == []
 
 
+# -- benchmark-affine dispatch -----------------------------------------------
+
+
+def test_pick_task_prefers_the_workers_own_group():
+    groups = ["a", "a", "b", "b"]
+    assert _pick_task({0, 1, 2, 3}, groups, 0, {0: "b", 1: "a"}) == 2
+    assert _pick_task({0, 1, 3}, groups, 1, {0: "b", 1: "a"}) == 0
+
+
+def test_pick_task_then_takes_a_group_no_other_worker_holds():
+    groups = ["a", "a", "b", "c"]
+    # A fresh worker skips the group worker 1 holds.
+    assert _pick_task({0, 1, 2, 3}, groups, 0, {0: None, 1: "a"}) == 2
+    # Own group drained: the lowest index of an unheld group.
+    assert _pick_task({1, 3}, groups, 0, {0: "b", 1: "a"}) == 3
+
+
+def test_pick_task_then_takes_any_group():
+    groups = ["a", "a", "b", "b"]
+    holdings = {0: None, 1: "a", 2: "b"}
+    assert _pick_task({1, 3}, groups, 0, holdings) == 1
+    assert _pick_task({3}, groups, 1, holdings) == 3
+
+
+def test_pick_task_never_idles_while_a_task_is_eligible():
+    groups = ["a", "b", "a", "c", "b"]
+    states = (None, "a", "b", "c")
+    for size in range(len(groups) + 1):
+        for eligible in itertools.combinations(range(len(groups)), size):
+            for own, other in itertools.product(states, states):
+                picked = _pick_task(eligible, groups, 0, {0: own, 1: other})
+                if eligible:
+                    assert picked in eligible
+                else:
+                    assert picked is None
+
+
+def test_pick_task_frees_a_retired_workers_group():
+    groups = ["a", "b"]
+    assert _pick_task({0, 1}, groups, 0, {0: None, 1: "a"}) == 1
+    # Worker 1 retired; its replacement (worker 2) starts with no group.
+    assert _pick_task({0, 1}, groups, 0, {0: None, 2: None}) == 0
+    assert _pick_task({0, 1}, groups, 2, {0: "b", 2: None}) == 0
+
+
 # -- the supervision loop, driven by rebound task functions ------------------
 #
 # Workers look the task function up by name on repro.evaluation.parallel at
 # call time, and forked workers inherit the parent's module attributes, so
 # a test double rebound there exercises the real dispatch/collect/retry
 # machinery in milliseconds.  Tasks are generation-shaped tuples whose
-# config field carries a number.
+# benchmark field is the dispatch group and whose config field carries a
+# number.
 
 SETTINGS = RuntimeConfig()
 
 
-def _task(number):
-    return ("synthetic", str(number), SETTINGS)
+def _task(number, group="synthetic"):
+    return (group, str(number), SETTINGS)
 
 
-def _key(number):
-    return generation_task_key("synthetic", str(number), SETTINGS)
+def _key(number, group="synthetic"):
+    return generation_task_key(group, str(number), SETTINGS)
 
 
 def _double(task):
@@ -121,28 +170,35 @@ def _always_fail(task):
     raise ValueError(f"synthetic failure for task {task[1]}")
 
 
-def _supervise(monkeypatch, func, numbers, **policy_kwargs):
+def _supervise(monkeypatch, func, numbers, groups=None, jobs=2, **policy_kwargs):
     """Run ``func`` as the generation task under supervision.
 
+    ``groups[i]`` is task ``i``'s benchmark (default: one group for all).
     Returns the completed payloads (task order) and the quarantined tasks.
     """
     policy_kwargs.setdefault("backoff_base_s", 0.001)
     monkeypatch.setattr(parallel, "_generate_task", func)
     executor = SweepExecutor(
-        settings=SETTINGS, jobs=2, policy=SupervisorPolicy(**policy_kwargs),
+        settings=SETTINGS, jobs=jobs, policy=SupervisorPolicy(**policy_kwargs),
     )
-    payloads = executor._run_tasks("_generate_task", [_task(n) for n in numbers])
+    groups = groups or ["synthetic"] * len(numbers)
+    tasks = [_task(n, group) for n, group in zip(numbers, groups)]
+    payloads = executor._run_tasks("_generate_task", tasks)
     return payloads, executor.failures
 
 
 def test_supervised_tasks_complete_in_index_order(monkeypatch):
-    before = global_metrics().snapshot()
-    payloads, quarantined = _supervise(monkeypatch, _double, [1, 2, 3, 4, 5])
-    assert payloads == [2, 4, 6, 8, 10]
-    assert quarantined == []
-    delta = diff_snapshots(global_metrics().snapshot(), before)
-    assert delta["counters"]["supervisor/tasks"] == 5
-    assert "supervisor/retries" not in delta["counters"]
+    # One group, then interleaved groups with idle workers taking any group.
+    for groups, jobs in ((None, 2), (["a", "b", "a", "b", "c"], 4)):
+        before = global_metrics().snapshot()
+        payloads, quarantined = _supervise(
+            monkeypatch, _double, [1, 2, 3, 4, 5], groups=groups, jobs=jobs,
+        )
+        assert payloads == [2, 4, 6, 8, 10]
+        assert quarantined == []
+        delta = diff_snapshots(global_metrics().snapshot(), before)
+        assert delta["counters"]["supervisor/tasks"] == 5
+        assert "supervisor/retries" not in delta["counters"]
 
 
 def test_failing_task_retries_then_quarantines(monkeypatch):
@@ -197,6 +253,48 @@ def test_worker_crash_is_detected_and_retried(monkeypatch):
     assert delta["counters"]["supervisor/retries"] == 1
     assert delta["counters"]["supervisor/worker_restarts"] >= 1
     assert delta["counters"]["supervisor/backend_demotions"] == 1
+
+
+def test_grouped_worker_crash_is_retried_in_index_order(monkeypatch):
+    """A crashed worker's group is released and its task still lands in order."""
+    faults.reset()
+    faults.arm(faults.FaultPlan(faults=(
+        faults.FaultSpec(site="task:start", kind="kill", task=_key(4, "b")),
+    )))
+    before = global_metrics().snapshot()
+    groups = ["a", "b", "a", "b", "a", "b", "c"]
+    try:
+        payloads, quarantined = _supervise(
+            monkeypatch, _double, [1, 2, 3, 4, 5, 6, 7], groups=groups, jobs=3,
+        )
+        assert payloads == [2, 4, 6, 8, 10, 12, 14]
+        assert quarantined == []
+    finally:
+        faults.reset()
+    delta = diff_snapshots(global_metrics().snapshot(), before)
+    assert delta["counters"]["supervisor/worker_crashes"] == 1
+    assert delta["counters"]["supervisor/retries"] == 1
+    assert delta["counters"]["supervisor/backend_demotions"] == 1
+
+
+def test_two_benchmark_sweep_is_byte_identical_across_jobs(tmp_path):
+    """Two benchmarks over one, two and three workers write the same report,
+    each run computed cold.
+
+    At ``--jobs 3`` one worker holds neither benchmark's group to itself,
+    so every dispatch rule runs.
+    """
+    sweep = ["sweep", "sym6_145", "UCCSD_ansatz_8", "--trials", "200",
+             "--local-trials", "100", "--configs", "eff-full", "eff-layout-only"]
+    reports = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.json"
+        parallel.reset_worker_state()
+        reset_shared_caches()
+        assert main([*sweep, "--jobs", jobs, "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_run_sweep_raises_when_a_task_is_quarantined(monkeypatch):
