@@ -43,7 +43,7 @@ _ENGINE_PATH = "src/repro/design/engine.py"
 
 #: Known alternate values for strategy-style strings (validated fields
 #: reject the generic ``value + suffix`` variant).
-_STRATEGY_NAMES = ("bfs-greedy", "coordinate-descent", "analytic-guided")
+_STRATEGY_NAMES = ("bfs-greedy", "coordinate-descent")
 
 
 def _generic_variant(value: Any) -> Any:

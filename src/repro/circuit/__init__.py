@@ -1,9 +1,10 @@
 """Quantum circuit intermediate representation.
 
 This subpackage provides the circuit substrate used by the rest of the
-library: gate objects, a :class:`QuantumCircuit` container, a dependency
-DAG used by the SWAP router, multi-controlled gate decomposition into the
-CNOT + single-qubit basis, and OpenQASM 2.0 import/export.
+library: gate objects, a :class:`QuantumCircuit` container, the packed
+dependency order the SWAP router runs on (:mod:`repro.circuit.dag`),
+multi-controlled gate decomposition into the CNOT + single-qubit basis,
+and OpenQASM 2.0 import/export.
 """
 
 from repro.circuit.gates import (
@@ -32,7 +33,6 @@ from repro.circuit.gates import (
     z,
 )
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import CircuitDAG, DAGNode
 from repro.circuit.decompose import decompose_circuit, decompose_mcx, decompose_toffoli
 from repro.circuit.qasm import QasmError, circuit_from_qasm, circuit_to_qasm
 
@@ -40,8 +40,6 @@ __all__ = [
     "Gate",
     "GateKind",
     "QuantumCircuit",
-    "CircuitDAG",
-    "DAGNode",
     "ONE_QUBIT_GATES",
     "TWO_QUBIT_GATES",
     "decompose_circuit",

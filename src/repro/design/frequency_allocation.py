@@ -23,7 +23,7 @@ Two structural layers keep the search fast:
 * **One CRN noise tensor per qubit** — the common-random-numbers noise
   used to compare a qubit's candidates is drawn once (from the same
   per-qubit seed as always) and reused by every scoring of that qubit in
-  the same allocation: refinement sweeps and pruned re-ranks never redraw.
+  the same allocation: refinement sweeps never redraw.
 
 **Two ways to rank, picked by the toolchain.**  Every candidate ranking
 goes through
@@ -44,8 +44,8 @@ close.  Centre preference keeps the most slack on both sides for the
 qubits assigned later; the rule is deterministic and documented here
 instead of silently taking the lowest-frequency tied candidate.
 
-**Allocation strategies.**  The search order and candidate filtering are
-pluggable through :class:`AllocationStrategy`:
+**Allocation strategies.**  The search order is pluggable through
+:class:`AllocationStrategy`:
 
 * ``bfs-greedy`` (default) — the paper's Algorithm 3 exactly: centre
   qubit mid-band, breadth-first greedy over the full candidate grid.
@@ -53,11 +53,6 @@ pluggable through :class:`AllocationStrategy`:
   refinement sweeps (the global-optimization extension suggested by the
   paper's Discussion; also selected implicitly by
   ``refinement_passes > 0``).
-* ``analytic-guided`` — BFS order, but each qubit's candidate grid is
-  first pruned with the closed-form pair-collision model of
-  :mod:`repro.collision.analytic`; only the analytically most promising
-  candidates are Monte Carlo ranked.  Faster, not bit-identical to the
-  paper-exact search.
 """
 
 from __future__ import annotations
@@ -315,19 +310,6 @@ class _AllocationContext:
             key, allocator.sigma_ghz, allocator.local_trials, qubit, region_size
         )
 
-    def best_frequency(
-        self,
-        qubit: int,
-        frequencies: Dict[int, float],
-        candidate_indices: Optional[np.ndarray] = None,
-    ) -> float:
-        """The candidate maximizing the qubit's local-region Monte Carlo yield.
-
-        Delegates to this context's :class:`_LocalRegionScorer` (kept as a
-        method so strategies read naturally).
-        """
-        return self.scorer.best_frequency_for(qubit, frequencies, candidate_indices)
-
 
 class _LocalRegionScorer:
     """Ranks one qubit's candidate frequencies on its local collision region.
@@ -355,31 +337,6 @@ class _LocalRegionScorer:
             allocator.thresholds,
         )
 
-    def best_frequency_for(
-        self,
-        qubit: int,
-        frequencies: Dict[int, float],
-        candidate_indices: Optional[np.ndarray] = None,
-    ) -> float:
-        """The winning candidate frequency for ``qubit``.
-
-        Args:
-            qubit: The qubit to place in the band.
-            frequencies: Current (partial or complete) assignment; the
-                qubit's own entry, if present, is ignored.
-            candidate_indices: Optional index subset of the candidate grid
-                to rank (used by pruning strategies); the documented
-                mid-band tie-break applies within the subset.
-        """
-        winner, request = self._resolve(qubit, frequencies, candidate_indices)
-        if request is None:
-            return winner
-        screened = self._context._simulator.screened_failure_counts(
-            request.candidates, request.qubit_index, request.base,
-            request.pair_idx, request.triple_idx, noise=request.noise,
-        )
-        return self._finish(request, screened)
-
     def best_frequencies_for(
         self,
         qubits: List[int],
@@ -400,7 +357,7 @@ class _LocalRegionScorer:
         winners: Dict[int, float] = {}
         pending: List[_RankingRequest] = []
         for qubit in qubits:
-            winner, request = self._resolve(qubit, frequencies, None)
+            winner, request = self._resolve(qubit, frequencies)
             if request is None:
                 winners[qubit] = winner
             else:
@@ -423,7 +380,6 @@ class _LocalRegionScorer:
         self,
         qubit: int,
         frequencies: Dict[int, float],
-        candidate_indices: Optional[np.ndarray],
     ) -> Tuple[Optional[float], Optional["_RankingRequest"]]:
         """Answer a ranking from structure/memo, or assemble its region.
 
@@ -450,7 +406,6 @@ class _LocalRegionScorer:
             tuple(local_pairs),
             tuple(local_triples),
             tuple(frequencies[member] for member in sorted(members)),
-            None if candidate_indices is None else tuple(candidate_indices),
         )
         winner = _RANKING_MEMO.get(memo_key)
         if winner is not None:
@@ -474,15 +429,9 @@ class _LocalRegionScorer:
             dtype=int,
         ).reshape(-1, 3)
 
-        candidates = context.candidates
-        mid_distance = context._mid_distance
-        if candidate_indices is not None:
-            candidates = candidates[candidate_indices]
-            mid_distance = mid_distance[candidate_indices]
         noise = context.noise_for(qubit, len(region_order))
         return None, _RankingRequest(
-            qubit, memo_key, qubit_index, base, pair_idx, triple_idx,
-            noise, candidates, mid_distance,
+            qubit, memo_key, qubit_index, base, pair_idx, triple_idx, noise,
         )
 
     def _finish(self, request: "_RankingRequest", screened: ScreenedCounts) -> float:
@@ -495,9 +444,8 @@ class _LocalRegionScorer:
         # known counts equals the unscreened tie set.
         failures, known = screened.counts, screened.known
         tie_set = np.flatnonzero(known & (failures == failures[known].min()))
-        winner = float(
-            request.candidates[tie_set[np.argmin(request.mid_distance[tie_set])]]
-        )
+        context = self._context
+        winner = float(context.candidates[tie_set[np.argmin(context._mid_distance[tie_set])]])
         _bounded_put(_RANKING_MEMO, _RANKING_MEMO_LIMIT, request.memo_key, winner)
         return winner
 
@@ -506,12 +454,10 @@ class _RankingRequest:
     """One assembled local-region ranking awaiting simulation."""
 
     __slots__ = (
-        "qubit", "memo_key", "qubit_index", "base", "pair_idx",
-        "triple_idx", "noise", "candidates", "mid_distance",
+        "qubit", "memo_key", "qubit_index", "base", "pair_idx", "triple_idx", "noise",
     )
 
-    def __init__(self, qubit, memo_key, qubit_index, base, pair_idx,
-                 triple_idx, noise, candidates, mid_distance):
+    def __init__(self, qubit, memo_key, qubit_index, base, pair_idx, triple_idx, noise):
         self.qubit = qubit
         self.memo_key = memo_key
         self.qubit_index = qubit_index
@@ -519,8 +465,6 @@ class _RankingRequest:
         self.pair_idx = pair_idx
         self.triple_idx = triple_idx
         self.noise = noise
-        self.candidates = candidates
-        self.mid_distance = mid_distance
 
 
 class AllocationStrategy:
@@ -540,40 +484,25 @@ class AllocationStrategy:
     # -- shared skeleton -------------------------------------------------------
 
     def _bfs_assign(
-        self,
-        context: _AllocationContext,
-        candidate_indices_for=None,
+        self, context: _AllocationContext
     ) -> Tuple[Dict[int, float], List[int]]:
         """The paper's centre-out BFS greedy walk; returns (assignment, order).
 
-        Without per-qubit candidate filtering, the walk processes the
-        BFS order in waves (:meth:`_next_wave`): each wave is ranked
-        through one fused batched kernel call and then assigned
-        wholesale.  Winners are bit-identical to the sequential walk —
-        see :meth:`_next_wave` for why.  A ``candidate_indices_for``
-        filter may read intermediate assignments, so it keeps the
-        sequential one-qubit-at-a-time walk.
+        The walk processes the BFS order in waves (:meth:`_next_wave`):
+        each wave is ranked through one fused batched kernel call and then
+        assigned wholesale.  Winners are bit-identical to the sequential
+        walk — see :meth:`_next_wave` for why.
         """
         frequencies: Dict[int, float] = {context.center: middle_frequency()}
         context.mark_assigned(context.center)
         order = context.traversal_order()
-        if candidate_indices_for is None:
-            remaining = [qubit for qubit in order if qubit not in frequencies]
-            while remaining:
-                wave, remaining = self._next_wave(context, remaining)
-                winners = context.scorer.best_frequencies_for(wave, frequencies)
-                for qubit in wave:
-                    frequencies[qubit] = winners[qubit]
-                    context.mark_assigned(qubit)
-            return frequencies, order
-        for qubit in order:
-            if qubit in frequencies:
-                continue
-            frequencies[qubit] = context.best_frequency(
-                qubit, frequencies,
-                candidate_indices=candidate_indices_for(context, qubit, frequencies),
-            )
-            context.mark_assigned(qubit)
+        remaining = [qubit for qubit in order if qubit not in frequencies]
+        while remaining:
+            wave, remaining = self._next_wave(context, remaining)
+            winners = context.scorer.best_frequencies_for(wave, frequencies)
+            for qubit in wave:
+                frequencies[qubit] = winners[qubit]
+                context.mark_assigned(qubit)
         return frequencies, order
 
     @staticmethod
@@ -651,69 +580,12 @@ class CoordinateDescentStrategy(AllocationStrategy):
         return frequencies
 
 
-class AnalyticGuidedStrategy(AllocationStrategy):
-    """BFS greedy over an analytically pruned candidate grid.
-
-    Before Monte Carlo ranking a qubit's candidates, the closed-form
-    pair-collision model of :mod:`repro.collision.analytic` scores every
-    candidate against the qubit's already-assigned neighbours; only the
-    ``prune_keep`` candidates with the smallest summed collision
-    probability survive.  Triple conditions are left to the Monte Carlo
-    stage — the pruning only needs to discard candidates sitting on an
-    obvious pair-collision centre.  Faster than the full-grid search and
-    typically within Monte Carlo noise of its yields, but **not**
-    bit-identical to the paper-exact strategy.
-    """
-
-    name = "analytic-guided"
-
-    #: Candidates surviving the analytic pruning, per qubit.
-    prune_keep = 12
-
-    def assign(self, context: _AllocationContext) -> Dict[int, float]:
-        frequencies, _order = self._bfs_assign(context, self._pruned_candidates)
-        return frequencies
-
-    def _pruned_candidates(
-        self,
-        context: _AllocationContext,
-        qubit: int,
-        frequencies: Dict[int, float],
-    ) -> Optional[np.ndarray]:
-        from repro.collision.analytic import pair_collision_probability
-
-        local_pairs, _local_triples = context.local_connections(qubit)
-        neighbor_freqs = [
-            frequencies[b if a == qubit else a]
-            for a, b in local_pairs
-            if qubit in (a, b)
-        ]
-        candidates = context.candidates
-        if not neighbor_freqs or len(candidates) <= self.prune_keep:
-            return None
-        allocator = context.allocator
-        badness = np.zeros(len(candidates))
-        for other in neighbor_freqs:
-            badness += np.array([
-                pair_collision_probability(
-                    float(candidate), other,
-                    allocator.sigma_ghz, allocator.delta_ghz, allocator.thresholds,
-                )
-                for candidate in candidates
-            ])
-        # Stable sort: equal badness resolves to the lower candidate index,
-        # keeping the pruned subset deterministic.
-        keep = np.sort(np.argsort(badness, kind="stable")[: self.prune_keep])
-        return keep
-
-
 #: Registry of the built-in strategies, by name.
 ALLOCATION_STRATEGIES: Dict[str, AllocationStrategy] = {
     strategy.name: strategy
     for strategy in (
         BfsGreedyStrategy(),
         CoordinateDescentStrategy(),
-        AnalyticGuidedStrategy(),
     )
 }
 

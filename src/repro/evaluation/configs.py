@@ -78,8 +78,8 @@ def architectures_for_config(
             :data:`~repro.design.frequency_allocation.ALLOCATION_STRATEGIES`)
             for the configurations that run it (``eff-full`` and
             ``eff-rd-bus``); the paper-exact ``bfs-greedy`` by default.
-            This is how whole sweeps run the ``analytic-guided`` /
-            ``coordinate-descent`` ablations.
+            This is how whole sweeps run the ``coordinate-descent``
+            ablation.
     """
     with _metrics.timer("design/generate"):
         architectures = _architectures_for_config(

@@ -363,8 +363,8 @@ class RoutingEngine:
         passes.  Like the result cache, a stored entry is only served after
         its gate tuple is confirmed against the requesting circuit's
         (identity first, full comparison on mismatch): a content-hash
-        collision in ``circuit_key`` rebuilds instead of routing and
-        verifying against the wrong circuit's DAG.
+        collision in ``circuit_key`` rebuilds instead of routing the wrong
+        circuit's pack.
         """
         gates = circuit.gates
         entry = self._packs.get(circuit_key)

@@ -9,9 +9,10 @@ each inserted SWAP costs three CNOTs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gates import TWO_QUBIT_GATES, Gate
 from repro.hardware.architecture import Architecture
 from repro.mapping.sabre import RoutingLog, SabreParameters, swap_mapping
 from repro.profiling.profiler import CircuitProfile
@@ -133,157 +134,275 @@ def verify_routing(
     """Check that a routing is a faithful execution of the logical circuit.
 
     ``routed`` is either the routed physical circuit or the router's event
-    log of it (:class:`~repro.mapping.sabre.RoutingLog`).  Replaying it
-    from ``initial_mapping`` while tracking swaps must:
+    log of it (:class:`~repro.mapping.sabre.RoutingLog`).  A routed circuit
+    is first turned into the same events (:func:`_events_of`).  Replaying
+    the events from ``initial_mapping`` while tracking swaps must:
 
     * put every two-qubit gate (including inserted swaps) on a coupled
       physical pair;
-    * execute every logical gate exactly once, on the correct logical
-      operands, and never violate the logical circuit's dependency order;
+    * run every non-barrier gate of ``logical`` exactly once, with the
+      positions run on each logical qubit strictly increasing;
+    * run no gate past a barrier before every qubit of that barrier has
+      reached it;
     * for a log, insert exactly ``routed.num_swaps`` swaps.
 
-    The router may execute gates on disjoint qubits in a different order
-    than the source circuit, so the replay checks against the dependency
-    DAG rather than the literal gate sequence.
-
-    The circuit replay indexes the executable front by (gate name,
-    logical operands, params), so each routed gate is matched in O(1)
-    instead of rescanning the whole front layer — the full check is
-    linear in the routed gate count.
+    Those rules are the dependency order of :mod:`repro.circuit.dag`
+    restated on circuit positions, so the router may still run gates on
+    disjoint qubits in any order.  The replay reads only
+    ``logical.gates``, never the pack the router ran on, so a wrong pack
+    cannot vouch for its own routing.
 
     Raises:
         AssertionError: When any check fails (this guards the evaluation
             pipeline against router bugs rather than user input errors).
     """
-    coupled: Set[Tuple[int, int]] = set()
-    for a, b in architecture.coupling_edges():
-        coupled.add((a, b))
-        coupled.add((b, a))
+    order = _order_of(logical)
     if isinstance(routed, RoutingLog):
-        _verify_log(logical, routed, architecture, initial_mapping, coupled)
-        return
-    from repro.circuit.dag import CircuitDAG, DAGNode, ExecutionFrontier
+        events, num_swaps = routed.events, routed.num_swaps
+    else:
+        events, num_swaps = _events_of(logical, order, routed, initial_mapping), None
+    _replay(order, events, num_swaps, architecture, initial_mapping)
 
-    physical_to_logical = {p: l for l, p in initial_mapping.items()}
-    frontier = ExecutionFrontier(CircuitDAG(logical))
-    # Two front gates can never share (name, operands, params): identical
-    # operands imply a dependency chain, so each bucket holds at most one
-    # live node and popping the sole entry matches the gate deterministically.
-    front_index: Dict[Tuple, List[int]] = {}
 
-    def index_node(node: DAGNode) -> None:
-        key = (node.gate.name, node.gate.qubits, node.gate.params)
-        front_index.setdefault(key, []).append(node.index)
+@dataclass(frozen=True)
+class _Order:
+    """The positions a replay checks one circuit's routing against.
 
-    for node in frontier.front_nodes():
-        index_node(node)
+    Built from the circuit's gate list alone.
 
-    get_logical = physical_to_logical.get
-    get_bucket = front_index.get
-    execute = frontier.execute
+    Attributes:
+        num_qubits: Register size of the circuit.
+        operands: Logical qubits of each gate; ``()`` for a barrier, which
+            never runs.
+        coupled: 1 where the gate needs a coupled physical pair.
+        fences: For each gate right past one or more barriers, the
+            ``(qubit, position)`` gates that must have run before it: the
+            last gate before those barriers on each of their qubits, and
+            what earlier barriers on those qubits passed on.
+        num_gates: Number of non-barrier gates.
+    """
+
+    num_qubits: int
+    operands: List[Tuple[int, ...]]
+    coupled: bytearray
+    fences: Dict[int, Tuple[Tuple[int, int], ...]]
+    num_gates: int
+
+    @classmethod
+    def of(cls, circuit: QuantumCircuit) -> "_Order":
+        num_qubits = circuit.num_qubits
+        operands: List[Tuple[int, ...]] = []
+        coupled = bytearray(len(circuit))
+        fences: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        last_on = [-1] * num_qubits
+        # What the barriers since the last gate on each qubit pass on to
+        # the next gate on it.
+        passed: List[Tuple[Tuple[int, int], ...]] = [()] * num_qubits
+        num_gates = 0
+        for position, gate in enumerate(circuit.gates):
+            qubits = gate.qubits
+            if gate.name == "barrier":
+                span = qubits or range(num_qubits)
+                merged = tuple(dict.fromkeys(
+                    pair
+                    for qubit in span
+                    for pair in ((qubit, last_on[qubit]),) + passed[qubit]
+                    if pair[1] >= 0
+                ))
+                for qubit in span:
+                    passed[qubit] = merged
+                operands.append(())
+                continue
+            fence: Tuple[Tuple[int, int], ...] = ()
+            for qubit in qubits:
+                fence += passed[qubit]
+                passed[qubit] = ()
+                last_on[qubit] = position
+            if fence:
+                fences[position] = tuple(dict.fromkeys(fence))
+            operands.append(qubits)
+            coupled[position] = gate.name in TWO_QUBIT_GATES
+            num_gates += 1
+        return cls(num_qubits, operands, coupled, fences, num_gates)
+
+
+#: Recently replayed circuits' orders, keyed by the identity of their gate
+#: tuple; each entry holds that tuple, so the identity stays unique.  A
+#: sweep verifies every route of a circuit against the same tuple.
+_ORDERS: Dict[int, Tuple[Tuple[Gate, ...], _Order]] = {}
+
+
+def _order_of(circuit: QuantumCircuit) -> _Order:
+    """The circuit's :class:`_Order` (memoized per gate tuple)."""
+    gates = circuit.gates
+    entry = _ORDERS.get(id(gates))
+    if entry is not None and entry[0] is gates and entry[1].num_qubits == circuit.num_qubits:
+        return entry[1]
+    order = _Order.of(circuit)
+    if len(_ORDERS) >= 32:
+        del _ORDERS[next(iter(_ORDERS))]
+    _ORDERS[id(gates)] = (gates, order)
+    return order
+
+
+def _events_of(
+    logical: QuantumCircuit,
+    order: _Order,
+    routed: QuantumCircuit,
+    initial_mapping: Dict[int, int],
+) -> List[int]:
+    """The routed circuit as routing-log events.
+
+    Each routed gate is matched to the next pending gate on its logical
+    operands.  A ``swap`` is the program's own when it matches a program
+    swap of the same two logicals that is ready to run; otherwise it is
+    a routing SWAP.  Router output is never ambiguous: a ready program
+    swap would have run before the router inserted a swap of its own on
+    that coupled pair.
+    """
+    gates = logical.gates
+    num_qubits = order.num_qubits
+    # Per logical qubit, its gate positions in circuit order, then -1.
+    lanes: List[List[int]] = [[] for _ in range(num_qubits)]
+    for position, qubits in enumerate(order.operands):
+        for qubit in qubits:
+            lanes[qubit].append(position)
+    for lane in lanes:
+        lane.append(-1)
+    cursor = [0] * num_qubits
+
+    def matching_position(gate: Gate, operands: Tuple[int, ...]) -> int:
+        """The position ``gate`` runs as, or -1 when it is no next pending gate."""
+        if not operands or -1 in operands:
+            return -1
+        position = lanes[operands[0]][cursor[operands[0]]]
+        if position < 0 or any(lanes[qubit][cursor[qubit]] != position for qubit in operands):
+            return -1
+        pending = gates[position]
+        if (pending.name, pending.qubits, pending.params) != (gate.name, operands, gate.params):
+            return -1
+        return position
+
+    def has_run(qubit: int, position: int) -> bool:
+        return cursor[qubit] > 0 and lanes[qubit][cursor[qubit] - 1] >= position
+
+    logical_to_physical = {l: p for l, p in initial_mapping.items() if 0 <= l < num_qubits}
+    physical_to_logical = {p: l for l, p in logical_to_physical.items()}
+    events: List[int] = []
     for gate in routed.gates:
-        if gate.is_two_qubit and tuple(gate.qubits) not in coupled:
-            raise AssertionError(
-                f"routed gate {gate} acts on uncoupled physical qubits "
-                f"on architecture {architecture.name!r}"
-            )
-        if gate.name == "swap":
+        # -1 marks a physical qubit that hosts no logical of the circuit.
+        operands = tuple([physical_to_logical.get(qubit, -1) for qubit in gate.qubits])
+        position = matching_position(gate, operands)
+        if gate.name == "swap" and (position < 0 or not all(
+            has_run(*pair) for pair in order.fences.get(position, ())
+        )):
             phys_a, phys_b = gate.qubits
-            logical_a = get_logical(phys_a)
-            logical_b = get_logical(phys_b)
-            # A swap can be a gate of the *program* rather than a router
-            # insertion.  Try the logical interpretation first; this is
-            # unambiguous for router output, because an executable logical
-            # swap in the front would have been executed before the router
-            # ever inserted a swap of its own on that coupled pair.
-            if logical_a is not None and logical_b is not None:
-                bucket = get_bucket(("swap", (logical_a, logical_b), gate.params))
-                if bucket:
-                    for unblocked in execute(bucket.pop(0)):
-                        index_node(unblocked)
-                    continue
-            if logical_a is not None:
-                physical_to_logical[phys_b] = logical_a
-            else:
-                physical_to_logical.pop(phys_b, None)
-            if logical_b is not None:
-                physical_to_logical[phys_a] = logical_b
-            else:
-                physical_to_logical.pop(phys_a, None)
+            events += (~phys_a, ~phys_b)
+            swap_mapping(logical_to_physical, physical_to_logical, phys_a, phys_b)
             continue
-        try:
-            recovered_operands = tuple([physical_to_logical[q] for q in gate.qubits])
-        except KeyError:
+        if -1 in operands:
             raise AssertionError(
                 f"routed gate {gate} acts on a physical qubit hosting no logical qubit"
-            ) from None
-        bucket = get_bucket((gate.name, recovered_operands, gate.params))
-        if not bucket:
-            raise AssertionError(
-                f"routed gate {gate} (logical operands {recovered_operands}) does not match "
-                "any executable logical gate"
             )
-        for unblocked in execute(bucket.pop(0)):
-            index_node(unblocked)
-    if frontier.remaining:
-        raise AssertionError(
-            f"routed circuit left {frontier.remaining} logical gates unexecuted"
-        )
+        if position < 0:
+            raise AssertionError(
+                f"routed gate {gate} (logical operands {operands}) is not the next "
+                "pending gate on its qubits"
+            )
+        events.append(position)
+        for qubit in operands:
+            cursor[qubit] += 1
+    return events
 
 
-def _verify_log(
-    logical: QuantumCircuit,
-    log: RoutingLog,
+def _replay(
+    order: _Order,
+    events: List[int],
+    num_swaps: Optional[int],
     architecture: Architecture,
     initial_mapping: Dict[int, int],
-    coupled: Set[Tuple[int, int]],
 ) -> None:
-    """Replay a router event log with its own mapping state (see :func:`verify_routing`)."""
-    dag = log.dag
-    size = len(dag.num_preds)
-    if size != len(logical) or dag.num_qubits != logical.num_qubits:
-        raise AssertionError(f"routing log does not describe circuit {logical.name!r}")
-    logical_to_physical = dict(initial_mapping)
-    physical_to_logical = {p: l for l, p in logical_to_physical.items()}
-    qa = dag.qa
-    qb = dag.qb
-    successors = dag.successors
-    # remaining[k] counts k's unexecuted predecessors; -1 marks a position
-    # that holds no node or a node that already ran.
-    remaining = list(dag.num_preds)
-    executed = 0
+    """Replay routing events against a circuit's order (see :func:`verify_routing`).
+
+    ``num_swaps`` is the swap count the events must hold, or None.
+    """
+    num_physical = max(architecture.qubits) + 1
+    adjacent = [bytearray(num_physical) for _ in range(num_physical)]
+    for a, b in architecture.coupling_edges():
+        adjacent[a][b] = adjacent[b][a] = 1
+    operands = order.operands
+    needs_pair = order.coupled
+    fences = order.fences
+    size = len(operands)
+    num_qubits = order.num_qubits
+    # The mapping as two lists; -1 marks a physical qubit that hosts no
+    # logical of the circuit (free, or pinned by an extra mapping key).
+    logical_to_physical = [-1] * num_qubits
+    physical_to_logical = [-1] * num_physical
+    for logical, physical in initial_mapping.items():
+        if not 0 <= physical < num_physical:
+            raise AssertionError(f"initial mapping uses unknown physical qubit {physical}")
+        if 0 <= logical < num_qubits:
+            logical_to_physical[logical] = physical
+            physical_to_logical[physical] = logical
+    if -1 in logical_to_physical:
+        raise AssertionError("initial mapping misses a logical qubit of the circuit")
+    # last[q]: the latest position run on logical qubit q.
+    last = [-1] * num_qubits
     swaps = 0
-    events = iter(log.events)
-    for event in events:
+    events_left = iter(events)
+    for event in events_left:
         if event < 0:
-            second = next(events, 0)
+            second = next(events_left, 0)
             if second >= 0:
                 raise AssertionError("routing log ends inside a swap")
             phys_a, phys_b = ~event, ~second
-            if (phys_a, phys_b) not in coupled:
+            if not (phys_a < num_physical and phys_b < num_physical
+                    and adjacent[phys_a][phys_b]):
                 raise AssertionError(
                     f"logged swap ({phys_a}, {phys_b}) acts on uncoupled physical qubits "
                     f"on architecture {architecture.name!r}"
                 )
-            swap_mapping(logical_to_physical, physical_to_logical, phys_a, phys_b)
+            logical_a = physical_to_logical[phys_a]
+            logical_b = physical_to_logical[phys_b]
+            physical_to_logical[phys_a] = logical_b
+            physical_to_logical[phys_b] = logical_a
+            if logical_a >= 0:
+                logical_to_physical[logical_a] = phys_b
+            if logical_b >= 0:
+                logical_to_physical[logical_b] = phys_a
             swaps += 1
             continue
-        if event >= size or remaining[event] < 0:
-            raise AssertionError(f"logged gate {event} is not a pending node of the circuit")
-        if remaining[event]:
-            raise AssertionError(f"logged gate {event} runs before its predecessors")
-        if qa[event] >= 0 and (
-            logical_to_physical[qa[event]], logical_to_physical[qb[event]]
-        ) not in coupled:
-            raise AssertionError(
-                f"logged gate {event} acts on uncoupled physical qubits "
-                f"on architecture {architecture.name!r}"
-            )
-        remaining[event] = -1
-        executed += 1
-        for successor in successors[event]:
-            remaining[successor] -= 1
-    if executed != dag.num_nodes:
-        raise AssertionError(f"routing log left {dag.num_nodes - executed} gates unexecuted")
-    if swaps != log.num_swaps:
-        raise AssertionError(f"routing log holds {swaps} swaps, not {log.num_swaps}")
+        if event >= size:
+            raise AssertionError(f"logged gate {event} is not a position of the circuit")
+        if needs_pair[event]:
+            a, b = operands[event]
+            if last[a] >= event or last[b] >= event:
+                raise AssertionError(f"logged gate {event} runs out of order on its qubits")
+            last[a] = last[b] = event
+            if not adjacent[logical_to_physical[a]][logical_to_physical[b]]:
+                raise AssertionError(
+                    f"logged gate {event} acts on uncoupled physical qubits "
+                    f"on architecture {architecture.name!r}"
+                )
+        else:
+            qubits = operands[event]
+            if not qubits:
+                raise AssertionError(f"logged gate {event} is a barrier, which never runs")
+            for a in qubits:
+                if last[a] >= event:
+                    raise AssertionError(f"logged gate {event} runs out of order on its qubits")
+                last[a] = event
+        # A fence naming one of the gate's own qubits holds trivially here;
+        # that gate's turn was checked by the strictly increasing positions.
+        if fences and event in fences:
+            for qubit, position in fences[event]:
+                if last[qubit] < position:
+                    raise AssertionError(
+                        f"logged gate {event} crosses a barrier before gate {position} ran"
+                    )
+    unexecuted = order.num_gates - (len(events) - 2 * swaps)
+    if unexecuted:
+        raise AssertionError(f"routing left {unexecuted} gates unexecuted")
+    if num_swaps is not None and swaps != num_swaps:
+        raise AssertionError(f"routing log holds {swaps} swaps, not {num_swaps}")

@@ -17,7 +17,7 @@ initial logical-to-physical mapping, the router repeatedly:
 (operand logicals, presorted successors and predecessor counts as flat
 integer lists) and keeps the mapping as two lists: the distance-matrix
 index of each logical (``pos``) and the logical at each index
-(``occupant``).  It builds no ``Gate`` or ``DAGNode`` objects.  Candidate
+(``occupant``).  It builds no ``Gate`` objects.  Candidate
 swaps are scored incrementally from *partner lists*: for each logical in
 the blocked front and in the extended set, the other operand of each of
 its pending gates.  A swap moves positions but never changes which
@@ -35,9 +35,10 @@ router, the pack (CSR successors) once per :class:`PackedDAG`.  The
 C pass runs while ``REPRO_SCREENING_BACKEND`` resolves to ``native``;
 every other backend, and every C error status, runs the Python pass.
 
-**Event log.**  A forward pass records node positions as they execute
-and each SWAP of physical qubits ``a``, ``b`` as the pair ``~a, ~b``.
-:func:`~repro.mapping.router.verify_routing` replays the log, and
+**Event log.**  A forward pass records circuit positions as they
+execute and each SWAP of physical qubits ``a``, ``b`` as the pair
+``~a, ~b``.  :func:`~repro.mapping.router.verify_routing` replays the log
+against the circuit's gate list, not against the pack, and
 :meth:`SabreRouter.materialize` builds the routed circuit from it only
 when a caller asks for one.
 
@@ -139,15 +140,13 @@ class RoutingLog:
     """The winning forward pass of a routing, as a compact event log.
 
     Attributes:
-        dag: Packed DAG of the routed circuit.
-        events: Node positions in execution order; a SWAP of physical
+        events: Circuit positions in execution order; a SWAP of physical
             qubits ``a`` and ``b`` is the pair ``~a, ~b``.
         num_swaps: SWAPs the pass inserted.
         initial_mapping: logical -> physical mapping the pass started from.
         final_mapping: The mapping after the last event.
     """
 
-    dag: PackedDAG
     events: List[int]
     num_swaps: int
     initial_mapping: Dict[int, int]
@@ -178,8 +177,7 @@ class SabreRouter:
     a router is worth reusing across circuits — the
     :class:`~repro.mapping.engine.RoutingEngine` keeps one per distinct
     topology and shares it between chips that differ only in name or
-    frequencies, so nothing but :meth:`route` and :meth:`route_best`
-    reads ``architecture.name``.
+    frequencies, so nothing but :meth:`route` reads ``architecture.name``.
 
     Args:
         architecture: Target hardware architecture.
@@ -256,28 +254,8 @@ class SabreRouter:
         dag = PackedDAG.from_circuit(circuit)
         events: List[int] = []
         num_swaps, final_mapping = self._pass(dag, initial_mapping, events)
-        log = RoutingLog(dag, events, num_swaps, dict(initial_mapping), final_mapping)
+        log = RoutingLog(events, num_swaps, dict(initial_mapping), final_mapping)
         return self.materialize(circuit, log, self.architecture.name), num_swaps, final_mapping
-
-    def route_best(
-        self,
-        circuit: QuantumCircuit,
-        initial_mapping: Dict[int, int],
-    ) -> Tuple[QuantumCircuit, int, Dict[int, int], Dict[int, int]]:
-        """:meth:`route_packed` on ``circuit``, with the winner materialized.
-
-        Returns:
-            ``(physical_circuit, num_swaps, final_mapping, used_initial_mapping)``
-            where ``used_initial_mapping`` is the initial mapping of the
-            winning forward pass (replaying the routed circuit from it
-            reproduces the logical circuit).
-        """
-        reverse = None
-        if self.parameters.passes > 1:
-            reverse = PackedDAG.from_circuit(circuit, reverse=True)
-        log = self.route_packed(PackedDAG.from_circuit(circuit), reverse, initial_mapping)
-        return (self.materialize(circuit, log, self.architecture.name), log.num_swaps,
-                dict(log.final_mapping), dict(log.initial_mapping))
 
     def route_packed(
         self,
@@ -321,7 +299,7 @@ class SabreRouter:
                 events: List[int] = []
                 num_swaps, final_mapping = self._pass(forward, mapping, events)
                 if best is None or num_swaps < best.num_swaps:
-                    best = RoutingLog(forward, events, num_swaps, mapping, dict(final_mapping))
+                    best = RoutingLog(events, num_swaps, mapping, dict(final_mapping))
                 mapping = final_mapping
         assert best is not None  # params.passes >= 1 guarantees a forward pass
         return best

@@ -99,8 +99,8 @@ class RuntimeConfig:
             by every routing engine; missing files are ignored.
         allocation_strategy: Algorithm 3 search strategy of the
             ``eff-full`` / ``eff-rd-bus`` configurations; the paper-exact
-            ``bfs-greedy`` by default.  ``analytic-guided`` or
-            ``coordinate-descent`` run the whole sweep as that ablation.
+            ``bfs-greedy`` by default.  ``coordinate-descent`` runs the
+            whole sweep as that ablation.
         design_cache_path: Optional persisted design-stage cache (see
             :class:`~repro.design.engine.DesignCache`) of Algorithm 3
             frequency plans, warm-loaded by every design engine.

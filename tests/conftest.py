@@ -129,3 +129,11 @@ def merge_backend():
         yield switch
     finally:
         merge_kernel.set_backend(previous)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def routing_backend(request, merge_backend):
+    """Run on the C library (``native``: C routing pass, screened
+    Algorithm 3) or without it (``numpy``: Python pass, direct ranking)."""
+    merge_backend(request.param)
+    return request.param

@@ -20,12 +20,18 @@ Invariants covered (ISSUE satellite list):
   extended set on a copied mapping per candidate;
 * the C routing pass of the native library and the Python pass, its
   reference, give the same event log, swap count and final mapping (key
-  order included), or the same exception and message.
+  order included), or the same exception and message;
+* packs of random circuits with barriers, in both directions, equal the
+  brute-force definition of the dependency order, and the replay of
+  :func:`verify_routing` passes a log exactly when it keeps that order,
+  also when the router ran on a pack with one edge dropped.
 """
 
 from __future__ import annotations
 
 import pytest
+from dataclasses import replace
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from hypothesis import assume, given, settings
@@ -33,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.circuit.dag import PackedDAG
-from repro.circuit.gates import cx, h, measure, swap
+from repro.circuit.gates import TWO_QUBIT_GATES, barrier, cx, h, measure, swap
 from repro.collision import merge_kernel
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8, ibm_20q_4x5
 from repro.mapping import RoutingEngine, SabreParameters, verify_routing
@@ -138,6 +144,124 @@ class TestRoutedCircuitsAreFaithful:
         verify_routing(
             circuit, result.routed_circuit, architecture, result.initial_mapping
         )
+
+
+@st.composite
+def barrier_circuits(draw, num_qubits: int):
+    """Random circuits with barriers: explicit qubit subsets, or none
+    (every qubit), mixed with CNOTs, program swaps, H and measurements."""
+    circuit = QuantumCircuit(num_qubits, name="fenced")
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.integers(0, 4))
+        qubits = draw(st.permutations(range(num_qubits)))
+        if kind == 0:
+            span = draw(st.integers(0, num_qubits))
+            circuit.append(barrier(*sorted(qubits[:span])))
+        elif kind <= 2 and num_qubits >= 2:
+            circuit.append((cx if kind == 1 else swap)(qubits[0], qubits[1]))
+        else:
+            circuit.append((h if kind == 3 else measure)(qubits[0]))
+    return circuit
+
+
+@st.composite
+def barrier_routing_cases(draw):
+    architecture = draw(rectangle_architectures())
+    num_qubits = draw(st.integers(1, architecture.num_qubits))
+    return architecture, draw(barrier_circuits(num_qubits))
+
+
+def reference_predecessors(circuit: QuantumCircuit, reverse: bool = False) -> Dict[int, Set[int]]:
+    """Each non-barrier gate's predecessors, straight from the definition.
+
+    Gate ``j`` precedes gate ``i`` when ``j`` is the last non-barrier gate
+    before ``i`` on a qubit they share; a barrier met on the way passes on
+    what precedes it on each of its qubits (every qubit when it names
+    none).  With ``reverse`` the gate list is read last to first.
+    """
+    gates = list(reversed(circuit.gates)) if reverse else list(circuit.gates)
+
+    def span(gate) -> Tuple[int, ...]:
+        if gate.name == "barrier" and not gate.qubits:
+            return tuple(range(circuit.num_qubits))
+        return gate.qubits
+
+    @lru_cache(maxsize=None)
+    def before(position: int, qubit: int) -> FrozenSet[int]:
+        for earlier in range(position - 1, -1, -1):
+            gate = gates[earlier]
+            if qubit in span(gate):
+                if gate.name != "barrier":
+                    return frozenset({earlier})
+                return frozenset().union(*(before(earlier, q) for q in span(gate)))
+        return frozenset()
+
+    return {
+        position: set().union(*(before(position, q) for q in gate.qubits))
+        for position, gate in enumerate(gates)
+        if gate.name != "barrier"
+    }
+
+
+class TestPackMatchesTheDefinition:
+    @given(circuit=st.integers(1, 5).flatmap(barrier_circuits), reverse=st.booleans())
+    @settings(max_examples=examples(150))
+    def test_pack_equals_the_brute_force_definition(self, circuit, reverse):
+        packed = PackedDAG.from_circuit(circuit, reverse=reverse)
+        predecessors = reference_predecessors(circuit, reverse)
+        gates = list(reversed(circuit.gates)) if reverse else list(circuit.gates)
+        size = len(gates)
+        assert packed.num_qubits == circuit.num_qubits
+        assert packed.num_nodes == len(predecessors)
+        assert packed.num_preds == [
+            len(predecessors[i]) if i in predecessors else -1 for i in range(size)
+        ]
+        assert packed.successors == [
+            sorted(i for i, preds in predecessors.items() if j in preds) for j in range(size)
+        ]
+        assert packed.front == sorted(i for i, preds in predecessors.items() if not preds)
+        two_qubit = [gate.name in TWO_QUBIT_GATES for gate in gates]
+        assert list(packed.two_qubit) == two_qubit
+        assert packed.qa == [g.qubits[0] if two else -1 for g, two in zip(gates, two_qubit)]
+        assert packed.qb == [g.qubits[1] if two else -1 for g, two in zip(gates, two_qubit)]
+        assert packed.num_two_qubit == sum(two_qubit)
+
+    @given(case=barrier_routing_cases(), parameters=router_parameters)
+    @settings(max_examples=examples(60))
+    def test_barrier_circuits_route_and_verify(self, case, parameters):
+        architecture, circuit = case
+        result = RoutingEngine(parameters).route(circuit, architecture)
+        verify_routing(circuit, result.routed_circuit, architecture, result.initial_mapping)
+
+    @given(case=barrier_routing_cases(), data=st.data())
+    @settings(max_examples=examples(100))
+    def test_replay_accepts_exactly_the_definitions_order(self, case, data):
+        """Route on the pack, or on the pack with one edge dropped; the
+        replay passes the log exactly when it keeps the definition's order."""
+        architecture, circuit = case
+        packed = PackedDAG.from_circuit(circuit)
+        edges = [(j, i) for j, successors in enumerate(packed.successors) for i in successors]
+        if edges and data.draw(st.booleans(), label="drop an edge"):
+            j, i = data.draw(st.sampled_from(edges), label="dropped edge")
+            successors = [list(row) for row in packed.successors]
+            successors[j].remove(i)
+            num_preds = list(packed.num_preds)
+            num_preds[i] -= 1
+            packed = replace(packed, successors=successors, num_preds=num_preds,
+                             front=[k for k, count in enumerate(num_preds) if count == 0])
+        mapping = dict(zip(range(circuit.num_qubits), architecture.qubits))
+        log = SabreRouter(architecture).route_packed(packed, None, mapping)
+        ran = {event: step for step, event in enumerate(log.events) if event >= 0}
+        keeps_order = all(
+            ran[j] < ran[i]
+            for i, preds in reference_predecessors(circuit).items()
+            for j in preds
+        )
+        if keeps_order:
+            verify_routing(circuit, log, architecture, log.initial_mapping)
+        else:
+            with pytest.raises(AssertionError):
+                verify_routing(circuit, log, architecture, log.initial_mapping)
 
 
 def gate_predecessors(gates: List) -> List[Set[int]]:

@@ -72,10 +72,10 @@ class TestParser:
 
     def test_design_knobs_accepted(self):
         args = build_parser().parse_args(
-            ["sweep", "sym6_145", "--allocation-strategy", "analytic-guided",
+            ["sweep", "sym6_145", "--allocation-strategy", "coordinate-descent",
              "--design-cache", "plans.json", "--local-trials", "500"]
         )
-        assert args.allocation_strategy == "analytic-guided"
+        assert args.allocation_strategy == "coordinate-descent"
         assert args.design_cache == "plans.json"
         assert args.local_trials == 500
 
@@ -90,9 +90,9 @@ class TestParser:
         for command in ("design", "evaluate", "sweep"):
             for flag in ("--allocation-strategy", "--alloc-strategy"):
                 args = build_parser().parse_args(
-                    [command, "sym6_145", flag, "analytic-guided"]
+                    [command, "sym6_145", flag, "coordinate-descent"]
                 )
-                assert args.allocation_strategy == "analytic-guided"
+                assert args.allocation_strategy == "coordinate-descent"
 
     def test_cache_stats_flag(self):
         """Retired in favour of --metrics-out; the parser rejects it."""
@@ -203,12 +203,12 @@ class TestDesignCacheRoundTrip:
 
     def test_sweep_warm_cache_output_identical_across_jobs(self, tmp_path, capsys):
         """The acceptance grid at the CLI surface: with a warm cache and the
-        analytic-guided ablation, sweep output is byte-identical for
+        coordinate-descent ablation, sweep output is byte-identical for
         --jobs 1 vs --jobs 4."""
         cache = str(tmp_path / "design_cache.json")
         ablation = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-full",
                     "--design-cache", cache, "--allocation-strategy",
-                    "analytic-guided"]
+                    "coordinate-descent"]
         assert main([*ablation, "--jobs", "1"]) == 0
         warm_serial = capsys.readouterr().out
         assert (tmp_path / "design_cache.json").exists()
@@ -220,7 +220,7 @@ class TestDesignCacheRoundTrip:
         assert main(["sweep", "sym6_145", *self.FAST, "--configs", "eff-full"]) == 0
         base = capsys.readouterr().out
         assert main(["sweep", "sym6_145", *self.FAST, "--configs", "eff-full",
-                     "--allocation-strategy", "analytic-guided"]) == 0
+                     "--allocation-strategy", "coordinate-descent"]) == 0
         ablation = capsys.readouterr().out
         assert ablation != base
 

@@ -88,14 +88,14 @@ class TestKeying:
         consumer = DesignEngine()
         consumer.frequency_cache.load(path)
         allocation_calls.reset()
-        other = DesignOptions(local_trials=80, allocation_strategy="analytic-guided")
+        other = DesignOptions(local_trials=80, allocation_strategy="coordinate-descent")
         consumer.design_series(circuit, options=other)
         assert allocation_calls() > 0  # cache could not serve these
 
     def test_strategy_specific_plans_round_trip(self, tmp_path, circuit,
                                                 allocation_calls):
         path = tmp_path / "design_cache.sqlite"
-        options = DesignOptions(local_trials=80, allocation_strategy="analytic-guided")
+        options = DesignOptions(local_trials=80, allocation_strategy="coordinate-descent")
         producer = DesignEngine()
         series = producer.design_series(circuit, options=options)
         producer.frequency_cache.save(path)

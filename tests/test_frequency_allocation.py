@@ -163,9 +163,7 @@ class TestTieBreak:
 
 class TestStrategies:
     def test_known_strategies_registered(self):
-        assert set(ALLOCATION_STRATEGIES) == {
-            "bfs-greedy", "coordinate-descent", "analytic-guided",
-        }
+        assert set(ALLOCATION_STRATEGIES) == {"bfs-greedy", "coordinate-descent"}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown allocation strategy"):
@@ -187,33 +185,3 @@ class TestStrategies:
             local_trials=400, seed=11, refinement_passes=1
         ).allocate(arch)
         assert via_strategy == via_knob
-
-    def test_analytic_guided_is_deterministic_and_in_band(self):
-        arch = grid_architecture(2, 4)
-        allocator = FrequencyAllocator(local_trials=400, seed=11,
-                                       strategy="analytic-guided")
-        frequencies = allocator.allocate(arch)
-        assert validate_frequencies(frequencies) == []
-        assert frequencies == allocator.allocate(arch)
-
-    def test_analytic_guided_separates_connected_qubits(self):
-        arch = chain_architecture(6)
-        frequencies = FrequencyAllocator(
-            local_trials=400, seed=11, strategy="analytic-guided"
-        ).allocate(arch)
-        for a, b in arch.coupling_edges():
-            assert abs(frequencies[a] - frequencies[b]) > 0.017
-
-    def test_analytic_guided_yield_close_to_exact_search(self):
-        arch = grid_architecture(2, 3)
-        exact = arch.with_frequencies(
-            FrequencyAllocator(local_trials=1500, seed=3).allocate(arch)
-        )
-        pruned = arch.with_frequencies(
-            FrequencyAllocator(local_trials=1500, seed=3,
-                               strategy="analytic-guided").allocate(arch)
-        )
-        simulator = YieldSimulator(trials=4000, seed=23)
-        exact_yield = simulator.estimate(exact).yield_rate
-        pruned_yield = simulator.estimate(pruned).yield_rate
-        assert pruned_yield >= exact_yield - 0.05

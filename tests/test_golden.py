@@ -73,7 +73,7 @@ FIXED_CONFIG = RuntimeConfig(
     frequency_local_trials=77,
     random_bus_seeds=(3, 9),
     routing=SabreParameters(passes=3, restarts=2, seed=5),
-    allocation_strategy="analytic-guided",
+    allocation_strategy="coordinate-descent",
 )
 
 ROUTING_BENCHMARKS = ("sym6_145", "z4_268", "adr4_197", "qft_16", "ising_model_16")
@@ -259,14 +259,6 @@ def test_sweep_report_matches_golden_digest(tmp_path, capsys, strategy):
 
 def test_checkpoint_task_keys_match_golden():
     assert task_keys() == load_golden()["task_keys"]
-
-
-@pytest.fixture(params=["native", "numpy"])
-def routing_backend(request, merge_backend):
-    """Run on the C library (``native``: C routing pass, screened
-    Algorithm 3) or without it (``numpy``: Python pass, direct ranking)."""
-    merge_backend(request.param)
-    return request.param
 
 
 def test_routing_swaps_match_golden(routing_backend):

@@ -35,7 +35,7 @@ class TestRuntimeConfigRoundTrip:
     def test_json_round_trip_preserves_digest(self, tmp_path):
         config = RuntimeConfig(
             yield_trials=500, routing_cache_path="cache.sqlite",
-            allocation_strategy="analytic-guided",
+            allocation_strategy="coordinate-descent",
         )
         path = tmp_path / "config.json"
         path.write_text(config.to_json())

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.circuit import QuantumCircuit, cx, h, measure
+from repro.circuit import QuantumCircuit, barrier, cx, h, measure
 from repro.circuit.dag import PackedDAG
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8
 from repro.mapping import SabreRouter, SabreParameters, route_circuit
@@ -186,6 +186,55 @@ class TestRoutingLogVerification:
         with pytest.raises(AssertionError):
             verify_routing(other, log, arch, log.initial_mapping)
 
+    def test_routing_on_a_pack_missing_an_edge_is_rejected(self, routing_backend):
+        """Without the edge ``cx(0, 1) -> h(1)`` the router runs ``h(1)``
+        first; the replay reads the circuit, not the pack, and rejects it."""
+        arch = chain_architecture(3)
+        circuit = QuantumCircuit(3, name="mutant").extend([h(0), cx(0, 1), h(1)])
+        packed = PackedDAG.from_circuit(circuit)
+        assert packed.successors == [[1], [2], []]
+        wrong = replace(packed, successors=[[1], [], []], num_preds=[0, 1, 0], front=[0, 2])
+        log = SabreRouter(arch).route_packed(wrong, None, {q: q for q in range(3)})
+        assert log.events == [0, 2, 1]
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, log, arch, log.initial_mapping)
+
+    @pytest.mark.parametrize("fence", [(0, 1), ()], ids=["explicit", "all-qubits"])
+    def test_gate_run_past_a_barrier_early_rejected(self, fence):
+        arch = chain_architecture(3)
+        circuit = QuantumCircuit(3, name="fenced").extend(
+            [h(0), barrier(*fence), h(1), h(2)]
+        )
+        log = SabreRouter(arch).route_packed(
+            PackedDAG.from_circuit(circuit), None, {q: q for q in range(3)}
+        )
+        # The barrier never runs.
+        assert sorted(log.events) == [0, 2, 3]
+        verify_routing(circuit, log, arch, log.initial_mapping)
+        self.assert_rejected((circuit, arch, log), events=[2, 0, 3])
+        self.assert_rejected((circuit, arch, log), events=[0, 1, 2, 3])
+        # Only a barrier over every qubit fences h(2).
+        run_early = [3, 0, 2]
+        if fence:
+            verify_routing(circuit, replace(log, events=run_early), arch, log.initial_mapping)
+        else:
+            self.assert_rejected((circuit, arch, log), events=run_early)
+
+    def test_routed_circuit_across_a_barrier_is_checked(self):
+        arch = chain_architecture(3)
+        circuit = QuantumCircuit(3, name="fenced").extend(
+            [cx(0, 2), barrier(), h(1), cx(1, 2)]
+        )
+        result = route_circuit(circuit, arch)
+        verify_routing(circuit, result.routed_circuit, arch, result.initial_mapping)
+        gates = list(result.routed_circuit.gates)
+        early = next(i for i, gate in enumerate(gates) if gate.name == "h")
+        moved = QuantumCircuit(result.routed_circuit.num_qubits).extend(
+            [gates[early]] + gates[:early] + gates[early + 1:]
+        )
+        with pytest.raises(AssertionError):
+            verify_routing(circuit, moved, arch, result.initial_mapping)
+
     def test_materialized_log_matches_route(self, routed_log):
         circuit, arch, log = routed_log
         router = SabreRouter(arch)
@@ -280,7 +329,7 @@ class TestBidirectionalAndRestarts:
         with pytest.raises(ValueError):
             SabreParameters(restarts=0)
 
-    def test_single_pass_route_best_matches_route(self, line_circuit):
+    def test_single_pass_route_packed_matches_route(self, line_circuit):
         arch = ibm_16q_2x8()
         profile = profile_circuit(line_circuit)
         from repro.mapping import DistanceMatrix, initial_mapping
@@ -288,11 +337,12 @@ class TestBidirectionalAndRestarts:
         mapping = initial_mapping(profile, arch, DistanceMatrix(arch))
         router = SabreRouter(arch)
         routed, swaps, final = router.route(line_circuit, dict(mapping))
-        best_routed, best_swaps, best_final, used = router.route_best(line_circuit, mapping)
-        assert best_swaps == swaps
-        assert used == mapping
-        assert best_final == final
-        assert list(best_routed.gates) == list(routed.gates)
+        log = router.route_packed(PackedDAG.from_circuit(line_circuit), None, mapping)
+        assert log.num_swaps == swaps
+        assert log.initial_mapping == mapping
+        assert log.final_mapping == final
+        materialized = router.materialize(line_circuit, log, arch.name)
+        assert list(materialized.gates) == list(routed.gates)
 
     def test_bidirectional_passes_need_the_reverse_pack(self, line_circuit):
         router = SabreRouter(ibm_16q_2x8(), SabreParameters(passes=3))

@@ -203,16 +203,16 @@ class TestRoutingCachePersistence:
 
 class TestAllocationStrategyAblation:
     def test_strategy_reaches_the_sweep(self):
-        """analytic-guided actually changes the designed frequency plans
-        (it is not bit-identical to the paper-exact search), so identical
-        output would mean the setting never reached the allocator."""
+        """coordinate-descent actually changes the designed frequency plans
+        (it refines beyond the paper-exact search), so identical output
+        would mean the setting never reached the allocator."""
         base = run_sweep(["sym6_145"], jobs=1, settings=FAST_SETTINGS,
                          configs=(ExperimentConfig.EFF_FULL,))
         ablation_settings = RuntimeConfig(
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
-            allocation_strategy="analytic-guided",
+            allocation_strategy="coordinate-descent",
         )
         ablation = run_sweep(["sym6_145"], jobs=1, settings=ablation_settings,
                              configs=(ExperimentConfig.EFF_FULL,))
@@ -225,7 +225,7 @@ class TestAllocationStrategyAblation:
             yield_trials=300,
             frequency_local_trials=80,
             random_bus_seeds=(1,),
-            allocation_strategy="analytic-guided",
+            allocation_strategy="coordinate-descent",
         )
         serial = run_sweep(["sym6_145"], jobs=1, settings=settings,
                            configs=FAST_CONFIGS)
@@ -355,9 +355,9 @@ class TestDesignCachePersistence:
 
     def test_warm_cache_with_ablation_strategy_is_jobs_invariant(self, tmp_path):
         """The acceptance-criteria grid: a warm design cache plus the
-        analytic-guided ablation stays byte-identical for jobs 1 vs 4."""
+        coordinate-descent ablation stays byte-identical for jobs 1 vs 4."""
         path = tmp_path / "design_cache.sqlite"
-        settings = self._settings(path, allocation_strategy="analytic-guided")
+        settings = self._settings(path, allocation_strategy="coordinate-descent")
         run_sweep(["sym6_145"], jobs=1, settings=settings, configs=FAST_CONFIGS)
         assert path.exists()
         warm_serial = run_sweep(["sym6_145"], jobs=1, settings=settings,
