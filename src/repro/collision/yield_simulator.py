@@ -24,6 +24,19 @@ and stops at the trial's first failing connection.  It declines, and the
 numpy loop counts, when an array is not C-contiguous float64/int64 or a
 pair or triple index lies outside ``[0, num_qubits)``.
 
+The noise itself is ``np.random.default_rng(seed).normal(0.0, sigma,
+(trials, num_qubits))``, drawn by :func:`fabrication_noise`; the
+allocator's per-qubit noise comes from the same helper.  While
+``native`` is active the C kernel ``pcg64_normal_fill`` draws it: it
+starts from the PCG64 state numpy's seeding produced and replays numpy's
+ziggurat with numpy's tables, so the array is numpy's byte for byte.
+The first draw of a process first compares one fixed-seed C draw with
+numpy's (:func:`~repro.collision.merge_kernel.normal_fill_verified`);
+if they differ, or the backend is ``numpy``, numpy draws, and each such
+decline is counted under ``yield/noise_declines/*``.  Like numpy's fill,
+the kernel writes row by row from one stream, so the first rows of a
+longer draw equal a shorter draw of the same seed.
+
 Design-space sweeps score many candidate frequency plans against the
 *same* coupling graph.  :meth:`YieldSimulator.estimate_batch` evaluates a
 whole ``(num_candidates, num_qubits)`` matrix of designs against one
@@ -50,9 +63,7 @@ from repro.collision.conditions import (
     triple_collision_mask,
 )
 from repro.collision.screening import (
-    ScreeningBounds,
     record_screening,
-    screen_candidate_bounds,
     screen_candidate_bounds_batch,
     screening_applicable,
 )
@@ -131,10 +142,44 @@ def collision_index_arrays(
     )
 
 
+def fabrication_noise(
+    seed: Optional[int], sigma_ghz: float, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """``np.random.default_rng(seed).normal(0.0, sigma_ghz, shape)``, byte for byte.
+
+    The C kernel draws it (:func:`~repro.collision.merge_kernel.pcg64_normal`)
+    when ``native`` is the active backend, the seed gives a fresh PCG64
+    generator and the kernel passed its once-per-process self-check
+    (:func:`~repro.collision.merge_kernel.normal_fill_verified`).
+    Otherwise numpy draws, and the decline is counted in
+    ``yield/noise_declines/<backend|bit_generator|self_check>``.  Both
+    give the same bytes, so a grid point has one answer whichever runs.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = merge_kernel.native_normal_fill()
+    if kernel is None:
+        reason = "backend"
+    elif type(rng.bit_generator) is not np.random.PCG64 or isinstance(
+        seed, (np.random.Generator, np.random.BitGenerator)
+    ):
+        # The kernel leaves the generator's state alone, so a generator
+        # the caller keeps drawing from takes numpy's path.
+        reason = "bit_generator"
+    elif not merge_kernel.normal_fill_verified():
+        reason = "self_check"
+    elif not sigma_ghz >= 0.0:
+        # numpy raises for a negative or NaN scale; let it.
+        return rng.normal(0.0, sigma_ghz, size=shape)
+    else:
+        return merge_kernel.pcg64_normal(kernel, rng.bit_generator, sigma_ghz, shape)
+    _metrics.increment(f"yield/noise_declines/{reason}")
+    return rng.normal(0.0, sigma_ghz, size=shape)
+
+
 @dataclass(frozen=True)
 class ScreenedCounts:
     """Result of a screened candidate ranking (see
-    :meth:`YieldSimulator.screened_failure_counts`).
+    :meth:`YieldSimulator.screened_failure_counts_batch`).
 
     Attributes:
         counts: ``(num_candidates,)`` int64 failed-trial counts.  Exact
@@ -416,99 +461,13 @@ class YieldSimulator:
         Requires both the folded joint kernel (the ground truth screened
         survivors are verified against) and the disjoint-interval
         geometry of :func:`repro.collision.screening.screening_applicable`.
-        When False, :meth:`screened_failure_counts` silently degrades to
-        the full joint kernel — results are identical either way.
+        When False, :meth:`screened_failure_counts_batch` silently
+        degrades to the full joint kernel — results are identical either
+        way.
         """
         return self._foldable_thresholds() and screening_applicable(
             self.delta_ghz, self.thresholds
         )
-
-    def candidate_failure_bounds(
-        self,
-        candidates: np.ndarray,
-        qubit_index: int,
-        base_frequencies: np.ndarray,
-        pairs: Sequence[Tuple[int, int]],
-        triples: Sequence[Tuple[int, int, int]],
-        noise: Optional[np.ndarray] = None,
-    ) -> Optional[ScreeningBounds]:
-        """Per-candidate interval-count bounds for one scanned qubit.
-
-        The raw bound layer of :meth:`screened_failure_counts`: for every
-        candidate frequency of the qubit at ``qubit_index``, exact
-        per-event failed-trial counts are combined into a lower bound
-        (max over events) and an upper bound (sum over events) on the
-        joint failure count the kernel of :meth:`failure_counts` would
-        report.  Only valid when :meth:`screening_enabled` is True.
-        Returns None when the C merge kernel declines the region (see
-        :func:`repro.collision.merge_kernel.fused_union_bounds`).
-        """
-        if not self.screening_enabled():
-            raise ValueError(
-                "interval screening is not applicable to these thresholds; "
-                "check screening_enabled() before asking for bounds"
-            )
-        candidates = _ascending_candidates(candidates)
-        base = np.asarray(base_frequencies, dtype=float)
-        pairs_array, triples_array = collision_index_arrays(pairs, triples)
-        if noise is None:
-            noise = self._draw_noise(base.shape[0])
-        return screen_candidate_bounds(
-            candidates, qubit_index, base, pairs_array, triples_array,
-            noise, self.delta_ghz, self.thresholds,
-        )
-
-    def screened_failure_counts(
-        self,
-        candidates: np.ndarray,
-        qubit_index: int,
-        base_frequencies: np.ndarray,
-        pairs: Sequence[Tuple[int, int]],
-        triples: Sequence[Tuple[int, int, int]],
-        noise: Optional[np.ndarray] = None,
-        max_chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    ) -> ScreenedCounts:
-        """Screen-then-verify failed-trial counts for one scanned qubit.
-
-        The fast path of the Algorithm 3 candidate ranking: instead of
-        running the joint kernel on every candidate row, interval-count
-        bounds (:meth:`candidate_failure_bounds`) first decide candidates
-        whose bounds coincide, then one incumbent (the smallest upper
-        bound) is verified exactly, and every candidate whose *lower*
-        bound exceeds the incumbent's exact count is discarded — provably
-        worse, so never the winner under any tie-break that only inspects
-        minimum-count candidates.  The joint kernel runs only on the
-        surviving, still-undecided rows.
-
-        The result is bit-identical to ranking with
-        :meth:`failure_counts` wherever it matters: every candidate
-        achieving the minimum count is ``known`` with its exact joint
-        count.  The screen runs only while the C merge kernel is the
-        active backend; otherwise, or when :meth:`screening_enabled` is
-        False, the method computes every candidate exactly (the direct
-        ranking, with no ``screening/*`` metrics).
-
-        Args:
-            candidates: Candidate frequencies of the scanned qubit, in
-                strictly ascending order (the allocator's grid and every
-                subset of it; the screen's prefix-sum counting depends
-                on it, so other orders are rejected).
-            qubit_index: The scanned qubit's column in the region arrays.
-            base_frequencies: Designed frequencies of the region's qubits
-                (the scanned qubit's entry is ignored).
-            pairs: Local pairs, as region column indices (each contains
-                ``qubit_index``).
-            triples: Local triples ``(j, i, k)``, as region column
-                indices (each contains ``qubit_index``).
-            noise: Optional ``(trials, region_size)`` CRN noise tensor;
-                drawn from this simulator's seed when omitted.
-            max_chunk_elements: Chunk bound for the verification kernel.
-        """
-        return self.screened_failure_counts_batch(
-            candidates,
-            [(qubit_index, base_frequencies, pairs, triples, noise)],
-            max_chunk_elements=max_chunk_elements,
-        )[0]
 
     def screened_failure_counts_batch(
         self,
@@ -520,24 +479,42 @@ class YieldSimulator:
     ) -> List[ScreenedCounts]:
         """Screen-then-verify rankings for many scanned qubits at once.
 
-        The cross-qubit batched form of :meth:`screened_failure_counts`:
-        all regions screen through one fused merge-kernel invocation
-        (:func:`repro.collision.screening.screen_candidate_bounds_batch`),
-        then each region's survivors are verified with its own joint
-        kernel pass.  Without the C kernel (another active backend, or
-        a batch the kernel declines) every region is ranked directly.
-        Per region the result is bit-identical to a
-        sequential :meth:`screened_failure_counts` call — regions never
-        share rows in the merge, and verification uses each region's own
-        noise tensor — so callers are free to batch any set of rankings
-        whose inputs do not depend on each other's outcomes.
+        The fast path of the Algorithm 3 candidate ranking: instead of
+        running the joint kernel on every candidate row, all regions
+        screen through one fused merge-kernel invocation
+        (:func:`repro.collision.screening.screen_candidate_bounds_batch`).
+        Per region, the interval-count bounds first decide candidates
+        whose bounds coincide, then one incumbent (the smallest upper
+        bound) is verified exactly, and every candidate whose *lower*
+        bound exceeds the incumbent's exact count is discarded — provably
+        worse, so never the winner under any tie-break that only inspects
+        minimum-count candidates.  The region's own joint kernel pass runs
+        only on the surviving, still-undecided rows.
+
+        Every candidate achieving the minimum count is ``known`` with its
+        exact joint count, so the result ranks exactly as
+        :meth:`failure_counts` would.  Regions never share rows in the
+        merge, and verification uses each region's own noise tensor, so
+        a region's result does not depend on the batch it came in and
+        callers are free to batch any set of rankings whose inputs do not
+        depend on each other's outcomes.  Without the C kernel (another
+        active backend, or a batch the kernel declines), or when
+        :meth:`screening_enabled` is False, every region is ranked
+        directly (every candidate exact, no ``screening/*`` metrics).
 
         Args:
-            candidates: Shared candidate grid, strictly ascending.
+            candidates: Shared candidate grid, strictly ascending (the
+                allocator's grid and every subset of it; the screen's
+                prefix-sum counting depends on it, so other orders are
+                rejected).
             regions: Per scanned qubit: ``(qubit_index, base_frequencies,
-                pairs, triples, noise)`` with the same meaning as the
-                :meth:`screened_failure_counts` arguments (``noise`` may
-                be None to draw from the simulator's seed).
+                pairs, triples, noise)``: the scanned qubit's column in
+                the region arrays; the designed frequencies of the
+                region's qubits (the scanned qubit's entry is ignored);
+                the local pairs and triples ``(j, i, k)`` as region column
+                indices, each containing ``qubit_index``; and the
+                ``(trials, region_size)`` CRN noise tensor, or None to
+                draw from the simulator's seed.
             max_chunk_elements: Chunk bound for the verification kernel.
         """
         candidates = _ascending_candidates(candidates)
@@ -724,8 +701,7 @@ class YieldSimulator:
 
     def _draw_noise(self, num_qubits: int) -> np.ndarray:
         """The ``(trials, num_qubits)`` fabrication-noise tensor for this seed."""
-        rng = np.random.default_rng(self.seed)
-        return rng.normal(0.0, self.sigma_ghz, size=(self.trials, num_qubits))
+        return fabrication_noise(self.seed, self.sigma_ghz, (self.trials, num_qubits))
 
     def _estimate_from_successes(self, successes: int) -> YieldEstimate:
         return YieldEstimate(

@@ -68,7 +68,11 @@ from repro.collision.conditions import (
     CollisionThresholds,
     DEFAULT_THRESHOLDS,
 )
-from repro.collision.yield_simulator import ScreenedCounts, YieldSimulator
+from repro.collision.yield_simulator import (
+    ScreenedCounts,
+    YieldSimulator,
+    fabrication_noise,
+)
 from repro.hardware.architecture import Architecture
 from repro.hardware.frequency import (
     DEFAULT_SIGMA_GHZ,
@@ -135,8 +139,9 @@ def _shared_noise(key: Tuple, sigma_ghz: float, trials: int, qubit: int,
                   region_size: int) -> np.ndarray:
     noise = _NOISE_TENSORS.get(key)
     if noise is None:
-        rng = np.random.default_rng(seed_for("freq-alloc", key[0], qubit))
-        noise = rng.normal(0.0, sigma_ghz, size=(trials, region_size))
+        noise = fabrication_noise(
+            seed_for("freq-alloc", key[0], qubit), sigma_ghz, (trials, region_size)
+        )
         noise.setflags(write=False)
         _bounded_put(_NOISE_TENSORS, _NOISE_TENSOR_LIMIT, key, noise)
     return noise

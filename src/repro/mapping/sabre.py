@@ -383,11 +383,12 @@ class SabreRouter:
         The mapping crosses as ``pos`` (index of each circuit logical) and
         ``occupant`` (the position of the mapping key at each index, -1
         when free), so extra logical keys ride along like in Python.
-        Returns None when the Python pass must decide: a negative logical
-        key, a non-integer count parameter, a disconnected chip, or an
-        error status.
+        Returns None when the Python pass must decide: a non-integer count
+        parameter, a disconnected chip, or an error status.  Logical keys
+        are non-negative: every caller of :meth:`_pass` validates the
+        mapping first (:meth:`_validate_mapping`).
         """
-        if self._c_router is None or any(logical < 0 for logical in mapping):
+        if self._c_router is None:
             return None
         params = self.parameters
         index_of = self.distances.index_of
@@ -640,6 +641,9 @@ class SabreRouter:
 
     def _validate_mapping(self, num_qubits: int, mapping: Dict[int, int]) -> None:
         physical = set(self.architecture.qubits)
+        negative = [logical for logical in mapping if logical < 0]
+        if negative:
+            raise ValueError(f"initial mapping has negative logical qubit {negative[0]}")
         for logical in range(num_qubits):
             if logical not in mapping:
                 raise ValueError(f"initial mapping misses logical qubit {logical}")

@@ -16,7 +16,9 @@ Invariants covered (ISSUE satellite list):
 * the native ``chip_survivors`` count equals the numpy compaction loop,
   the dense mask and the ``numpy``-backend estimate on random chips of
   up to 20 qubits, arbitrary thresholds and non-finite frequencies, and
-  declines to the numpy loop on out-of-range indices.
+  declines to the numpy loop on out-of-range indices; its noise is drawn
+  through ``fabrication_noise`` with the C draw active, and the count
+  also equals the dense mask over numpy's own draw.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.collision import (
     find_collisions,
     merge_kernel,
 )
-from repro.collision.yield_simulator import collision_index_arrays
+from repro.collision.yield_simulator import collision_index_arrays, fabrication_noise
 from repro.hardware import Architecture, Lattice
 from strategies import (
     chain_regions,
@@ -252,6 +254,15 @@ def native_kernel():
         return merge_kernel.native_chip_survivors()
 
 
+def native_noise(simulator, num_qubits):
+    """The simulator's noise tensor, drawn by ``fabrication_noise`` with
+    the C draw active."""
+    with screening_backend("native"):
+        return fabrication_noise(
+            simulator.seed, simulator.sigma_ghz, (simulator.trials, num_qubits)
+        )
+
+
 def estimate_outcome(simulator, frequencies, pairs, triples):
     """The estimate's success count, or the exception type and message it raises."""
     try:
@@ -406,7 +417,7 @@ class TestNativeSurvivorsMatchNumpy:
         simulator = YieldSimulator(trials=trials, sigma_ghz=sigma, seed=seed,
                                    delta_ghz=delta, thresholds=thresholds)
         pairs_array, triples_array = collision_index_arrays(pairs, triples)
-        noise = simulator._draw_noise(frequencies.shape[0])
+        noise = native_noise(simulator, frequencies.shape[0])
         native = simulator._native_survivors(
             native_kernel(), frequencies, noise, pairs_array, triples_array
         )
@@ -416,6 +427,7 @@ class TestNativeSurvivorsMatchNumpy:
         )
         dense = simulator.collision_mask(frequencies[None, :] + noise, pairs, triples)
         assert native == trials - int(dense.sum())
+        assert native == dense_successes(simulator, frequencies, pairs, triples)
         for name in ("numpy", "native"):
             with screening_backend(name):
                 estimate = simulator.estimate_from_arrays(frequencies, pairs, triples)
@@ -435,7 +447,7 @@ class TestNativeSurvivorsMatchNumpy:
         simulator = YieldSimulator(trials=1, sigma_ghz=0.0, seed=0,
                                    delta_ghz=delta, thresholds=thresholds)
         pairs_array, triples_array = collision_index_arrays(pairs, triples)
-        noise = simulator._draw_noise(frequencies.shape[0])
+        noise = native_noise(simulator, frequencies.shape[0])
         native = simulator._native_survivors(
             native_kernel(), frequencies, noise, pairs_array, triples_array
         )
@@ -464,7 +476,7 @@ class TestNativeSurvivorsMatchNumpy:
         frequencies, pairs, triples = chip
         simulator = YieldSimulator(trials=trials, sigma_ghz=sigma, seed=seed)
         pairs_array, triples_array = collision_index_arrays(pairs, triples)
-        noise = simulator._draw_noise(frequencies.shape[0])
+        noise = native_noise(simulator, frequencies.shape[0])
         native = simulator._native_survivors(
             native_kernel(), frequencies, noise, pairs_array, triples_array
         )
@@ -495,7 +507,7 @@ class TestNativeSurvivorsMatchNumpy:
         simulator = YieldSimulator(trials=20, seed=1)
         pairs_array, triples_array = collision_index_arrays([(0, 1)], [(1, 0, 2)])
         frequencies = np.array([5.05, 5.17, 5.29])
-        noise = simulator._draw_noise(3)
+        noise = native_noise(simulator, 3)
         kernel = native_kernel()
         assert simulator._native_survivors(
             kernel, frequencies, noise, pairs_array, triples_array

@@ -42,6 +42,7 @@ import pytest
 from repro.benchmarks import BENCHMARK_NAMES, get_benchmark
 from repro.circuit.dag import PackedDAG
 from repro.cli import main
+from repro.collision import merge_kernel
 from repro.design import (
     ALLOCATION_STRATEGIES,
     DesignEngine,
@@ -59,6 +60,7 @@ from repro.mapping.initial import initial_mapping
 from repro.mapping.sabre import SabreParameters
 from repro.profiling import profile_circuit
 from repro.runtime.config import DEFAULT_EVALUATION_ROUTING, RuntimeConfig
+from repro.runtime.metrics import diff_snapshots, global_metrics
 
 GOLDEN = Path(__file__).parent / "golden" / "contracts.json"
 SWEEP_ARGV = ["sweep", "sym6_145", "--trials", "200", "--local-trials", "100"]
@@ -254,6 +256,32 @@ def test_sweep_report_matches_golden_digest(tmp_path, capsys, strategy):
         assert sweep_digest(tmp_path, strategy, jobs) == expected, (
             f"{strategy} sweep report drifted at --jobs {jobs}"
         )
+    capsys.readouterr()
+
+
+def test_sweep_report_unchanged_when_the_noise_self_check_fails(
+    tmp_path, capsys, merge_backend, monkeypatch,
+):
+    """A C noise draw that fails its self-check hands every draw to numpy,
+    and the report keeps its golden bytes."""
+    merge_backend("native")
+    real = merge_kernel.pcg64_normal
+    c_draws = []
+
+    def corrupted(*args, **kwargs):
+        c_draws.append(args[3])
+        out = real(*args, **kwargs)
+        out.flat[-1] += 1.0
+        return out
+
+    monkeypatch.setattr(merge_kernel, "pcg64_normal", corrupted)
+    monkeypatch.setattr(merge_kernel, "_normal_verified", None)
+    strategy = RuntimeConfig().allocation_strategy
+    before = global_metrics().snapshot()
+    assert sweep_digest(tmp_path, strategy, 1) == load_golden()["sweep_sha256"][strategy]
+    counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
+    assert len(c_draws) == 1, "only the self-check may draw in C"
+    assert counters.get("yield/noise_declines/self_check", 0) > 0
     capsys.readouterr()
 
 

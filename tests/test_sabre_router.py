@@ -77,6 +77,17 @@ class TestRouterCore:
             # Extra logical key on an unknown physical qubit.
             router.route(circuit, {0: 0, 1: 1, 2: 2, 9: 77})
 
+    def test_negative_logical_key_rejected(self, routing_backend):
+        """A negative logical key used to reach the pass, which wrote
+        ``pos[-1]`` and inserted a useless SWAP on both backends."""
+        circuit = QuantumCircuit(2).extend([cx(0, 1)])
+        router = SabreRouter(chain_architecture(4))
+        mapping = {0: 0, 1: 1, -1: 3}
+        with pytest.raises(ValueError, match="negative logical qubit -1"):
+            router.route(circuit, mapping)
+        with pytest.raises(ValueError, match="negative logical qubit -1"):
+            router.route_packed(PackedDAG.from_circuit(circuit), None, mapping)
+
     def test_all_routed_two_qubit_gates_on_coupled_pairs(self, line_circuit):
         arch = ibm_16q_2x8()
         result = route_circuit(line_circuit, arch)

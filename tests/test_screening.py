@@ -6,9 +6,9 @@ Covers three layers:
   tightness of the per-candidate joint-count bounds against the joint
   Monte Carlo kernel on randomized local regions;
 * the screen-then-verify entry point
-  (:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts`)
-  — the winner-preservation contract: every minimum-count candidate is
-  known with its exact joint count;
+  (:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`,
+  one region at a time) — the winner-preservation contract: every
+  minimum-count candidate is known with its exact joint count;
 * the allocator integration — Algorithm 3 produces bit-identical plans
   screened (the ``native`` backend) and ranked directly (``numpy``), for
   every allocation strategy and for the unique collision structures of
@@ -27,6 +27,8 @@ from repro.collision import (
     YieldSimulator,
     screening_applicable,
 )
+from repro.collision.screening import screen_candidate_bounds
+from repro.collision.yield_simulator import collision_index_arrays
 from repro.benchmarks import get_benchmark
 from repro.design import (
     ALLOCATION_STRATEGIES,
@@ -68,6 +70,23 @@ def random_region(rng, num_qubits=None):
     return q, base, pairs, triples
 
 
+def candidate_bounds(simulator, candidates, q, base, pairs, triples, noise):
+    """The screen's per-candidate bounds for one region, under the
+    simulator's anharmonicity and thresholds."""
+    pairs_array, triples_array = collision_index_arrays(pairs, triples)
+    return screen_candidate_bounds(
+        candidates, q, base, pairs_array, triples_array, noise,
+        simulator.delta_ghz, simulator.thresholds,
+    )
+
+
+def screen_one(simulator, candidates, q, base, pairs, triples, noise=None):
+    """The screened ranking of one region: a one-region batch."""
+    return simulator.screened_failure_counts_batch(
+        candidates, [(q, base, pairs, triples, noise)]
+    )[0]
+
+
 class TestScreeningApplicable:
     def test_paper_constants_are_applicable(self):
         simulator = YieldSimulator(trials=100, seed=1)
@@ -84,25 +103,31 @@ class TestScreeningApplicable:
         assert not screening_applicable(-0.34, wide)
         assert not YieldSimulator(trials=100, seed=1, thresholds=wide).screening_enabled()
 
-    def test_bounds_refused_when_not_applicable(self):
+    def test_bounds_refused_when_not_applicable(self, merge_backend):
+        """Even with the C kernel active, no bounds are derived for
+        thresholds the interval geometry does not support: the ranking
+        scores every candidate directly."""
+        merge_backend("native")
         simulator = YieldSimulator(
             trials=100, seed=1, thresholds=CollisionThresholds(condition_3_ghz=0.5)
         )
-        with pytest.raises(ValueError, match="not applicable"):
-            simulator.candidate_failure_bounds(
-                candidate_frequencies(), 0, np.array([0.0, 5.1]), [(0, 1)], []
-            )
+        assert not simulator.screening_enabled()
+        before = global_metrics().snapshot()
+        ranking = screen_one(
+            simulator, candidate_frequencies(), 0, np.array([0.0, 5.1]), [(0, 1)], []
+        )
+        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
+        assert "screening/calls" not in counters
+        assert ranking.known.all()
 
     def test_unsorted_candidates_rejected(self):
         simulator = YieldSimulator(trials=100, seed=1)
         descending = candidate_frequencies()[::-1]
         with pytest.raises(ValueError, match="ascending"):
-            simulator.candidate_failure_bounds(
-                descending, 0, np.array([0.0, 5.1]), [(0, 1)], []
-            )
+            screen_one(simulator, descending, 0, np.array([0.0, 5.1]), [(0, 1)], [])
         with pytest.raises(ValueError, match="ascending"):
-            simulator.screened_failure_counts(
-                descending, 0, np.array([0.0, 5.1]), [(0, 1)], []
+            simulator.screened_failure_counts_batch(
+                descending, [(0, np.array([0.0, 5.1]), [(0, 1)], [], None)] * 2
             )
 
 
@@ -133,8 +158,8 @@ class TestBoundValidity:
             batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
             batch[:, q] = candidates
             exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-            bounds = simulator.candidate_failure_bounds(
-                candidates, q, base, pairs, triples, noise=noise
+            bounds = candidate_bounds(
+                simulator, candidates, q, base, pairs, triples, noise
             )
             assert (bounds.lower <= exact).all()
             assert (bounds.upper >= exact).all()
@@ -150,8 +175,8 @@ class TestBoundValidity:
         batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
         batch[:, 0] = candidates
         exact = simulator.failure_counts(batch, [(0, 1)], [], noise=noise)
-        bounds = simulator.candidate_failure_bounds(
-            candidates, 0, base, [(0, 1)], [], noise=noise
+        bounds = candidate_bounds(
+            simulator, candidates, 0, base, [(0, 1)], [], noise
         )
         assert (bounds.lower == exact).all()
         assert (bounds.upper == exact).all()
@@ -167,8 +192,8 @@ class TestBoundValidity:
         batch = np.repeat(base[None, :], subset.shape[0], axis=0)
         batch[:, 0] = subset
         exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-        bounds = simulator.candidate_failure_bounds(
-            subset, 0, base, pairs, triples, noise=noise
+        bounds = candidate_bounds(
+            simulator, subset, 0, base, pairs, triples, noise
         )
         assert (bounds.lower <= exact).all()
         assert (bounds.upper >= exact).all()
@@ -176,7 +201,7 @@ class TestBoundValidity:
 
 @pytest.mark.usefixtures("native")
 class TestScreenedCounts:
-    """The screen-then-verify contract of ``screened_failure_counts``."""
+    """The screen-then-verify contract of ``screened_failure_counts_batch``."""
 
     TRIALS = 700
 
@@ -194,8 +219,8 @@ class TestScreenedCounts:
             batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
             batch[:, q] = candidates
             exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-            screened = simulator.screened_failure_counts(
-                candidates, q, base, pairs, triples, noise=noise
+            screened = screen_one(
+                simulator, candidates, q, base, pairs, triples, noise
             )
             minimum = exact.min()
             # Every minimum-count candidate is known, with the exact count.
@@ -206,8 +231,8 @@ class TestScreenedCounts:
     def test_no_connections_all_zero_and_known(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
         before = global_metrics().snapshot()
-        screened = simulator.screened_failure_counts(
-            candidate_frequencies(), 0, np.array([0.0]), [], []
+        screened = screen_one(
+            simulator, candidate_frequencies(), 0, np.array([0.0]), [], []
         )
         counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
         assert (screened.counts == 0).all()
@@ -222,8 +247,8 @@ class TestScreenedCounts:
         candidates = candidate_frequencies()
         base = np.array([0.0, 5.13])
         before = global_metrics().snapshot()
-        screened = simulator.screened_failure_counts(
-            candidates, 0, base, [(0, 1)], []
+        screened = screen_one(
+            simulator, candidates, 0, base, [(0, 1)], []
         )
         counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
         batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
@@ -237,8 +262,8 @@ class TestScreenedCounts:
     def test_stats_accumulate_and_reset(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
         before = global_metrics().snapshot()
-        screened = simulator.screened_failure_counts(
-            candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
+        screened = screen_one(
+            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
         )
         counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
         candidates = candidate_frequencies().shape[0]
@@ -253,8 +278,8 @@ class TestScreenedCounts:
         assert exact + verified == int(screened.known.sum())
         # Counts accumulate across calls; a later baseline restarts them.
         middle = global_metrics().snapshot()
-        simulator.screened_failure_counts(
-            candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
+        screen_one(
+            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
         )
         now = global_metrics().snapshot()
         assert diff_snapshots(now, before)["counters"]["screening/calls"] == 2
@@ -269,8 +294,8 @@ class TestSessionScreeningStats:
 
     def _run_screen(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
-        simulator.screened_failure_counts(
-            candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
+        screen_one(
+            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
         )
 
     def test_phase_counters_reset_with_the_logical_counters(self):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.collision import YieldSimulator, estimate_yield
+from repro.collision import YieldSimulator, estimate_yield, merge_kernel
+from repro.collision.yield_simulator import fabrication_noise
 from repro.hardware import Architecture, Lattice, ibm_16q_2x8, ibm_20q_4x5
+from repro.runtime.metrics import diff_snapshots, global_metrics
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -269,3 +271,83 @@ class TestSurvivorCompaction:
         noise = np.random.default_rng(7).normal(0.0, simulator.sigma_ghz, (10_000, arch.num_qubits))
         dense = simulator.collision_mask(frequencies + noise, pairs, triples)
         assert simulator.estimate(arch).successes == 10_000 - int(dense.sum())
+
+
+def noise_declines(draw):
+    """``yield/noise_declines/*`` counter deltas of one call of ``draw``."""
+    before = global_metrics().snapshot()
+    draw()
+    counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
+    prefix = "yield/noise_declines/"
+    return {name[len(prefix):]: n for name, n in counters.items() if name.startswith(prefix)}
+
+
+class TestFabricationNoise:
+    """The C draw is numpy's draw; every decline is counted."""
+
+    def test_both_slow_paths_match_numpy(self, merge_backend):
+        """2,500 values from seed 0 take the ziggurat's idx-0 tail and its
+        wedge test, and cross a refill of the kernel's raw buffer."""
+        merge_backend("native")
+        slow = np.zeros(2, dtype=np.int64)
+        drawn = merge_kernel.pcg64_normal(
+            merge_kernel.native_normal_fill(),
+            np.random.default_rng(0).bit_generator, 0.03, (2500,), slow,
+        )
+        tails, wedges = slow.tolist()
+        assert tails > 0 and wedges > 0
+        expected = np.random.default_rng(0).normal(0.0, 0.03, 2500)
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_longer_draws_extend_shorter_ones(self, yield_backend):
+        """Rows come from one stream in order: the first rows of a longer
+        draw are the shorter draw of the same seed."""
+        short = fabrication_noise(11, 0.03, (1000, 7))
+        long = fabrication_noise(11, 0.03, (5000, 7))
+        assert long[:1000].tobytes() == short.tobytes()
+
+    def test_native_backend_draws_in_c(self, merge_backend):
+        merge_backend("native")
+        assert merge_kernel.normal_fill_verified()
+        assert noise_declines(lambda: fabrication_noise(3, 0.03, (100, 4))) == {}
+
+    def test_numpy_backend_declines(self, merge_backend):
+        merge_backend("numpy")
+        declines = noise_declines(lambda: fabrication_noise(3, 0.03, (100, 4)))
+        assert declines == {"backend": 1}
+
+    def test_other_bit_generators_decline(self, merge_backend):
+        """Another bit generator, or a generator the caller keeps drawing
+        from, takes numpy's path and advances as numpy advances it."""
+        merge_backend("native")
+        mt = np.random.Generator(np.random.MT19937(5))
+        expected = np.random.Generator(np.random.MT19937(5)).normal(0.0, 0.03, (50, 3))
+        drawn = {}
+        declines = noise_declines(lambda: drawn.update(mt=fabrication_noise(mt, 0.03, (50, 3))))
+        assert declines == {"bit_generator": 1}
+        assert drawn["mt"].tobytes() == expected.tobytes()
+        shared = np.random.default_rng(5)
+        reference = np.random.default_rng(5)
+        fabrication_noise(shared, 0.03, (50, 3))
+        reference.normal(0.0, 0.03, (50, 3))
+        assert shared.bit_generator.state == reference.bit_generator.state
+
+    def test_failed_self_check_declines_to_numpy(self, merge_backend, monkeypatch):
+        merge_backend("native")
+        real = merge_kernel.pcg64_normal
+
+        def corrupted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.flat[-1] += 1.0
+            return out
+
+        monkeypatch.setattr(merge_kernel, "pcg64_normal", corrupted)
+        monkeypatch.setattr(merge_kernel, "_normal_verified", None)
+        drawn = {}
+        declines = noise_declines(lambda: drawn.update(
+            noise=fabrication_noise(3, 0.03, (100, 4))
+        ))
+        assert not merge_kernel.normal_fill_verified()
+        assert declines == {"self_check": 1}
+        expected = np.random.default_rng(3).normal(0.0, 0.03, (100, 4))
+        assert drawn["noise"].tobytes() == expected.tobytes()
