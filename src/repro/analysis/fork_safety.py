@@ -14,7 +14,7 @@ parent folds together.  Two things keep that safe:
   under ``--jobs N``.
 * **REPRO-P402** — the :class:`~repro.runtime.metrics.MetricsRegistry`
   merge algebra is associative only because every mutation goes through
-  ``increment`` / ``increment_many`` / ``observe`` / ``merge``.
+  ``increment`` / ``observe`` / ``merge``.
   Touching the private ``_counters`` / ``_timers`` dicts from outside
   ``repro/runtime/metrics.py`` can break the key-wise-sum contract that
   makes worker-delta merges order-independent.

@@ -284,8 +284,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write the invocation's merged structured metrics report "
-             "(versioned JSON: per-stage cache counters, screening prune "
-             "fractions, routing swap counts, Monte Carlo call counts, and "
+             "(versioned JSON: per-stage cache counters, native-backend "
+             "fallbacks, routing swap counts, Monte Carlo call counts, and "
              "wall-time timers, aggregated across all workers) to PATH",
     )
 

@@ -17,7 +17,6 @@ from repro.collision.conditions import (
     find_collisions,
 )
 from repro.collision.yield_simulator import (
-    ScreenedCounts,
     YieldEstimate,
     YieldSimulator,
     collision_index_arrays,
@@ -26,15 +25,7 @@ from repro.collision.yield_simulator import (
 from repro.collision.merge_kernel import (
     active_backend,
     available_backends,
-    fused_union_bounds,
     set_backend,
-)
-from repro.collision.screening import (
-    SCREENING_EPSILON,
-    ScreeningBounds,
-    screen_candidate_bounds,
-    screen_candidate_bounds_batch,
-    screening_applicable,
 )
 from repro.collision.analytic import (
     AnalyticYieldEstimate,
@@ -57,16 +48,9 @@ __all__ = [
     "find_collisions",
     "YieldSimulator",
     "YieldEstimate",
-    "ScreenedCounts",
-    "ScreeningBounds",
-    "SCREENING_EPSILON",
     "collision_index_arrays",
     "estimate_yield",
     "active_backend",
     "available_backends",
-    "fused_union_bounds",
-    "screen_candidate_bounds",
-    "screen_candidate_bounds_batch",
-    "screening_applicable",
     "set_backend",
 ]

@@ -17,8 +17,8 @@ trial's comparisons read only its own row of the noise draw, so which
 rows share an array and in what order the connections come cannot
 change whether a trial survives.  :meth:`YieldSimulator.collision_mask`
 keeps the dense per-trial form as the reference.  While ``native`` is the
-active screening backend the same count runs as one C call
-(``chip_survivors`` in :mod:`repro.collision.merge_kernel`), which walks
+active backend the same count runs as one C call (``chip_survivors`` in
+``native.c``, loaded by :mod:`repro.collision.merge_kernel`), which walks
 each trial's pairs, then triples, with the arithmetic of the numpy masks
 and stops at the trial's first failing connection.  It declines, and the
 numpy loop counts, when an array is not C-contiguous float64/int64 or a
@@ -42,12 +42,15 @@ Design-space sweeps score many candidate frequency plans against the
 whole ``(num_candidates, num_qubits)`` matrix of designs against one
 shared noise tensor (common random numbers), so candidate comparisons
 carry no Monte Carlo comparison noise and no per-candidate Python
-overhead.
+overhead.  Algorithm 3 ranks its candidates the same way, a BFS wave of
+local regions per :meth:`YieldSimulator.ranking_failure_counts` call:
+in C (``region_failure_counts``) while ``native`` is active and the
+thresholds fold, with :meth:`YieldSimulator.failure_counts` otherwise.
+Both give the same counts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -62,11 +65,7 @@ from repro.collision.conditions import (
     pair_collision_mask,
     triple_collision_mask,
 )
-from repro.collision.screening import (
-    record_screening,
-    screen_candidate_bounds_batch,
-    screening_applicable,
-)
+from repro.collision.screening import screen_candidate_bounds_batch
 from repro.hardware.architecture import Architecture
 from repro.hardware.frequency import DEFAULT_SIGMA_GHZ
 from repro.runtime.metrics import global_metrics
@@ -88,21 +87,6 @@ DEFAULT_CHUNK_ELEMENTS = 40_000
 #: enough that failed trials leave the working set early, large enough to
 #: amortize the per-step numpy overhead.
 CONNECTION_BLOCK = 4
-
-
-def _ascending_candidates(candidates: np.ndarray) -> np.ndarray:
-    """Validate a screening candidate grid: strictly ascending or bust.
-
-    The screen counts candidates by prefix sums over their order, so an
-    unsorted grid would produce wrong counts silently; rejecting it is
-    cheap (the grids are a few dozen entries).
-    """
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.size > 1 and not (np.diff(candidates) > 0).all():
-        raise ValueError(
-            "screening candidate frequencies must be strictly ascending"
-        )
-    return candidates
 
 
 @lru_cache(maxsize=1024)
@@ -156,7 +140,7 @@ def fabrication_noise(
     give the same bytes, so a grid point has one answer whichever runs.
     """
     rng = np.random.default_rng(seed)
-    kernel = merge_kernel.native_normal_fill()
+    kernel = merge_kernel.native_kernel("pcg64_normal_fill")
     if kernel is None:
         reason = "backend"
     elif type(rng.bit_generator) is not np.random.PCG64 or isinstance(
@@ -174,29 +158,6 @@ def fabrication_noise(
         return merge_kernel.pcg64_normal(kernel, rng.bit_generator, sigma_ghz, shape)
     _metrics.increment(f"yield/noise_declines/{reason}")
     return rng.normal(0.0, sigma_ghz, size=shape)
-
-
-@dataclass(frozen=True)
-class ScreenedCounts:
-    """Result of a screened candidate ranking (see
-    :meth:`YieldSimulator.screened_failure_counts_batch`).
-
-    Attributes:
-        counts: ``(num_candidates,)`` int64 failed-trial counts.  Exact
-            (bit-identical to the joint kernel) wherever ``known`` is
-            True; a valid *lower bound* elsewhere.
-        known: Boolean mask of candidates whose count is exact.  Every
-            candidate achieving the minimum joint count is guaranteed
-            known, so ``counts[known].min()`` is the true minimum and the
-            tie set ``known & (counts == counts[known].min())`` is exactly
-            the unscreened tie set.
-
-    How many candidates the screen verified or pruned is counted in the
-    ``screening/*`` metrics (:func:`repro.collision.screening.record_screening`).
-    """
-
-    counts: np.ndarray
-    known: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -295,7 +256,7 @@ class YieldSimulator:
         frequencies = np.asarray(frequencies, dtype=float)
         pairs_array, triples_array = collision_index_arrays(pairs, triples)
         noise = self._draw_noise(frequencies.shape[0])
-        kernel = merge_kernel.native_chip_survivors()
+        kernel = merge_kernel.native_kernel("chip_survivors")
         if kernel is not None:
             survivors = self._native_survivors(
                 kernel, frequencies, noise, pairs_array, triples_array
@@ -339,21 +300,16 @@ class YieldSimulator:
     ) -> Optional[int]:
         """:meth:`_compacted_survivors` as one call of the C ``chip_survivors``.
 
-        Returns None, so the numpy loop decides, unless every array is
-        C-contiguous with the dtype the kernel reads and every index lies
-        in ``[0, n)``: numpy wraps negative indices and raises on the
-        rest, where C would read out of bounds.
+        Returns None, so the numpy loop decides, unless the kernel may
+        read the arrays (:func:`~repro.collision.merge_kernel.c_readable`).
         """
-        arrays = ((frequencies, np.float64), (noise, np.float64),
-                  (pairs_array, np.int64), (triples_array, np.int64))
         n = frequencies.shape[0]
         if frequencies.ndim != 1 or noise.shape != (self.trials, n):
             return None
-        if not all(a.dtype == dtype and a.flags.c_contiguous for a, dtype in arrays):
+        if not merge_kernel.c_readable(
+            n, (frequencies, noise), (pairs_array, triples_array)
+        ):
             return None
-        for index in (pairs_array, triples_array):
-            if index.size and (index.min() < 0 or index.max() >= n):
-                return None
         t = self.thresholds
         return int(kernel(
             frequencies.ctypes.data, noise.ctypes.data, self.trials, n,
@@ -420,11 +376,11 @@ class YieldSimulator:
 
         The raw integer form of :meth:`estimate_batch` — one failed-trial
         count per candidate row, computed through the same vectorized
-        kernels.  The frequency-allocation hot loop uses this entry point
-        directly: it avoids per-candidate :class:`YieldEstimate` object
+        kernels.  :meth:`ranking_failure_counts` counts on it when C does
+        not: it avoids per-candidate :class:`YieldEstimate` object
         construction and accepts a caller-owned ``noise`` tensor so common
         random numbers can be drawn once and reused across repeated
-        scorings of the same qubit (refinement sweeps, pruned re-ranks).
+        scorings of the same qubit (refinement sweeps).
 
         Args:
             frequencies_batch: ``(num_candidates, num_qubits)`` designed
@@ -455,154 +411,68 @@ class YieldSimulator:
             frequencies_batch, pairs_array, triples_array, noise, max_chunk_elements
         )
 
-    def screening_enabled(self) -> bool:
-        """Whether these thresholds admit the interval fast path.
-
-        Requires both the folded joint kernel (the ground truth screened
-        survivors are verified against) and the disjoint-interval
-        geometry of :func:`repro.collision.screening.screening_applicable`.
-        When False, :meth:`screened_failure_counts_batch` silently
-        degrades to the full joint kernel — results are identical either
-        way.
-        """
-        return self._foldable_thresholds() and screening_applicable(
-            self.delta_ghz, self.thresholds
-        )
-
-    def screened_failure_counts_batch(
+    def ranking_failure_counts(
         self,
         candidates: np.ndarray,
         regions: Sequence[
             Tuple[int, np.ndarray, Sequence, Sequence, Optional[np.ndarray]]
         ],
         max_chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    ) -> List[ScreenedCounts]:
-        """Screen-then-verify rankings for many scanned qubits at once.
+    ) -> List[np.ndarray]:
+        """Every candidate's failed-trial count, for each of many local regions.
 
-        The fast path of the Algorithm 3 candidate ranking: instead of
-        running the joint kernel on every candidate row, all regions
-        screen through one fused merge-kernel invocation
-        (:func:`repro.collision.screening.screen_candidate_bounds_batch`).
-        Per region, the interval-count bounds first decide candidates
-        whose bounds coincide, then one incumbent (the smallest upper
-        bound) is verified exactly, and every candidate whose *lower*
-        bound exceeds the incumbent's exact count is discarded — provably
-        worse, so never the winner under any tie-break that only inspects
-        minimum-count candidates.  The region's own joint kernel pass runs
-        only on the surviving, still-undecided rows.
-
-        Every candidate achieving the minimum count is ``known`` with its
-        exact joint count, so the result ranks exactly as
-        :meth:`failure_counts` would.  Regions never share rows in the
-        merge, and verification uses each region's own noise tensor, so
-        a region's result does not depend on the batch it came in and
-        callers are free to batch any set of rankings whose inputs do not
-        depend on each other's outcomes.  Without the C kernel (another
-        active backend, or a batch the kernel declines), or when
-        :meth:`screening_enabled` is False, every region is ranked
-        directly (every candidate exact, no ``screening/*`` metrics).
+        Algorithm 3 ranks one BFS wave of scanned qubits per call.  A
+        region's candidate ``c`` is the design ``base`` with the scanned
+        qubit at ``candidates[c]``, and its count is
+        :meth:`failure_counts` of that design on the region's noise.
+        While ``native`` is active and the thresholds fold
+        (:meth:`_foldable_thresholds`), the C count
+        (:func:`~repro.collision.screening.screen_candidate_bounds_batch`)
+        counts every region; otherwise, or when it declines, numpy counts
+        each region.  Both give the same int64 counts, and a region's
+        counts never depend on the batch it came in.
 
         Args:
-            candidates: Shared candidate grid, strictly ascending (the
-                allocator's grid and every subset of it; the screen's
-                prefix-sum counting depends on it, so other orders are
-                rejected).
+            candidates: Candidate frequencies of the scanned qubits.
             regions: Per scanned qubit: ``(qubit_index, base_frequencies,
                 pairs, triples, noise)``: the scanned qubit's column in
                 the region arrays; the designed frequencies of the
                 region's qubits (the scanned qubit's entry is ignored);
                 the local pairs and triples ``(j, i, k)`` as region column
-                indices, each containing ``qubit_index``; and the
-                ``(trials, region_size)`` CRN noise tensor, or None to
-                draw from the simulator's seed.
-            max_chunk_elements: Chunk bound for the verification kernel.
+                indices; and the ``(trials, region_size)`` CRN noise
+                tensor, or None to draw from the simulator's seed.
+            max_chunk_elements: Chunk bound for the numpy count.
         """
-        candidates = _ascending_candidates(candidates)
-        num_candidates = candidates.shape[0]
-        results: List[Optional[ScreenedCounts]] = [None] * len(regions)
-
-        def verify(rows, qubit_index, base, pairs_array, triples_array, noise):
-            batch = np.repeat(base[None, :], rows.shape[0], axis=0)
-            batch[:, qubit_index] = candidates[rows]
-            return self.failure_counts(
-                batch, pairs_array, triples_array, noise=noise,
-                max_chunk_elements=max_chunk_elements,
-            )
-
-        screenable = []
+        candidates = np.ascontiguousarray(candidates, dtype=float)
+        results = [np.zeros(candidates.shape[0], dtype=np.int64) for _ in regions]
+        positions, ranked = [], []
         for position, (qubit_index, base_frequencies, pairs, triples, noise) in (
             enumerate(regions)
         ):
-            base = np.asarray(base_frequencies, dtype=float)
             pairs_array, triples_array = collision_index_arrays(pairs, triples)
             if pairs_array.size == 0 and triples_array.size == 0:
-                results[position] = ScreenedCounts(
-                    counts=np.zeros(num_candidates, dtype=np.int64),
-                    known=np.ones(num_candidates, dtype=bool),
-                )
                 continue
+            base = np.asarray(base_frequencies, dtype=float)
             if noise is None:
                 noise = self._draw_noise(base.shape[0])
-            screenable.append(
-                (position, qubit_index, base, pairs_array, triples_array, noise)
+            positions.append(position)
+            ranked.append((qubit_index, base, pairs_array, triples_array, noise))
+        counts = None
+        if ranked and self._foldable_thresholds():
+            counts = screen_candidate_bounds_batch(
+                candidates, ranked, self.trials, self.delta_ghz, self.thresholds
             )
-        bounds_batch = None
-        if (
-            screenable
-            and merge_kernel.active_backend() == "native"
-            and self.screening_enabled()
-        ):
-            bounds_batch = screen_candidate_bounds_batch(
-                candidates,
-                [region[1:] for region in screenable],
-                self.delta_ghz, self.thresholds,
-            )
-        if bounds_batch is None:
-            # The direct ranking: the joint kernel scores every candidate.
-            all_rows = np.arange(num_candidates)
-            for position, *region in screenable:
-                results[position] = ScreenedCounts(
-                    counts=verify(all_rows, *region),
-                    known=np.ones(num_candidates, dtype=bool),
-                )
-            return results
-
-        total_candidates = total_exact = total_verified = total_pruned = 0
-        dispute_ns = joint_ns = 0
-        for entry, bounds in zip(screenable, bounds_batch):
-            position, qubit_index, base, pairs_array, triples_array, noise = entry
-            started = time.perf_counter_ns()
-            counts = bounds.lower.copy()
-            known = bounds.exact.copy()
-            total_exact += int(known.sum())
-            survivors = None
-            if not known.all():
-                # A candidate whose lower bound exceeds the best upper
-                # bound can never reach the minimum count (J >= lower >
-                # min-upper >= the incumbent's J >= the minimum);
-                # everything else that is still undecided gets one
-                # batched joint-kernel pass.
-                threshold = bounds.upper.min()
-                if known.any():
-                    threshold = min(threshold, counts[known].min())
-                survivors = np.flatnonzero(~known & (bounds.lower <= threshold))
-            dispute_ns += time.perf_counter_ns() - started
-            if survivors is not None and survivors.size:
-                started = time.perf_counter_ns()
-                counts[survivors] = verify(
-                    survivors, qubit_index, base, pairs_array,
-                    triples_array, noise,
-                )
-                joint_ns += time.perf_counter_ns() - started
-                known[survivors] = True
-                total_verified += int(survivors.size)
-            total_candidates += num_candidates
-            total_pruned += int(num_candidates - known.sum())
-            results[position] = ScreenedCounts(counts=counts, known=known)
-        record_screening(
-            total_candidates, total_exact, total_verified, total_pruned,
-            calls=len(screenable), dispute_ns=dispute_ns, joint_ns=joint_ns,
-        )
+        if counts is None:
+            counts = []
+            for qubit_index, base, pairs_array, triples_array, noise in ranked:
+                batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
+                batch[:, qubit_index] = candidates
+                counts.append(self.failure_counts(
+                    batch, pairs_array, triples_array, noise=noise,
+                    max_chunk_elements=max_chunk_elements,
+                ))
+        for position, region_counts in zip(positions, counts):
+            results[position] = region_counts
         return results
 
     def _failure_counts_folded(

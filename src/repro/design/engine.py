@@ -488,8 +488,8 @@ class DesignEngine:
         options = options or DesignOptions()
         if options.frequency_strategy is FrequencyStrategy.FIVE_FREQUENCY:
             return five_frequency_scheme(architecture.coordinates())
-        # The merge-kernel backend is absent from the key: the screened
-        # (native) and direct rankings produce identical plans, so
+        # The backend is absent from the key: the C (native) and numpy
+        # rankings produce identical plans, so
         # persisted DesignCache files stay valid (and shared) whichever
         # backend generated them.
         key = (

@@ -27,12 +27,13 @@ Two structural layers keep the search fast:
 
 **Two ways to rank, picked by the toolchain.**  Every candidate ranking
 goes through
-:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`.
-While the C merge kernel is the active backend it screens the candidates
-with exact interval counts (:mod:`repro.collision.screening`) and runs
-the joint Monte Carlo kernel only on the few it cannot decide; under
-the ``numpy`` backend the joint kernel scores every candidate.  No user
-setting chooses between them, and both give the same winners.
+:meth:`~repro.collision.yield_simulator.YieldSimulator.ranking_failure_counts`,
+which returns each candidate's exact failed-trial count.  While the
+native library is the active backend, C counts them
+(:mod:`repro.collision.screening`); under the ``numpy`` backend, and for
+threshold geometries the folded count does not support, the numpy
+kernel does.  No user setting chooses between them, and both give the
+same counts, so the same winners.
 
 **Candidate tie-break.**  Monte Carlo yields are integer success counts
 over ``local_trials``, so exact ties between candidates are common
@@ -68,11 +69,7 @@ from repro.collision.conditions import (
     CollisionThresholds,
     DEFAULT_THRESHOLDS,
 )
-from repro.collision.yield_simulator import (
-    ScreenedCounts,
-    YieldSimulator,
-    fabrication_noise,
-)
+from repro.collision.yield_simulator import YieldSimulator, fabrication_noise
 from repro.hardware.architecture import Architecture
 from repro.hardware.frequency import (
     DEFAULT_SIGMA_GHZ,
@@ -323,12 +320,9 @@ class _LocalRegionScorer:
     the scanned qubit's local region (the assigned qubits it can collide
     with), score every candidate's joint failed-trial count against the
     qubit's CRN noise tensor, and apply the documented mid-band
-    tie-break.  Rankings take the screened or the direct path of the
-    module docstring (the direct one also for threshold geometries the
-    interval screen does not support).  Winner preservation is exact:
-    every candidate achieving the minimum failure count is known with
-    its exact joint count, so the tie set — and therefore the tie-break
-    — never changes.
+    tie-break.  Either path of the module docstring gives every
+    candidate's exact count, so the tie set, and therefore the winner,
+    never depends on the path.
     """
 
     def __init__(self, context: "_AllocationContext") -> None:
@@ -351,8 +345,8 @@ class _LocalRegionScorer:
 
         The cross-qubit batched ranking path: every qubit of the wave is
         ranked against the *same* assignment state, and all rankings the
-        memo cannot answer screen through one fused merge-kernel call
-        (:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`).
+        memo cannot answer are counted in one batched call
+        (:meth:`~repro.collision.yield_simulator.YieldSimulator.ranking_failure_counts`).
         Winners are bit-identical to ranking the wave one qubit at a
         time; the caller guarantees independence (no two wave members
         share a collision connection, see
@@ -369,7 +363,7 @@ class _LocalRegionScorer:
                 pending.append(request)
         if not pending:
             return winners
-        screened_batch = self._context._simulator.screened_failure_counts_batch(
+        counts_batch = self._context._simulator.ranking_failure_counts(
             self._context.candidates,
             [
                 (request.qubit_index, request.base, request.pair_idx,
@@ -377,8 +371,8 @@ class _LocalRegionScorer:
                 for request in pending
             ],
         )
-        for request, screened in zip(pending, screened_batch):
-            winners[request.qubit] = self._finish(request, screened)
+        for request, failures in zip(pending, counts_batch):
+            winners[request.qubit] = self._finish(request, failures)
         return winners
 
     def _resolve(
@@ -439,16 +433,13 @@ class _LocalRegionScorer:
             qubit, memo_key, qubit_index, base, pair_idx, triple_idx, noise,
         )
 
-    def _finish(self, request: "_RankingRequest", screened: ScreenedCounts) -> float:
+    def _finish(self, request: "_RankingRequest", failures: np.ndarray) -> float:
         """Apply the documented tie-break and memoize the winner."""
         # Failure counts are integers, so the 1e-12 yield tolerance reduces
         # to exact count equality; the tie set is ranked by mid-band
         # distance, lower frequency first among equally distant candidates
-        # (tie indices ascend and argmin returns the first minimum).  Every
-        # minimum-count candidate is known exactly, so the tie set over
-        # known counts equals the unscreened tie set.
-        failures, known = screened.counts, screened.known
-        tie_set = np.flatnonzero(known & (failures == failures[known].min()))
+        # (tie indices ascend and argmin returns the first minimum).
+        tie_set = np.flatnonzero(failures == failures.min())
         context = self._context
         winner = float(context.candidates[tie_set[np.argmin(context._mid_distance[tie_set])]])
         _bounded_put(_RANKING_MEMO, _RANKING_MEMO_LIMIT, request.memo_key, winner)
@@ -494,7 +485,7 @@ class AllocationStrategy:
         """The paper's centre-out BFS greedy walk; returns (assignment, order).
 
         The walk processes the BFS order in waves (:meth:`_next_wave`):
-        each wave is ranked through one fused batched kernel call and then
+        each wave is ranked through one batched counting call and then
         assigned wholesale.  Winners are bit-identical to the sequential
         walk — see :meth:`_next_wave` for why.
         """

@@ -126,7 +126,7 @@ def _execute(spec: FaultSpec, site: str,
         os._exit(spec.exit_code)
     elif spec.kind == "segv":
         # Simulated native abort: die by SIGSEGV exactly as a memory
-        # bug in the C merge kernel would, without corrupting the heap.
+        # bug in a native C kernel would, without corrupting the heap.
         os.kill(os.getpid(), signal.SIGSEGV)
     elif spec.kind == "hang":
         _hang(spec)

@@ -27,9 +27,9 @@ the two logicals it moves, and distances are small integers, so the base
 sums plus deltas are exact.
 
 The pass exists twice.  :meth:`SabreRouter._python_pass` is the
-reference; ``sabre_pass`` in the native library of
-:mod:`repro.collision.merge_kernel` (the one that holds the screening
-kernel) transliterates it over the same arrays in C: the router tables
+reference; ``sabre_pass`` in the native library (``native.c``, loaded
+by :mod:`repro.collision.merge_kernel` with the other C kernels)
+transliterates it over the same arrays in C: the router tables
 (flat distance matrix, edges per index, neighbours per index) once per
 router, the pack (CSR successors) once per :class:`PackedDAG`.  The
 C pass runs while ``REPRO_SCREENING_BACKEND`` resolves to ``native``;
@@ -364,7 +364,7 @@ class SabreRouter:
         message is the reference's.  Both give the same events, swap
         count and final mapping.
         """
-        kernel = merge_kernel.native_sabre_pass()
+        kernel = merge_kernel.native_kernel("sabre_pass")
         if kernel is not None:
             result = self._native_pass(kernel, dag, mapping, events)
             if result is not None:
@@ -748,7 +748,7 @@ class SabreRouter:
         return best_improving if best_improving is not None else best
 
 
-#: ``sabre_pass`` status codes (see ``merge_kernel._SABRE_SOURCE``).
+#: ``sabre_pass`` status codes (see ``native.c``).
 _SABRE_OK = 0
 _SABRE_OVERFLOW = 1
 

@@ -5,9 +5,9 @@ harness: every result-affecting knob (trials, sigma, seeds, Algorithm 3
 strategy, router parameters) plus the store paths.  The CLI resolves it
 once, and the session layer, the sweep executors, their workers and the
 checkpoint task keys all take it as is.  How Algorithm 3 ranks its
-candidates is not a field: the interval screen runs exactly when the C
-merge kernel is the active backend (see
-:mod:`repro.collision.merge_kernel`), and both ways give the same plans.
+candidates is not a field: C counts them exactly when the native library
+is the active backend (see :mod:`repro.collision.merge_kernel`), numpy
+otherwise, and both ways give the same plans.
 It is:
 
 * **frozen and picklable** — resolved once (from CLI flags and/or a

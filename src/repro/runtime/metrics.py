@@ -2,7 +2,7 @@
 
 One process-local :class:`MetricsRegistry` (reached via
 :func:`global_metrics`) collects counters (cache hits per stage,
-screening prune totals, swap counts, Algorithm 3 Monte Carlo calls) and
+backend fallbacks, swap counts, Algorithm 3 Monte Carlo calls) and
 wall-time accumulators from the yield, routing, and design layers.
 
 Three operations make the registry safe to thread through parallel
@@ -60,19 +60,6 @@ class MetricsRegistry:
         amount = int(amount)
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-
-    def increment_many(self, amounts: Dict[str, int]) -> None:
-        """Add several counters under one lock acquisition.
-
-        The hot-path form of :meth:`increment`: per-ranking call sites
-        (e.g. the screening instrumentation) record their whole counter
-        group in a single locked update instead of one lock round trip
-        per counter.
-        """
-        with self._lock:
-            counters = self._counters
-            for name, amount in amounts.items():
-                counters[name] = counters.get(name, 0) + int(amount)
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one observation of ``seconds`` wall time under ``name``."""
@@ -218,11 +205,6 @@ def _derived_metrics(counters: Mapping[str, int]) -> Dict[str, float]:
         total = hits + misses
         if total:
             derived[base + "/hit_rate"] = hits / total
-    candidates = counters.get("screening/candidates", 0)
-    if candidates:
-        derived["screening/prune_fraction"] = (
-            counters.get("screening/pruned", 0) / candidates
-        )
     routes = counters.get("routing/routes", 0)
     if routes:
         derived["routing/swaps_per_route"] = counters.get("routing/swaps", 0) / routes

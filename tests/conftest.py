@@ -113,8 +113,9 @@ def allocation_calls() -> AllocationCalls:
 def merge_backend():
     """Switch the merge-kernel backend inside a test: ``merge_backend(name)``.
 
-    ``native`` screens Algorithm 3 rankings (and routes and counts yield
-    survivors) in C; ``numpy`` ranks directly.  Asking for ``native``
+    ``native`` counts Algorithm 3 candidates (and routes, draws the
+    noise and counts yield survivors) in C; ``numpy`` runs the numpy and
+    Python references.  Asking for ``native``
     without a C toolchain skips the test.  The previously active backend
     is restored afterwards.
     """
@@ -133,7 +134,7 @@ def merge_backend():
 
 @pytest.fixture(params=["native", "numpy"])
 def routing_backend(request, merge_backend):
-    """Run on the C library (``native``: C routing pass, screened
-    Algorithm 3) or without it (``numpy``: Python pass, direct ranking)."""
+    """Run on the C library (``native``: C routing pass, Algorithm 3
+    counted in C) or without it (``numpy``: Python pass, numpy ranking)."""
     merge_backend(request.param)
     return request.param

@@ -56,7 +56,7 @@ def backend(name):
 def c_draw(seed, sigma, shape):
     """The C kernel's draw from a fresh ``default_rng(seed)``."""
     with backend("native"):
-        kernel = merge_kernel.native_normal_fill()
+        kernel = merge_kernel.native_kernel("pcg64_normal_fill")
     bit_generator = np.random.default_rng(seed).bit_generator
     return merge_kernel.pcg64_normal(kernel, bit_generator, sigma, shape)
 

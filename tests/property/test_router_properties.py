@@ -536,7 +536,7 @@ def native_kernel():
     previous = merge_kernel.active_backend()
     merge_kernel.set_backend("native")
     try:
-        return merge_kernel.native_sabre_pass()
+        return merge_kernel.native_kernel("sabre_pass")
     finally:
         merge_kernel.set_backend(previous)
 

@@ -1,201 +1,171 @@
-"""Property tests of the fused single-pass C merge kernel.
+"""Property tests of the C candidate count behind Algorithm 3's ranking.
 
 Invariants covered:
 
-* the C kernel returns ``(lower, upper)`` counts and dispute masks
-  (``lower != upper``) bit-identical to the scalar reference
-  ``_python_union_bounds`` for random interval families, including
-  epsilon-sandwich edge cases: endpoints
-  drawn from a shared pool and jittered by sub-epsilon / epsilon-scale
-  multiples, so exact coincidences and barely-separated endpoints both
-  occur;
-* the kernel declines (returns None) a non-uniform candidate grid, so
-  the caller ranks that batch directly;
-* the counts are *valid* bounds: candidates comfortably inside some
-  interval are counted by ``upper``, and ``lower`` never counts a
-  candidate comfortably outside every interval;
-* slot batching is transparent: stacking several regions into one call
-  returns each slot's counts exactly as a single-slot call would.
+* ``region_failure_counts``, reached through
+  :func:`repro.collision.screening.screen_candidate_bounds_batch`,
+  returns for every candidate exactly the failed-trial count of the
+  numpy folded kernel (``YieldSimulator._failure_counts_folded``), for
+  random foldable thresholds and anharmonicities, the scanned column
+  anywhere, pairs in either order, triples with the scanned qubit as
+  centre or spectator, NaN noise, zero trials, and candidate arrays
+  that are unsorted, non-uniform, of length 1 or longer than 64;
+* batching is transparent: each region of a batch gets the counts it
+  gets alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.collision import available_backends
-from repro.collision.merge_kernel import (
-    _python_union_bounds,
-    candidate_bins,
-    fused_union_bounds,
-)
-from repro.collision.screening import SCREENING_EPSILON
+from repro.collision import YieldSimulator, available_backends, merge_kernel
+from repro.collision.conditions import CollisionThresholds
+from repro.collision.screening import screen_candidate_bounds_batch
+from repro.collision.yield_simulator import DEFAULT_CHUNK_ELEMENTS
 from repro.hardware.frequency import candidate_frequencies
 from strategies import examples
 
-pytestmark = pytest.mark.property
+pytestmark = [
+    pytest.mark.property,
+    pytest.mark.skipif(
+        "native" not in available_backends(), reason="no C toolchain"
+    ),
+]
 
-EPS = SCREENING_EPSILON
+GRID = candidate_frequencies()
 
-CANDIDATES = candidate_frequencies()
+_band = st.floats(4.9, 5.45, allow_nan=False)
+#: Grid values make exact threshold coincidences likely under zero noise.
+_frequency = st.one_of(st.sampled_from(list(GRID)), _band)
 
-#: Epsilon-scale endpoint jitter: exact coincidence, sub-epsilon
-#: separation, and just-past-threshold gaps around shared endpoints.
-_jitter = st.sampled_from(
-    [-2.0 * EPS, -EPS, -0.5 * EPS, 0.0, 0.5 * EPS, EPS, 2.0 * EPS]
-)
 
-_band_floats = st.floats(min_value=4.9, max_value=5.45,
-                         allow_nan=False, allow_infinity=False)
+@contextlib.contextmanager
+def native_backend():
+    """Run the block with the C kernels active, then restore the backend."""
+    previous = merge_kernel.active_backend()
+    merge_kernel.set_backend("native")
+    try:
+        yield
+    finally:
+        merge_kernel.set_backend(previous)
 
 
 @st.composite
-def interval_matrices(draw):
-    """(lows, highs) float32 matrices of one region's interval families.
-
-    Endpoints come from a small shared pool plus epsilon-scale jitter,
-    so distinct intervals frequently share endpoints exactly or sit
-    within the merge thresholds of each other — the regime where the
-    widened/narrowed two-threshold decisions actually differ.
-    """
-    trials = draw(st.integers(min_value=1, max_value=12))
-    cols = draw(st.integers(min_value=1, max_value=6))
-    pool = draw(st.lists(_band_floats, min_size=2, max_size=5))
-    lows = np.empty((trials, cols), dtype=np.float32)
-    highs = np.empty((trials, cols), dtype=np.float32)
-    last = len(pool) - 1
-    for row in range(trials):
-        for col in range(cols):
-            a = pool[draw(st.integers(0, last))] + draw(_jitter)
-            b = pool[draw(st.integers(0, last))] + draw(_jitter)
-            lo, hi = (a, b) if a <= b else (b, a)
-            lows[row, col] = np.float32(lo)
-            highs[row, col] = np.float32(hi)
-    return lows, highs
+def foldable_physics(draw):
+    """(delta, thresholds) that ``_foldable_thresholds`` accepts."""
+    delta = draw(st.one_of(st.just(-0.34), st.floats(-0.6, -0.01)))
+    limit = -delta
+    thresholds = CollisionThresholds(
+        condition_1_ghz=draw(st.floats(0.0, 0.1)),
+        condition_2_ghz=draw(st.floats(0.0, limit / 2.0)),
+        condition_3_ghz=draw(st.floats(0.0, limit)),
+        condition_5_ghz=draw(st.floats(0.0, 0.1)),
+        condition_6_ghz=draw(st.floats(0.0, limit)),
+        condition_7_ghz=draw(st.floats(0.0, 0.1)),
+    )
+    assume(YieldSimulator(delta_ghz=delta, thresholds=thresholds)._foldable_thresholds())
+    return delta, thresholds
 
 
-def _all_backend_bounds(lows, highs, slots, num_slots):
-    """The scalar reference's counts, plus the C kernel's when built."""
-    bins = candidate_bins(CANDIDATES)
-    results = {
-        "python": _python_union_bounds(lows, highs, slots, num_slots, bins, EPS)
-    }
-    if "native" in available_backends():
-        results["native"] = fused_union_bounds(
-            lows, highs, slots, num_slots, bins, EPS
-        )
-    return results
-
-
-@settings(max_examples=examples(40))
-@given(interval_matrices())
-def test_backends_agree_exactly(matrices):
-    lows, highs = matrices
-    slots = np.zeros(lows.shape[0], dtype=np.int64)
-    results = _all_backend_bounds(lows, highs, slots, 1)
-    reference_name, (ref_lower, ref_upper) = next(iter(results.items()))
-    for backend, (lower, upper) in results.items():
-        assert (lower == ref_lower).all(), (backend, reference_name)
-        assert (upper == ref_upper).all(), (backend, reference_name)
-        assert (
-            (lower != upper) == (ref_lower != ref_upper)
-        ).all(), f"dispute masks differ: {backend} vs {reference_name}"
-
-
-@settings(max_examples=examples(30))
-@given(interval_matrices())
-def test_bounds_are_valid(matrices):
-    lows, highs = matrices
-    slots = np.zeros(lows.shape[0], dtype=np.int64)
-    for backend, (lower, upper) in _all_backend_bounds(
-        lows, highs, slots, 1
-    ).items():
-        lower, upper = lower[0], upper[0]
-        assert (lower <= upper).all(), backend
-        assert (lower >= 0).all(), backend
-        # Margins of 2 * epsilon clear every widen/narrow/binning edge,
-        # so these memberships must be decided the obvious way.
-        lo64 = lows.astype(np.float64)
-        hi64 = highs.astype(np.float64)
-        for index, candidate in enumerate(CANDIDATES):
-            inside = (
-                (lo64 + 2.0 * EPS <= candidate)
-                & (candidate <= hi64 - 2.0 * EPS)
-            ).any(axis=1)
-            outside = ~(
-                (lo64 - 2.0 * EPS <= candidate)
-                & (candidate <= hi64 + 2.0 * EPS)
-            ).any(axis=1)
-            assert upper[index] >= inside.sum(), backend
-            assert lower[index] <= lows.shape[0] - outside.sum(), backend
-
-
-@settings(max_examples=examples(25))
-@given(interval_matrices(), interval_matrices())
-def test_slot_batching_is_transparent(first, second):
-    lows_a, highs_a = first
-    lows_b, highs_b = second
-    width = max(lows_a.shape[1], lows_b.shape[1])
-    sentinel = np.float32(3.0e38)
-
-    def pad(matrix):
-        rows, cols = matrix.shape
-        out = np.full((rows, width), sentinel, dtype=np.float32)
-        out[:, :cols] = matrix
-        return out
-
-    lows = np.vstack([pad(lows_a), pad(lows_b)])
-    highs = np.vstack([pad(highs_a), pad(highs_b)])
-    slots = np.concatenate([
-        np.zeros(lows_a.shape[0], dtype=np.int64),
-        np.ones(lows_b.shape[0], dtype=np.int64),
-    ])
-    for backend, (lower, upper) in _all_backend_bounds(
-        lows, highs, slots, 2
-    ).items():
-        for slot, (slot_lows, slot_highs) in enumerate(
-            [(lows_a, highs_a), (lows_b, highs_b)]
-        ):
-            alone_lower, alone_upper = _all_backend_bounds(
-                slot_lows, slot_highs,
-                np.zeros(slot_lows.shape[0], dtype=np.int64), 1,
-            )[backend]
-            assert (lower[slot] == alone_lower[0]).all(), backend
-            assert (upper[slot] == alone_upper[0]).all(), backend
-
-
-def test_shared_endpoint_sandwich_regression():
-    """Chains glued at one endpoint: the canonical epsilon-sandwich case."""
-    b = np.float32(5.17)
-    cases = [
-        # touching intervals (gap exactly 0: narrowed splits, widened merges)
-        [(5.10, float(b)), (float(b), 5.24)],
-        # overlap beyond every threshold (both spaces merge)
-        [(5.10, float(b) + 4 * EPS), (float(b) - 4 * EPS, 5.24)],
-        # separation past both thresholds (both spaces split)
-        [(5.10, float(b) - 4 * EPS), (float(b) + 4 * EPS, 5.24)],
-        # degenerate zero-width interval on a shared endpoint
-        [(float(b), float(b)), (5.10, 5.24)],
+@st.composite
+def regions(draw, trials):
+    """One local region shaped like the allocator's, on ``trials`` trials."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(0, n - 1))
+    base = np.array(draw(st.lists(_frequency, min_size=n, max_size=n)))
+    others = [o for o in range(n) if o != q]
+    pairs = [
+        (q, o) if draw(st.booleans()) else (o, q)
+        for o in others if draw(st.booleans())
     ]
-    for intervals in cases:
-        lows = np.array([[lo for lo, _ in intervals]], dtype=np.float32)
-        highs = np.array([[hi for _, hi in intervals]], dtype=np.float32)
-        slots = np.zeros(1, dtype=np.int64)
-        results = _all_backend_bounds(lows, highs, slots, 1)
-        reference = next(iter(results.values()))
-        for backend, (lower, upper) in results.items():
-            assert (lower == reference[0]).all(), (backend, intervals)
-            assert (upper == reference[1]).all(), (backend, intervals)
+    triples = []
+    if len(others) >= 2:
+        for _ in range(draw(st.integers(0, 5))):
+            i, k = draw(st.permutations(others))[:2]
+            role = draw(st.integers(0, 2))
+            triples.append(((q, i, k), (i, q, k), (i, k, q))[role])
+    sigma = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1]))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32))).normal(
+        0.0, sigma, (trials, n)
+    )
+    for _ in range(draw(st.integers(0, 3)) if noise.size else 0):
+        row, column = draw(st.integers(0, trials - 1)), draw(st.integers(0, n - 1))
+        noise[row, column] = np.nan
+    return (
+        q, base,
+        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        np.array(triples, dtype=np.int64).reshape(-1, 3),
+        noise,
+    )
 
 
-def test_non_uniform_grid_is_declined():
-    """Only the uniform allocator grid has a C binning path."""
-    grid = np.concatenate((CANDIDATES[:3], CANDIDATES[4:]))
-    lows = np.array([[5.10]], dtype=np.float32)
-    highs = np.array([[5.20]], dtype=np.float32)
-    slots = np.zeros(1, dtype=np.int64)
-    assert fused_union_bounds(
-        lows, highs, slots, 1, candidate_bins(grid), EPS
-    ) is None
+candidate_arrays = st.one_of(
+    st.just(GRID),
+    st.lists(_frequency, min_size=1, max_size=80).map(np.array),
+)
+
+
+def c_counts(candidates, batch, trials, delta, thresholds):
+    with native_backend():
+        return screen_candidate_bounds_batch(
+            candidates, batch, trials, delta, thresholds
+        )
+
+
+def numpy_counts(candidates, region, trials, delta, thresholds):
+    """The folded numpy kernel's count of every candidate."""
+    q, base, pairs, triples, noise = region
+    if trials == 0:
+        return np.zeros(candidates.shape[0], dtype=np.int64)
+    simulator = YieldSimulator(trials=trials, delta_ghz=delta, thresholds=thresholds)
+    designs = np.repeat(base[None, :], candidates.shape[0], axis=0)
+    designs[:, q] = candidates
+    return simulator._failure_counts_folded(
+        designs, pairs, triples, noise, DEFAULT_CHUNK_ELEMENTS
+    )
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(st.data())
+def test_backends_agree_exactly(data):
+    trials = data.draw(st.sampled_from([0, 1, 7, 64]))
+    delta, thresholds = data.draw(foldable_physics())
+    region = data.draw(regions(trials))
+    assume(region[2].size or region[3].size)
+    candidates = data.draw(candidate_arrays)
+    (counts,) = c_counts(candidates, [region], trials, delta, thresholds)
+    expected = numpy_counts(candidates, region, trials, delta, thresholds)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected.tolist()
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(st.data())
+def test_slot_batching_is_transparent(data):
+    trials = data.draw(st.sampled_from([1, 16]))
+    delta, thresholds = data.draw(foldable_physics())
+    batch = data.draw(st.lists(regions(trials), min_size=1, max_size=4))
+    candidates = data.draw(candidate_arrays)
+    together = c_counts(candidates, batch, trials, delta, thresholds)
+    for region, counts in zip(batch, together):
+        (alone,) = c_counts(candidates, [region], trials, delta, thresholds)
+        assert counts.tolist() == alone.tolist()
+
+
+def test_non_uniform_grid_is_counted():
+    """Any candidate array is counted: here a grid with a hole in it."""
+    grid = np.concatenate((GRID[:3], GRID[4:]))
+    region = (
+        0, np.array([0.0, 5.13, 5.2]),
+        np.array([[0, 1], [2, 0]], dtype=np.int64),
+        np.array([[1, 0, 2]], dtype=np.int64),
+        np.random.default_rng(5).normal(0.0, 0.03, (300, 3)),
+    )
+    delta, thresholds = -0.34, CollisionThresholds()
+    (counts,) = c_counts(grid, [region], 300, delta, thresholds)
+    assert counts.tolist() == numpy_counts(grid, region, 300, delta, thresholds).tolist()

@@ -251,7 +251,7 @@ def screening_backend(name):
 def native_kernel():
     """The C survivor count, whichever backend is active."""
     with screening_backend("native"):
-        return merge_kernel.native_chip_survivors()
+        return merge_kernel.native_kernel("chip_survivors")
 
 
 def native_noise(simulator, num_qubits):

@@ -354,21 +354,21 @@ class TestScreeningAndStatsFlags:
     def test_no_screening_sweep_output_is_byte_identical(
         self, capsys, allocation_calls, merge_backend,
     ):
-        """The acceptance criterion at the CLI surface: the screened
-        (``native``) and direct (``numpy``) rankings produce
+        """The acceptance criterion at the CLI surface: the C
+        (``native``) and numpy (``numpy``) rankings produce
         byte-identical sweep output."""
         base = ["sweep", "sym6_145", *self.FAST, "--configs", "eff-full"]
         merge_backend("native")
         self._drop_process_caches()
         assert main(base) == 0
-        screened = capsys.readouterr().out
+        in_c = capsys.readouterr().out
         merge_backend("numpy")
         self._drop_process_caches()
         allocation_calls.reset()
         assert main(base) == 0
         direct = capsys.readouterr().out
         assert allocation_calls() > 0
-        assert direct == screened
+        assert direct == in_c
 
     def test_metrics_out_reports_cache_counters(self, tmp_path, capsys):
         """The routing-cache and per-stage design-cache counters reach the

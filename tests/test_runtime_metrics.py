@@ -97,7 +97,6 @@ class TestReportSchema:
             "counters": {
                 "routing/cache/hits": 6, "routing/cache/misses": 2,
                 "routing/routes": 2, "routing/swaps": 10,
-                "screening/candidates": 100, "screening/pruned": 80,
             },
             "timers": {"routing/route": {"count": 2, "total_s": 0.25}},
         }
@@ -115,7 +114,6 @@ class TestReportSchema:
     def test_derived_ratios_recomputed_from_counters(self):
         derived = self._report()["derived"]
         assert derived["routing/cache/hit_rate"] == pytest.approx(0.75)
-        assert derived["screening/prune_fraction"] == pytest.approx(0.8)
         assert derived["routing/swaps_per_route"] == pytest.approx(5.0)
 
     def test_validate_rejects_missing_keys(self):

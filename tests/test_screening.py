@@ -1,34 +1,32 @@
-"""Tests for the exact interval-count screening engine.
+"""Tests of Algorithm 3's candidate ranking on both backends.
 
 Covers three layers:
 
-* the raw bound kernel (:mod:`repro.collision.screening`) — validity and
-  tightness of the per-candidate joint-count bounds against the joint
-  Monte Carlo kernel on randomized local regions;
-* the screen-then-verify entry point
-  (:meth:`~repro.collision.yield_simulator.YieldSimulator.screened_failure_counts_batch`,
-  one region at a time) — the winner-preservation contract: every
-  minimum-count candidate is known with its exact joint count;
+* when the C count applies: with the native library active and
+  thresholds the folded kernel supports
+  (``YieldSimulator._foldable_thresholds``), every ranking is counted in
+  C; other thresholds fall back to the generic numpy kernel;
+* the counts of
+  :meth:`~repro.collision.yield_simulator.YieldSimulator.ranking_failure_counts`
+  equal the joint Monte Carlo kernel's for every candidate, and a region
+  the C kernel declines (an index outside ``[0, n)``, a non-contiguous
+  array) is counted by numpy and counted once in
+  ``screening/native_fallbacks``;
 * the allocator integration — Algorithm 3 produces bit-identical plans
-  screened (the ``native`` backend) and ranked directly (``numpy``), for
+  counted in C (the ``native`` backend) and by numpy (``numpy``), for
   every allocation strategy and for the unique collision structures of
-  an evaluation grid, where the screen leaves the joint kernel at most a
-  tenth of the candidate rows.
+  an evaluation grid, where the native backend leaves the numpy kernel
+  no candidate row at all.
 
-The bound and screen layers need the C merge kernel, so those tests run
-under ``native`` and skip without a C toolchain.
+Class and test names that speak of bounds or screens predate the exact
+C count, which replaced an interval screen whose lower and upper bounds
+pinned most counts; each such test now asserts the exact count.  Tests of the C count skip without a C toolchain.
 """
 
 import numpy as np
 import pytest
 
-from repro.collision import (
-    CollisionThresholds,
-    YieldSimulator,
-    screening_applicable,
-)
-from repro.collision.screening import screen_candidate_bounds
-from repro.collision.yield_simulator import collision_index_arrays
+from repro.collision import CollisionThresholds, YieldSimulator
 from repro.benchmarks import get_benchmark
 from repro.design import (
     ALLOCATION_STRATEGIES,
@@ -45,7 +43,6 @@ from repro.design.engine import (
 from repro.hardware import Architecture, Lattice
 from repro.hardware.frequency import candidate_frequencies
 from repro.runtime.metrics import diff_snapshots, global_metrics
-
 
 def random_region(rng, num_qubits=None):
     """A randomized local region shaped like the allocator's: every pair
@@ -70,76 +67,93 @@ def random_region(rng, num_qubits=None):
     return q, base, pairs, triples
 
 
-def candidate_bounds(simulator, candidates, q, base, pairs, triples, noise):
-    """The screen's per-candidate bounds for one region, under the
-    simulator's anharmonicity and thresholds."""
-    pairs_array, triples_array = collision_index_arrays(pairs, triples)
-    return screen_candidate_bounds(
-        candidates, q, base, pairs_array, triples_array, noise,
-        simulator.delta_ghz, simulator.thresholds,
-    )
+def exact_counts(simulator, candidates, q, base, pairs, triples, noise=None):
+    """The joint numpy kernel's count of every candidate of one region."""
+    batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
+    batch[:, q] = candidates
+    return simulator.failure_counts(batch, pairs, triples, noise=noise)
 
 
-def screen_one(simulator, candidates, q, base, pairs, triples, noise=None):
-    """The screened ranking of one region: a one-region batch."""
-    return simulator.screened_failure_counts_batch(
+def rank_one(simulator, candidates, q, base, pairs, triples, noise=None):
+    """The ranking counts of one region: a one-region batch."""
+    return simulator.ranking_failure_counts(
         candidates, [(q, base, pairs, triples, noise)]
     )[0]
 
 
-class TestScreeningApplicable:
-    def test_paper_constants_are_applicable(self):
-        simulator = YieldSimulator(trials=100, seed=1)
-        assert screening_applicable(simulator.delta_ghz, simulator.thresholds)
-        assert simulator.screening_enabled()
-
-    def test_positive_anharmonicity_rejected(self):
-        assert not screening_applicable(0.34, CollisionThresholds())
-
-    def test_overlapping_interval_geometry_rejected(self):
-        # A condition-3 threshold wider than |delta| merges the carve-outs;
-        # this also defeats the folded joint kernel.
-        wide = CollisionThresholds(condition_3_ghz=0.5)
-        assert not screening_applicable(-0.34, wide)
-        assert not YieldSimulator(trials=100, seed=1, thresholds=wide).screening_enabled()
-
-    def test_bounds_refused_when_not_applicable(self, merge_backend):
-        """Even with the C kernel active, no bounds are derived for
-        thresholds the interval geometry does not support: the ranking
-        scores every candidate directly."""
-        merge_backend("native")
-        simulator = YieldSimulator(
-            trials=100, seed=1, thresholds=CollisionThresholds(condition_3_ghz=0.5)
-        )
-        assert not simulator.screening_enabled()
-        before = global_metrics().snapshot()
-        ranking = screen_one(
-            simulator, candidate_frequencies(), 0, np.array([0.0, 5.1]), [(0, 1)], []
-        )
-        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
-        assert "screening/calls" not in counters
-        assert ranking.known.all()
-
-    def test_unsorted_candidates_rejected(self):
-        simulator = YieldSimulator(trials=100, seed=1)
-        descending = candidate_frequencies()[::-1]
-        with pytest.raises(ValueError, match="ascending"):
-            screen_one(simulator, descending, 0, np.array([0.0, 5.1]), [(0, 1)], [])
-        with pytest.raises(ValueError, match="ascending"):
-            simulator.screened_failure_counts_batch(
-                descending, [(0, np.array([0.0, 5.1]), [(0, 1)], [], None)] * 2
-            )
+def counted(action):
+    """Run ``action``; return its result and the counter deltas it caused."""
+    before = global_metrics().snapshot()
+    result = action()
+    return result, diff_snapshots(global_metrics().snapshot(), before)["counters"]
 
 
 @pytest.fixture
 def native(merge_backend):
-    """Run the test with the C merge kernel active."""
+    """Run the test with the C kernels active."""
     merge_backend("native")
+
+
+EXOTIC = CollisionThresholds(condition_3_ghz=0.5)
+
+
+class TestScreeningApplicable:
+    """When the C count applies: foldable thresholds on the native backend."""
+
+    def test_paper_constants_are_applicable(self, native):
+        simulator = YieldSimulator(trials=100, seed=1)
+        assert simulator._foldable_thresholds()
+        candidates = candidate_frequencies()
+        ranking, counters = counted(lambda: rank_one(
+            simulator, candidates, 0, np.array([0.0, 5.1]), [(0, 1)], []
+        ))
+        # Counted in C: the numpy kernel scored no candidate row.
+        assert "yield/kernel_rows" not in counters
+        assert "screening/native_fallbacks" not in counters
+        assert (ranking == exact_counts(
+            simulator, candidates, 0, np.array([0.0, 5.1]), [(0, 1)], []
+        )).all()
+
+    def test_positive_anharmonicity_rejected(self):
+        assert not YieldSimulator(trials=100, seed=1, delta_ghz=0.34)._foldable_thresholds()
+
+    def test_overlapping_interval_geometry_rejected(self):
+        # A condition-3 threshold wider than |delta| merges the carve-outs,
+        # which defeats the folded kernel and so the C count.
+        assert not YieldSimulator(trials=100, seed=1, thresholds=EXOTIC)._foldable_thresholds()
+
+    def test_bounds_refused_when_not_applicable(self, native):
+        """Even with the C kernels active, thresholds the folded kernel
+        does not support are ranked by the generic numpy kernel."""
+        simulator = YieldSimulator(trials=100, seed=1, thresholds=EXOTIC)
+        candidates = candidate_frequencies()
+        _, counters = counted(lambda: rank_one(
+            simulator, candidates, 0, np.array([0.0, 5.1]), [(0, 1)], []
+        ))
+        assert counters["yield/kernel_rows"] == candidates.shape[0]
+        assert "screening/native_fallbacks" not in counters
+
+    def test_unsorted_candidates_are_ranked(self, merge_backend):
+        """Any candidate order is counted, candidate by candidate, on
+        both backends."""
+        simulator = YieldSimulator(trials=300, seed=1)
+        ascending = candidate_frequencies()
+        base, pairs, triples = np.array([0.0, 5.1, 5.22]), [(0, 1), (2, 0)], [(1, 0, 2)]
+        rankings = []
+        for backend in ("numpy", "native"):
+            merge_backend(backend)
+            forward = rank_one(simulator, ascending, 0, base, pairs, triples)
+            backward = rank_one(simulator, ascending[::-1], 0, base, pairs, triples)
+            assert (backward == forward[::-1]).all()
+            rankings.append(forward)
+        assert (rankings[0] == rankings[1]).all()
 
 
 @pytest.mark.usefixtures("native")
 class TestBoundValidity:
-    """The bounds sandwich the joint kernel's counts on random regions."""
+    """The C counts equal the joint kernel's counts on every candidate
+    (the interval bounds these tests are named for now coincide with
+    the exact count)."""
 
     TRIALS = 700
 
@@ -155,57 +169,46 @@ class TestBoundValidity:
             noise = np.random.default_rng(case).normal(
                 0.0, 0.03, size=(self.TRIALS, base.shape[0])
             )
-            batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
-            batch[:, q] = candidates
-            exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-            bounds = candidate_bounds(
-                simulator, candidates, q, base, pairs, triples, noise
-            )
-            assert (bounds.lower <= exact).all()
-            assert (bounds.upper >= exact).all()
+            exact = exact_counts(simulator, candidates, q, base, pairs, triples, noise)
+            ranking = rank_one(simulator, candidates, q, base, pairs, triples, noise)
+            assert (ranking == exact).all()
             checked += 1
         assert checked > 30
 
     def test_single_event_regions_are_pinned_exactly(self):
-        """One pair connection: the interval counts are the joint counts."""
+        """One pair connection."""
         simulator = YieldSimulator(trials=self.TRIALS, sigma_ghz=0.03, seed=3)
         candidates = candidate_frequencies()
         base = np.array([0.0, 5.13])
         noise = np.random.default_rng(5).normal(0.0, 0.03, size=(self.TRIALS, 2))
-        batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
-        batch[:, 0] = candidates
-        exact = simulator.failure_counts(batch, [(0, 1)], [], noise=noise)
-        bounds = candidate_bounds(
-            simulator, candidates, 0, base, [(0, 1)], [], noise
-        )
-        assert (bounds.lower == exact).all()
-        assert (bounds.upper == exact).all()
-        assert bounds.exact.all()
+        exact = exact_counts(simulator, candidates, 0, base, [(0, 1)], [], noise)
+        ranking = rank_one(simulator, candidates, 0, base, [(0, 1)], [], noise)
+        assert (ranking == exact).all()
 
     def test_candidate_subset_supported(self):
-        """Pruning strategies rank ascending subsets of the grid."""
+        """A strided subset of the grid (copied to a contiguous array)."""
         simulator = YieldSimulator(trials=self.TRIALS, sigma_ghz=0.03, seed=3)
         subset = candidate_frequencies()[::3]
         base = np.array([0.0, 5.08, 5.2])
         pairs, triples = [(0, 1), (0, 2)], [(0, 1, 2)]
         noise = np.random.default_rng(9).normal(0.0, 0.03, size=(self.TRIALS, 3))
-        batch = np.repeat(base[None, :], subset.shape[0], axis=0)
-        batch[:, 0] = subset
-        exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-        bounds = candidate_bounds(
-            simulator, subset, 0, base, pairs, triples, noise
+        exact = exact_counts(simulator, subset, 0, base, pairs, triples, noise)
+        ranking, counters = counted(
+            lambda: rank_one(simulator, subset, 0, base, pairs, triples, noise)
         )
-        assert (bounds.lower <= exact).all()
-        assert (bounds.upper >= exact).all()
+        assert (ranking == exact).all()
+        assert "screening/native_fallbacks" not in counters
 
 
 @pytest.mark.usefixtures("native")
-class TestScreenedCounts:
-    """The screen-then-verify contract of ``screened_failure_counts_batch``."""
+class TestRankingCounts:
+    """The counts of ``ranking_failure_counts`` and its declines."""
 
     TRIALS = 700
 
-    def test_minimum_candidates_always_known_and_exact(self):
+    def test_every_candidate_count_is_exact(self):
+        """Every candidate's count is exact, so the minimum and its tie
+        set are the joint kernel's."""
         rng = np.random.default_rng(11)
         simulator = YieldSimulator(trials=self.TRIALS, sigma_ghz=0.03, seed=3)
         candidates = candidate_frequencies()
@@ -216,100 +219,66 @@ class TestScreenedCounts:
             noise = np.random.default_rng(1000 + case).normal(
                 0.0, 0.03, size=(self.TRIALS, base.shape[0])
             )
-            batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
-            batch[:, q] = candidates
-            exact = simulator.failure_counts(batch, pairs, triples, noise=noise)
-            screened = screen_one(
-                simulator, candidates, q, base, pairs, triples, noise
-            )
-            minimum = exact.min()
-            # Every minimum-count candidate is known, with the exact count.
-            assert screened.known[exact == minimum].all()
-            assert (screened.counts[screened.known] == exact[screened.known]).all()
-            assert screened.counts[screened.known].min() == minimum
+            exact = exact_counts(simulator, candidates, q, base, pairs, triples, noise)
+            ranking = rank_one(simulator, candidates, q, base, pairs, triples, noise)
+            assert ranking.dtype == np.int64
+            assert (ranking == exact).all()
 
-    def test_no_connections_all_zero_and_known(self):
+    def test_no_connections_all_zero(self):
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
-        before = global_metrics().snapshot()
-        screened = screen_one(
+        ranking, counters = counted(lambda: rank_one(
             simulator, candidate_frequencies(), 0, np.array([0.0]), [], []
-        )
-        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
-        assert (screened.counts == 0).all()
-        assert screened.known.all()
-        assert counters.get("screening/pruned", 0) == 0
+        ))
+        assert ranking.shape == candidate_frequencies().shape
+        assert (ranking == 0).all()
+        assert "yield/kernel_rows" not in counters
 
     def test_degrades_to_joint_kernel_on_exotic_thresholds(self):
-        simulator = YieldSimulator(
-            trials=200, sigma_ghz=0.03, seed=3,
-            thresholds=CollisionThresholds(condition_3_ghz=0.5),
-        )
+        simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3, thresholds=EXOTIC)
         candidates = candidate_frequencies()
         base = np.array([0.0, 5.13])
-        before = global_metrics().snapshot()
-        screened = screen_one(
-            simulator, candidates, 0, base, [(0, 1)], []
-        )
-        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
-        batch = np.repeat(base[None, :], candidates.shape[0], axis=0)
-        batch[:, 0] = candidates
-        exact = simulator.failure_counts(batch, [(0, 1)], [])
-        assert screened.known.all()
-        assert (screened.counts == exact).all()
-        # The direct ranking derived no bounds, so it records no screen.
-        assert "screening/calls" not in counters
+        ranking = rank_one(simulator, candidates, 0, base, [(0, 1)], [])
+        assert (ranking == exact_counts(simulator, candidates, 0, base, [(0, 1)], [])).all()
+
+    def test_out_of_range_index_declines_to_numpy(self):
+        """A negative index: numpy wraps it, C would read out of bounds."""
+        simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
+        candidates = candidate_frequencies()
+        base = np.array([0.0, 5.13])
+        ranking, counters = counted(lambda: rank_one(
+            simulator, candidates, 0, base, np.array([[0, -1]]), []
+        ))
+        assert counters["screening/native_fallbacks"] == 1
+        assert counters["yield/kernel_rows"] == candidates.shape[0]
+        assert (ranking == exact_counts(simulator, candidates, 0, base, [(0, 1)], [])).all()
+
+    def test_non_contiguous_noise_declines_to_numpy(self):
+        simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
+        candidates = candidate_frequencies()
+        base = np.array([0.0, 5.13, 5.2])
+        noise = np.random.default_rng(4).normal(0.0, 0.03, size=(200, 3))
+        pairs, triples = [(0, 1)], [(1, 0, 2)]
+        ranking, counters = counted(lambda: rank_one(
+            simulator, candidates, 0, base, pairs, triples, np.asfortranarray(noise)
+        ))
+        assert counters["screening/native_fallbacks"] == 1
+        assert counters["yield/kernel_rows"] == candidates.shape[0]
+        assert (ranking == exact_counts(
+            simulator, candidates, 0, base, pairs, triples, noise
+        )).all()
 
     def test_stats_accumulate_and_reset(self):
+        """The decline counter adds up across calls, once per declined
+        batch, and a later baseline restarts it."""
         simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
+        region = (0, np.array([0.0, 5.13]), np.array([[0, -1]]), [], None)
         before = global_metrics().snapshot()
-        screened = screen_one(
-            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
-        )
-        counters = diff_snapshots(global_metrics().snapshot(), before)["counters"]
-        candidates = candidate_frequencies().shape[0]
-        assert counters["screening/calls"] == 1
-        assert counters["screening/candidates"] == candidates
-        # Pruned candidates are the ones left unknown; the known ones were
-        # decided by their bounds or verified by the joint kernel.
-        pruned = counters.get("screening/pruned", 0)
-        verified = counters.get("screening/verified", 0)
-        assert pruned == int((~screened.known).sum())
-        exact = counters.get("screening/exact", 0)
-        assert exact + verified == int(screened.known.sum())
-        # Counts accumulate across calls; a later baseline restarts them.
+        simulator.ranking_failure_counts(candidate_frequencies(), [region, region])
         middle = global_metrics().snapshot()
-        screen_one(
-            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
-        )
+        simulator.ranking_failure_counts(candidate_frequencies(), [region])
         now = global_metrics().snapshot()
-        assert diff_snapshots(now, before)["counters"]["screening/calls"] == 2
-        assert diff_snapshots(now, middle)["counters"]["screening/calls"] == 1
-
-
-@pytest.mark.usefixtures("native")
-class TestSessionScreeningStats:
-    """The ``screening/*`` metrics a command's ``--metrics-out`` reports."""
-
-    PHASES = ("pack", "merge", "dispute", "joint")
-
-    def _run_screen(self):
-        simulator = YieldSimulator(trials=200, sigma_ghz=0.03, seed=3)
-        screen_one(
-            simulator, candidate_frequencies(), 0, np.array([0.0, 5.13]), [(0, 1)], []
-        )
-
-    def test_phase_counters_reset_with_the_logical_counters(self):
-        self._run_screen()
-        before = global_metrics().snapshot()
-        self._run_screen()
-        delta = diff_snapshots(global_metrics().snapshot(), before)
-        # One baseline scopes the logical counters and the phase timers alike.
-        assert delta["counters"]["screening/calls"] == 1
-        timers = delta["timers"]
-        assert timers["screening/pack"]["total_s"] > 0
-        for phase in self.PHASES:
-            assert timers[f"screening/{phase}"]["count"] == 1
-            assert timers[f"screening/{phase}"]["total_s"] >= 0
+        assert diff_snapshots(now, before)["counters"]["screening/native_fallbacks"] == 2
+        assert diff_snapshots(now, middle)["counters"]["screening/native_fallbacks"] == 1
 
 
 def _allocate_under(merge_backend, name, allocator, architectures):
@@ -336,23 +305,25 @@ class TestAllocatorIdentity:
     def test_screening_is_bit_identical_per_strategy(self, strategy, merge_backend):
         allocator = FrequencyAllocator(local_trials=500, seed=11, strategy=strategy)
         arch = self.grid(2, 4)
-        screened, _ = _allocate_under(merge_backend, "native", allocator, [arch])
+        in_c, _ = _allocate_under(merge_backend, "native", allocator, [arch])
         direct, _ = _allocate_under(merge_backend, "numpy", allocator, [arch])
-        assert screened == direct
+        assert in_c == direct
 
     def test_only_the_native_backend_screens(self, merge_backend):
-        """``numpy`` ranks every candidate directly; ``native`` screens."""
+        """``numpy`` counts every candidate with the numpy kernel;
+        ``native`` counts all of them in C."""
         allocator = FrequencyAllocator(local_trials=300, seed=11)
         arch = self.grid(2, 3)
         direct, direct_counters = _allocate_under(
             merge_backend, "numpy", allocator, [arch]
         )
-        screened, screened_counters = _allocate_under(
+        in_c, c_counters = _allocate_under(
             merge_backend, "native", allocator, [arch]
         )
-        assert direct_counters.get("screening/calls", 0) == 0
-        assert screened_counters.get("screening/calls", 0) > 0
-        assert screened == direct
+        assert direct_counters.get("yield/kernel_rows", 0) > 0
+        assert "yield/kernel_rows" not in c_counters
+        assert "screening/native_fallbacks" not in c_counters
+        assert in_c == direct
 
     def test_ranking_memo_serves_repeat_allocations_identically(self):
         arch = self.grid(2, 3)
@@ -365,7 +336,7 @@ class TestAllocatorIdentity:
 
     def test_zero_sigma_tie_break_unchanged(self):
         """sigma = 0 collapses the noise; the documented mid-band
-        tie-break must survive the screened path."""
+        tie-break must survive the C count."""
         from repro.hardware.frequency import middle_frequency
 
         arch = Architecture.from_layout("chain", Lattice.rectangle(1, 2))
@@ -377,7 +348,7 @@ class TestAllocatorIdentity:
 
 
 class TestGridScreening:
-    """The screen on the evaluation grid's cold Algorithm 3 workload.
+    """The C count on the evaluation grid's cold Algorithm 3 workload.
 
     The unique collision structures of the ``eff-full`` bus series and
     the ``eff-rd-bus`` seed clouds of two benchmarks, deduplicated as the
@@ -387,9 +358,6 @@ class TestGridScreening:
     BENCHMARKS = ("sym6_145", "z4_268")
     SEEDS = (1, 2)
     LOCAL_TRIALS = 800
-    #: Ceiling on the candidate rows the joint kernel may still score
-    #: (the unscreened path scores all of them).
-    MAX_JOINT_ROW_FRACTION = 0.10
 
     def structures(self):
         engine = DesignEngine()
@@ -417,14 +385,12 @@ class TestGridScreening:
         structures = self.structures()
         assert len(structures) == 11
         allocator = FrequencyAllocator(local_trials=self.LOCAL_TRIALS)
-        screened, counters = _allocate_under(
+        in_c, counters = _allocate_under(
             merge_backend, "native", allocator, structures
         )
         direct, _ = _allocate_under(merge_backend, "numpy", allocator, structures)
-        assert screened == direct
-        candidates = counters.get("screening/candidates", 0)
-        assert candidates > 0, "the screen never ran"
-        verified = counters.get("screening/verified", 0)
-        assert verified <= self.MAX_JOINT_ROW_FRACTION * candidates, (
-            f"the joint kernel still scored {verified} of {candidates} candidate rows"
-        )
+        assert in_c == direct
+        assert counters.get("design/allocation_calls", 0) > 0
+        # Every ranking was counted in C: the numpy kernel scored no row.
+        assert "yield/kernel_rows" not in counters
+        assert "screening/native_fallbacks" not in counters

@@ -241,9 +241,9 @@ class TestAllocationStrategyAblation:
 
 
 class TestScreeningIdentity:
-    """Backend byte-identity: the interval screen (``native``) is provably
-    winner-preserving, so whole sweeps agree bit for bit with the direct
-    ranking (``numpy``).
+    """Backend byte-identity: the C count (``native``) gives every
+    candidate the numpy kernel's count, so whole sweeps agree bit for bit
+    with the numpy ranking (``numpy``).
 
     Every process-level cache whose keys deliberately exclude the
     backend (the worker design engines' frequency stage, the allocator's

@@ -291,7 +291,7 @@ class TestFabricationNoise:
         merge_backend("native")
         slow = np.zeros(2, dtype=np.int64)
         drawn = merge_kernel.pcg64_normal(
-            merge_kernel.native_normal_fill(),
+            merge_kernel.native_kernel("pcg64_normal_fill"),
             np.random.default_rng(0).bit_generator, 0.03, (2500,), slow,
         )
         tails, wedges = slow.tolist()
